@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .blaschke import build_wold_frame, transfer_subspace
@@ -185,14 +184,9 @@ def _execute(problem: Problem, task: Task) -> dict:
     return base
 
 
-def run_problem(problem: Problem, jobs: int = 1) -> dict:
-    """Execute all tasks; the report order follows the task index, not
-    completion order, so concurrent runs stay deterministic."""
-    if jobs > 1 and len(problem.tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: _execute(problem, t), problem.tasks))
-    else:
-        results = [_execute(problem, t) for t in problem.tasks]
+def run_problem(problem: Problem) -> dict:
+    """Execute all tasks in index order and assemble the report."""
+    results = [_execute(problem, t) for t in problem.tasks]
     counts = {"pass": 0, "fail": 0, "error": 0}
     for r in results:
         counts[r["verdict"].lower() if r["verdict"] in ("PASS", "FAIL") else "error"] += 1
@@ -218,7 +212,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None,
                    help="membership tolerance override")
     p.add_argument("--cap", type=int, default=None, help="degree cap override")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent task workers")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -353,7 +346,7 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_problem(problem, max(1, args.jobs))
+    report = run_problem(problem)
     payload = (json.dumps(report, indent=2, ensure_ascii=False) + "\n"
                if args.format == "json" else _render_text(report))
     if args.out:

@@ -20,15 +20,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, ParamOutOfRange
+from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange
 from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, is_analytic,
                       is_inner, matmul)
 from .series import TaylorPoly, coshift_pow, shift_pow, monomial as monomial_poly
-from .subspaces import (Element, MonomialSubspace, SpanSubspace, intersect,
-                        intersect_shifted, monomial_membership, orthonormalize,
-                        project)
+from .subspaces import (Element, MonomialSubspace, SpanSubspace, _null_combos,
+                        intersect, intersect_shifted, monomial_membership,
+                        orthonormalize, project)
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
-from .veclift import VectorPoly, t_m_apply, vec_coshift_pow, vec_shift_pow
+from .veclift import VectorPoly, vec_coshift_pow, vec_shift_pow
 
 __all__ = [
     "OperatorSpec",
@@ -38,6 +38,7 @@ __all__ = [
     "PipelineReport",
     "check_invariance",
     "check_near_invariance",
+    "range_generators",
     "build_theta_range",
     "build_model_space",
     "verify_theorem_pipeline",
@@ -256,7 +257,7 @@ def check_invariance(M: SubspaceModel, op: OperatorSpec,
         img = op.apply(_clip_above(u, eff) if gain else u)
         tested += 1
         pr = project(img, M)
-        if pr.residual > tol:
+        if not pr.residual <= tol:
             witness = Witness(u, img, pr.residual, f"frame[{idx}] image leaves the span")
             break
     if M.dim and tested == 0 and untested:
@@ -325,7 +326,7 @@ def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
         tested += 1
         img = Tstar.apply(w)
         pr = project(img, M)
-        if pr.residual > tol:
+        if not pr.residual <= tol:
             witness = Witness(w, img, pr.residual,
                               f"intersection frame[{idx}] maps outside the span")
             break
@@ -337,15 +338,6 @@ def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
 # ---------------------------------------------------------------------------
 # Beurling-type range / model-space constructions and the theorem pipelines
 # ---------------------------------------------------------------------------
-
-
-def _theta_column(theta: LaurentMatrix, col: int, j: int, cap: int) -> VectorPoly:
-    """Theta · z^j δ_col as a vector element with the given cap."""
-    comps = []
-    for i in range(theta.rows):
-        p = theta.entry_poly(i, col, cap)
-        comps.append(shift_pow(p, j) if j else p)
-    return VectorPoly(tuple(comps))
 
 
 def _column_degree(theta: LaurentMatrix, col: int) -> int:
@@ -369,6 +361,36 @@ def _column_lift_degree(theta: LaurentMatrix, col: int, m: int) -> int:
     return out
 
 
+def range_generators(theta: LaurentMatrix, cap: int) -> np.ndarray:
+    """Θ·z^j δ_i, cut to component degree cap, for every nonzero column i
+    and j = 0..cap, as the columns (i-major) of a (rows*(cap+1)) x count
+    matrix with the component blocks stacked.
+
+    These are all the range generators that pair nontrivially with an
+    element of component degree <= cap, and the cut leaves those pairings
+    unchanged.
+    """
+    n = cap + 1
+    live = [col for col in range(theta.cols) if _column_degree(theta, col) >= 0]
+    wide = max(cap, theta.max_pow)
+    out = np.zeros((theta.rows, n, len(live), n), dtype=np.complex128)
+    for c, col in enumerate(live):
+        for i in range(theta.rows):
+            coefs = theta.entry_poly(i, col, wide).padded(n)
+            for j in range(n):
+                out[i, j:, c, j] = coefs[: n - j]
+    return out.reshape(theta.rows * n, len(live) * n)
+
+
+def _check_builder_input(theta: LaurentMatrix, m: int, analytic_tol: float,
+                         builder: str) -> None:
+    chk = is_analytic(theta, analytic_tol)
+    if not chk.ok:
+        raise NotAnalytic(f"{builder} needs an analytic matrix; witness {chk.witness:.3e}")
+    if theta.rows != m:
+        raise DimensionMismatch(f"matrix has {theta.rows} rows, expected arity {m}")
+
+
 def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
                       rank_tol: float = RANK_TOL,
                       analytic_tol: float = ANALYTICITY_TOL) -> SpanSubspace:
@@ -380,15 +402,7 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     the range is complete up to, so band-aware checkers cannot mistake a
     missing top shell for a genuine invariance failure.
     """
-    chk = is_analytic(theta, analytic_tol)
-    if not chk.ok:
-        from .errors import NotAnalytic
-
-        raise NotAnalytic(
-            f"range builder needs an analytic matrix; witness {chk.witness:.3e}"
-        )
-    if theta.rows != m:
-        raise DimensionMismatch(f"matrix has {theta.rows} rows, expected arity {m}")
+    _check_builder_input(theta, m, analytic_tol, "range builder")
     lifts = [_column_lift_degree(theta, col, m) for col in range(theta.cols)]
     live = [col for col, d in enumerate(lifts) if d >= 0]
     label = f"T_{m}(Θ·H2) at cap {cap}"
@@ -397,11 +411,13 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     ladder = (cap - max(lifts[col] for col in live)) // m
     if ladder < 0:
         raise BudgetExceeded(f"cap {cap} cannot host a single column lift")
-    gens = []
-    for col in live:
-        for j in range(ladder + 1):
-            gens.append(t_m_apply(_theta_column(theta, col, j, cap)))
-    return orthonormalize(gens, rank_tol, label=label, band=m * ladder)
+    # every shift j <= ladder keeps each component within degree cap // m,
+    # so no generator is cut; the lift interleaves the component blocks
+    n = cap // m + 1
+    gens = range_generators(theta, n - 1).reshape(m, n, len(live), n)[..., : ladder + 1]
+    lifted = gens.transpose(1, 0, 2, 3).reshape(m * n, -1)[: cap + 1]
+    return orthonormalize([TaylorPoly(g, cap) for g in lifted.T], rank_tol,
+                          label=label, band=m * ladder)
 
 
 def build_model_space(theta: LaurentMatrix, m: int, cap: int,
@@ -410,59 +426,25 @@ def build_model_space(theta: LaurentMatrix, m: int, cap: int,
     """Capped model of the lifted model space: the vectors of component
     degree <= c that are orthogonal to the full matrix range, lifted.
 
-    Orthogonality against range generators is imposed in a workspace wide
-    enough to hold every generator that can pair with the candidate band,
-    so the complement carries no spurious edge directions; the result is
-    exact for the band it declares.
+    The constraints are every range generator cut to component degree c
+    (``range_generators``), so the complement carries no spurious edge
+    directions; the result is exact for the band it declares.
     """
-    chk = is_analytic(theta, analytic_tol)
-    if not chk.ok:
-        from .errors import NotAnalytic
-
-        raise NotAnalytic(
-            f"model-space builder needs an analytic matrix; witness {chk.witness:.3e}"
-        )
-    if theta.rows != m:
-        raise DimensionMismatch(f"matrix has {theta.rows} rows, expected arity {m}")
+    _check_builder_input(theta, m, analytic_tol, "model-space builder")
     comp_cap = (cap + 1) // m - 1
     if comp_cap < 0:
         raise BudgetExceeded(f"cap {cap} cannot host arity {m}")
-    max_d = 0
-    for col in range(theta.cols):
-        max_d = max(max_d, max(0, _column_degree(theta, col)))
-    work = comp_cap + max_d
-    n_work = work + 1
     n_sub = comp_cap + 1
-    rows = []
-    for col in range(theta.cols):
-        if _column_degree(theta, col) < 0:
-            continue
-        for j in range(comp_cap + 1):
-            gen = _theta_column(theta, col, j, work)
-            rows.append(np.concatenate([c.padded(n_work) for c in gen.components]))
+    C = np.conj(range_generators(theta, comp_cap).T)
+    combos = _null_combos(C, m * n_sub, rank_tol)
     label = f"T_{m}(K_Θ) at cap {cap}"
     band = m * comp_cap + m - 1
-    if rows:
-        # constraint matrix over the P_comp_cap block coordinates only
-        G = np.conj(np.stack(rows))
-        cols_keep = np.concatenate(
-            [np.arange(l * n_work, l * n_work + n_sub) for l in range(m)]
-        )
-        C = G[:, cols_keep]
-    else:
-        C = np.zeros((0, m * n_sub), dtype=np.complex128)
-    from .subspaces import _null_combos
-
-    combos = _null_combos(C, m * n_sub, rank_tol)
-    frame = []
-    for r in range(combos.shape[0]):
-        vec = combos[r]
-        comps = tuple(TaylorPoly(vec[l * n_sub: (l + 1) * n_sub], cap)
-                      for l in range(m))
-        frame.append(t_m_apply(VectorPoly(comps)))
-    if not frame:
+    if not combos.shape[0]:
         return SpanSubspace((), cap, 1, rank_tol, label=label, band=band)
-    return orthonormalize(frame, rank_tol, label=label, band=band)
+    # lift: coefficient j of component l moves to index m*j + l
+    lifted = combos.reshape(-1, m, n_sub).transpose(0, 2, 1).reshape(-1, m * n_sub)
+    return orthonormalize([TaylorPoly(v, cap) for v in lifted], rank_tol,
+                          label=label, band=band)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ the whole file with a field path instead of failing one task mid-run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -40,13 +41,26 @@ class ValidationError(HardyShiftError):
         self.path = path
 
 
+def _is_int(value: Any) -> bool:
+    """True for JSON integers; bool is an int subclass in Python, not here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _real_at(path: str, value: Any) -> float:
+    """A finite JSON number as a float; booleans are not numbers here."""
+    try:
+        if _is_int(value) or isinstance(value, float) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ValidationError(path, f"expected a finite number, got {value!r}")
+
+
 def _complex_at(path: str, value: Any) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    raise ValidationError(path, "expected a number or an [re, im] pair")
+    """A number or an [re, im] pair, each part finite."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_real_at(path, value[0]), _real_at(path, value[1]))
+    return complex(_real_at(path, value))
 
 
 def _coeff_list_at(path: str, value: Any) -> list:
@@ -104,12 +118,12 @@ def parse_operator_token(token: Any, problem: "Problem", path: str) -> OperatorS
     kind = token["op"]
     if kind in ("shift", "coshift"):
         k = token.get("k", token.get("power"))
-        if not isinstance(k, int):
+        if not _is_int(k):
             raise ValidationError(path, "shift operators need an integer 'k'")
         return OperatorSpec(kind, k)
     if kind in ("toeplitz", "toeplitz_adjoint"):
         n = token.get("n", token.get("power"))
-        if not isinstance(n, int):
+        if not _is_int(n):
             raise ValidationError(path, "toeplitz operators need an integer 'n'")
         name = token.get("blaschke")
         return OperatorSpec(kind, n, _blaschke_ref(problem, name, path))
@@ -154,7 +168,7 @@ def parse_problem(data: Any, cap: Optional[int] = None,
     if not isinstance(ws, dict):
         raise ValidationError("workspace", "must be an object")
     file_cap = ws.get("cap", 64)
-    if not isinstance(file_cap, int) or file_cap < 1:
+    if not _is_int(file_cap) or file_cap < 1:
         raise ValidationError("workspace.cap", "must be a positive integer")
     if cap is not None:
         file_cap = cap
@@ -166,11 +180,14 @@ def parse_problem(data: Any, cap: Optional[int] = None,
     for key, val in ws_tols.items():
         if key not in tols:
             raise ValidationError(f"workspace.tolerances.{key}", "unknown tolerance")
-        if not isinstance(val, (int, float)) or val <= 0:
-            raise ValidationError(f"workspace.tolerances.{key}", "must be positive")
-        tols[key] = float(val)
+        path = f"workspace.tolerances.{key}"
+        tols[key] = _real_at(path, val)
+        if tols[key] <= 0:
+            raise ValidationError(path, "must be positive")
     if tol is not None:
-        tols["membership"] = float(tol)
+        tols["membership"] = _real_at("--tol", tol)
+        if tols["membership"] <= 0:
+            raise ValidationError("--tol", "must be positive")
 
     problem = Problem(file_cap, tols, {}, {}, {}, {}, [])
     objects = data.get("objects", {})
@@ -198,7 +215,7 @@ def parse_problem(data: Any, cap: Optional[int] = None,
             grid.append([_coeff_list_at(f"{path}.entries[{i}][{j}]", e)
                          for j, e in enumerate(row)])
         min_pow = spec.get("min_pow", 0)
-        if not isinstance(min_pow, int):
+        if not _is_int(min_pow):
             raise ValidationError(f"{path}.min_pow", "must be an integer")
         try:
             problem.matrices[name] = from_poly_grid(grid, min_pow)
@@ -224,13 +241,13 @@ def parse_problem(data: Any, cap: Optional[int] = None,
         kind = spec["kind"]
         if kind == "monomial":
             gens = spec.get("generators", [])
-            if not isinstance(gens, list) or not all(isinstance(g, int) for g in gens):
+            if not isinstance(gens, list) or not all(_is_int(g) for g in gens):
                 raise ValidationError(f"{path}.generators", "expected a list of integers")
             exc_set = spec.get("exceptional", [])
-            if not isinstance(exc_set, list) or not all(isinstance(e, int) for e in exc_set):
+            if not isinstance(exc_set, list) or not all(_is_int(e) for e in exc_set):
                 raise ValidationError(f"{path}.exceptional", "expected a list of integers")
             mcap = spec.get("cap", file_cap)
-            if not isinstance(mcap, int) or mcap < 0:
+            if not _is_int(mcap) or mcap < 0:
                 raise ValidationError(f"{path}.cap", "must be a nonnegative integer")
             try:
                 problem.subspaces[name] = MonomialSubspace(tuple(gens), mcap,
@@ -260,7 +277,7 @@ def parse_problem(data: Any, cap: Optional[int] = None,
 
 def _int_at(raw: dict, key: str, path: str, minimum: int = 1) -> int:
     val = raw.get(key)
-    if not isinstance(val, int) or val < minimum:
+    if not _is_int(val) or val < minimum:
         raise ValidationError(f"{path}.{key}", f"must be an integer >= {minimum}")
     return val
 
@@ -290,8 +307,8 @@ def _parse_task(problem: Problem, idx: int, raw: Any) -> Task:
             raise ValidationError(f"{path}.conditions", "expected a nonempty list")
         parsed = []
         for i, c in enumerate(conds):
-            if not (isinstance(c, dict) and isinstance(c.get("gamma"), int)
-                    and isinstance(c.get("k"), int)):
+            if not (isinstance(c, dict) and _is_int(c.get("gamma"))
+                    and _is_int(c.get("k"))):
                 raise ValidationError(f"{path}.conditions[{i}]",
                                       "expected {'gamma': int, 'k': int}")
             parsed.append((c["gamma"], c["k"]))

@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .invariance import CheckReport, PipelineReport, Witness
+from .invariance import CheckReport, Witness
 from .laurent import LaurentMatrix
 from .series import TaylorPoly
 from .veclift import VectorPoly
@@ -25,7 +25,6 @@ __all__ = [
     "witness_payload",
     "check_payload",
     "stage_payload",
-    "pipeline_payload",
     "matrix_payload",
     "matrix_text",
 ]
@@ -82,18 +81,6 @@ def stage_payload(stage) -> dict:
     if isinstance(stage.data, CheckReport):
         out["report"] = check_payload(stage.data)
     return out
-
-
-def pipeline_payload(rep: PipelineReport) -> dict:
-    return {
-        "pipeline": rep.name,
-        "verdict": rep.verdict,
-        "stages": [stage_payload(s) for s in rep.stages],
-        "products": [
-            {"gamma": g, "k": k, "matrix": matrix_payload(p)}
-            for (g, k), p in rep.products
-        ],
-    }
 
 
 def matrix_payload(A: LaurentMatrix) -> dict:

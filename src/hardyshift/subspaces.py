@@ -7,12 +7,14 @@ exponent is decided by dynamic programming over the semigroup generators
 plus a finite exceptional set.
 
 Frames are built by modified Gram-Schmidt in input order with a second
-orthogonalization pass; rank drops are deterministic and recorded.
+orthogonalization pass; rank drops are deterministic and recorded.  A span
+stores its frame once, as one read-only matrix, and every operation here
+works on that matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -63,13 +65,20 @@ def unflatten_element(vec: np.ndarray, arity: int, cap: int) -> Element:
 class SpanSubspace:
     """Orthonormal frame spanning a capped model of a subspace.
 
+    ``matrix`` is the frame: a read-only array of shape
+    (arity*(cap+1), dim) whose columns are the flattened frame vectors.  It
+    may be passed as that array, which the span then owns and makes
+    read-only instead of copying, or as a sequence of elements, which are
+    flattened once here.  ``frame`` builds the elements from the columns
+    on each access; nothing else is kept.
+
     ``band`` is the highest degree the model actually represents: None for
     an exact finite-dimensional space, a value below the cap for truncated
     models of infinite-dimensional spaces (the builders set it).  Checkers
     must not draw verdicts from images above the band.
     """
 
-    frame: tuple
+    matrix: object
     cap: int
     arity: int
     rank_tol: float = RANK_TOL
@@ -78,28 +87,41 @@ class SpanSubspace:
     label: str = ""
     band: object = None
 
+    def __post_init__(self) -> None:
+        n = self.arity * (self.cap + 1)
+        if isinstance(self.matrix, np.ndarray):
+            mat = np.asarray(self.matrix, dtype=np.complex128)
+        else:
+            cols = [flatten_element(u, self.cap) for u in self.matrix]
+            mat = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=np.complex128)
+        if mat.ndim != 2 or mat.shape[0] != n:
+            raise ValueError(f"frame matrix must have {n} rows, got shape {mat.shape}")
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
+
+    @property
+    def frame(self) -> tuple:
+        """Frame vectors as elements, built from the matrix columns."""
+        return tuple(unflatten_element(col, self.arity, self.cap) for col in self.matrix.T)
+
     @property
     def dim(self) -> int:
-        return len(self.frame)
+        return self.matrix.shape[1]
 
     @property
     def effective_band(self) -> int:
         return self.cap if self.band is None else min(self.cap, int(self.band))
 
     def frame_matrix(self) -> np.ndarray:
-        """Columns are flattened frame vectors; shape (arity*(cap+1), dim)."""
-        n = self.arity * (self.cap + 1)
-        if not self.frame:
-            return np.zeros((n, 0), dtype=np.complex128)
-        return np.column_stack([flatten_element(u, self.cap) for u in self.frame])
+        """The stored frame matrix; shape (arity*(cap+1), dim)."""
+        return self.matrix
 
     def member_from_coords(self, coords: Sequence[complex]) -> Element:
         vec = self.frame_matrix() @ np.asarray(coords, dtype=np.complex128)
         return unflatten_element(vec, self.arity, self.cap)
 
     def relabel(self, label: str) -> "SpanSubspace":
-        return SpanSubspace(self.frame, self.cap, self.arity, self.rank_tol,
-                            self.generators, self.dropped, label, self.band)
+        return replace(self, label=label)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.label!r}" if self.label else ""
@@ -109,11 +131,8 @@ class SpanSubspace:
 def _from_coord_matrix(M: SpanSubspace, combos: np.ndarray, label: str) -> SpanSubspace:
     """Subspace spanned by frame combinations; combos rows are orthonormal
     coordinate vectors, so the new frame is orthonormal as well."""
-    fm = M.frame_matrix()
-    frame = tuple(
-        unflatten_element(fm @ combos[r], M.arity, M.cap) for r in range(combos.shape[0])
-    )
-    return SpanSubspace(frame, M.cap, M.arity, M.rank_tol, label=label, band=M.band)
+    return SpanSubspace(M.frame_matrix() @ combos.T, M.cap, M.arity, M.rank_tol,
+                        label=label, band=M.band)
 
 
 def orthonormalize(generators: Sequence[Element], rank_tol: float = RANK_TOL,
@@ -122,6 +141,13 @@ def orthonormalize(generators: Sequence[Element], rank_tol: float = RANK_TOL,
 
     Generators whose residual norm falls below rank_tol times the largest
     generator norm are dropped and their indices recorded.
+
+    Scale policy: before any norm is taken, all generators are multiplied
+    by one exact power of two that brings the largest real or imaginary
+    coefficient magnitude into [0.5, 1).  The factor is exact for normal
+    inputs, so it changes no frame bit there; for tiny inputs it keeps the
+    norms clear of subnormal underflow, which would otherwise leave the
+    frame vectors visibly short of unit length.
     """
     gens = tuple(generators)
     if not gens:
@@ -131,15 +157,19 @@ def orthonormalize(generators: Sequence[Element], rank_tol: float = RANK_TOL,
     for g in gens:
         if _arity(g) != arity or g.cap != cap:
             raise ValueError("generators must share arity and cap")
-    cols = [flatten_element(g, cap) for g in gens]
-    scale = max(float(np.linalg.norm(c)) for c in cols)
-    if scale == 0.0:
+    cols = np.stack([flatten_element(g, cap) for g in gens])
+    top = max(np.max(np.abs(cols.real)), np.max(np.abs(cols.imag)))
+    if top == 0.0:
         return SpanSubspace((), cap, arity, rank_tol, gens,
                             tuple(range(len(gens))), label, band)
+    exponent = -int(np.frexp(top)[1])
+    cols.real = np.ldexp(cols.real, exponent)
+    cols.imag = np.ldexp(cols.imag, exponent)
+    scale = max(float(np.linalg.norm(c)) for c in cols)
     frame_vecs: list[np.ndarray] = []
     dropped: list[int] = []
     for idx, c in enumerate(cols):
-        w = c.astype(np.complex128, copy=True)
+        w = c.copy()
         for _ in range(2):  # second pass controls cancellation error
             for u in frame_vecs:
                 w -= np.vdot(u, w) * u
@@ -148,8 +178,8 @@ def orthonormalize(generators: Sequence[Element], rank_tol: float = RANK_TOL,
             dropped.append(idx)
         else:
             frame_vecs.append(w / nrm)
-    frame = tuple(unflatten_element(v, arity, cap) for v in frame_vecs)
-    return SpanSubspace(frame, cap, arity, rank_tol, gens, tuple(dropped), label, band)
+    matrix = np.column_stack(frame_vecs) if frame_vecs else ()
+    return SpanSubspace(matrix, cap, arity, rank_tol, gens, tuple(dropped), label, band)
 
 
 class Projection(NamedTuple):
@@ -191,12 +221,8 @@ def intersect_shifted(M: SpanSubspace, k: int) -> SpanSubspace:
     label = f"{M.label or 'M'} ∩ S^{k}H2"
     if M.dim == 0:
         return M.relabel(label)
-    n = M.cap + 1
-    C = np.zeros((M.arity * k, M.dim), dtype=np.complex128)
-    for col, u in enumerate(M.frame):
-        flat = flatten_element(u, M.cap)
-        for l in range(M.arity):
-            C[l * k: (l + 1) * k, col] = flat[l * n: l * n + k]
+    blocks = M.frame_matrix().reshape(M.arity, M.cap + 1, M.dim)
+    C = blocks[:, :k].reshape(-1, M.dim)
     combos = _null_combos(C, M.dim, M.rank_tol)
     return _from_coord_matrix(M, combos, label)
 
@@ -226,18 +252,16 @@ def ortho_complement_within(M: SpanSubspace, N: SpanSubspace) -> SpanSubspace:
     if N.dim == 0:
         return M.relabel(label)
     fm = M.frame_matrix()
-    C = np.zeros((N.dim, M.dim), dtype=np.complex128)
-    for row, w in enumerate(N.frame):
-        flat = flatten_element(w, N.cap)
-        coords = fm.conj().T @ flat
-        outside = float(np.linalg.norm(flat - fm @ coords))
-        if outside > M.rank_tol * max(1.0, float(np.linalg.norm(flat))):
-            raise NotASubspaceOf(
-                f"frame vector {row} has residual {outside:.3e} outside the ambient span"
-            )
-        C[row] = coords
+    fn = N.frame_matrix()
+    coords = fm.conj().T @ fn
+    outside = np.linalg.norm(fn - fm @ coords, axis=0)
+    limit = M.rank_tol * np.maximum(1.0, np.linalg.norm(fn, axis=0))
+    bad = np.flatnonzero(~(outside <= limit))
+    if bad.size:
+        raise NotASubspaceOf(f"frame vector {bad[0]} has residual "
+                             f"{outside[bad[0]]:.3e} outside the ambient span")
     # a combination x is orthogonal to N iff sum_i x_i conj(coords_i) = 0
-    combos = _null_combos(np.conj(C), M.dim, M.rank_tol)
+    combos = _null_combos(coords.conj().T, M.dim, M.rank_tol)
     return _from_coord_matrix(M, combos, label)
 
 

@@ -23,13 +23,11 @@ from .series import TaylorPoly, add, scale, taylor, zero
 __all__ = [
     "VectorPoly",
     "vector",
-    "vector_zero",
     "unit_vector",
     "t_m_apply",
     "t_m_invert",
     "check_shift_diagram",
     "vec_inner",
-    "vec_norm",
     "vec_shift_pow",
     "vec_coshift_pow",
     "vec_add",
@@ -81,10 +79,6 @@ def vector(components: Sequence[TaylorPoly]) -> VectorPoly:
     return VectorPoly(tuple(components))
 
 
-def vector_zero(m: int, cap: int) -> VectorPoly:
-    return VectorPoly(tuple(zero(cap) for _ in range(m)))
-
-
 def unit_vector(m: int, index: int, cap: int) -> VectorPoly:
     """Constant canonical basis vector delta_index in C^m."""
     if not 0 <= index < m:
@@ -100,10 +94,6 @@ def vec_inner(F: VectorPoly, G: VectorPoly) -> complex:
     from .series import inner_product
 
     return sum((inner_product(f, g) for f, g in zip(F.components, G.components)), 0j)
-
-
-def vec_norm(F: VectorPoly) -> float:
-    return F.norm()
 
 
 def vec_add(F: VectorPoly, G: VectorPoly) -> VectorPoly:

@@ -1,10 +1,12 @@
 import json
+import pathlib
 
 import pytest
 
-from hardyshift.cli import main, run_problem
+from hardyshift.cli import main
 from hardyshift.problem import ParseError, ValidationError, load_problem, parse_problem
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 PROBLEM = {
     "workspace": {"cap": 48, "tolerances": {"membership": 1e-8}},
@@ -108,9 +110,20 @@ def test_byte_identical_reports(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["run", path])
     second = capsys.readouterr().out
-    main(["run", path, "--jobs", "4"])
-    concurrent = capsys.readouterr().out
-    assert first == second == concurrent
+    assert first == second
+
+
+@pytest.mark.parametrize("name", ["demo", "audit"])
+@pytest.mark.parametrize("cap", [None, 192])
+def test_shipped_reports_match_golden(name, cap, capsys):
+    # tests/golden holds `hardyshift run` reports on the shipped problem
+    # files; a change that alters them must replace them deliberately
+    argv = ["run", str(ROOT / "problems" / f"{name}.json")]
+    if cap is not None:
+        argv += ["--cap", str(cap)]
+    main(argv)
+    golden = ROOT / "tests" / "golden" / f"{name}_cap{cap or 48}.json"
+    assert capsys.readouterr().out == golden.read_bytes().decode("utf-8")
 
 
 def test_out_file_and_text_format(tmp_path, capsys):
@@ -179,17 +192,81 @@ def test_problem_parsing_validation():
         load_problem("/nonexistent/problem.json")
 
 
-def test_run_problem_concurrent_matches_serial(tmp_path):
-    problem = parse_problem(PROBLEM)
-    serial = run_problem(problem, jobs=1)
-    concurrent = run_problem(problem, jobs=8)
-    assert serial == concurrent
+def _span_shift1(poly, tolerances=None):
+    """A span{poly} problem with one S^1 invariance task."""
+    return {"workspace": {"cap": 16, "tolerances": tolerances or {}},
+            "objects": {"polys": {"p": poly}},
+            "subspaces": {"S": {"kind": "span", "generators": ["p"]}},
+            "tasks": [{"task": "check-invariance", "subspace": "S",
+                       "operators": ["shift:1"]}]}
+
+
+def _patched(path, value):
+    data = json.loads(json.dumps(PROBLEM))
+    *parents, key = path
+    node = data
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    return data
+
+
+NAN, INF = float("nan"), float("inf")
+
+NON_FINITE = {
+    # NaN and Infinity make every `residual > tol` test false
+    "nan_coefficient": _span_shift1([[1, 0], [NAN, 0]]),
+    "infinite_membership_tol": _span_shift1([1, 2], {"membership": INF}),
+    "nan_rank_tol": _patched(["workspace", "tolerances", "rank"], NAN),
+    "infinite_real_coefficient": _patched(["objects", "polys", "g1"], [1, INF]),
+    "nan_matrix_entry": _patched(["objects", "matrices", "Th", "entries", 0, 0],
+                                 [[0, 0], [NAN, 0]]),
+    "nan_blaschke_zero": _patched(["objects", "blaschke", "B", "zeros"], [[0, 0], [NAN, 0]]),
+    "infinite_lambda": _patched(["objects", "blaschke", "B", "lambda"], [INF, 0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_input_rejected(tmp_path, capsys, case):
+    assert main(["run", write_problem(tmp_path, NON_FINITE[case])]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_tol_flag_rejected(tmp_path, capsys):
+    path = write_problem(tmp_path)
+    for value in ("nan", "inf"):
+        assert main(["run", path, "--tol", value]) == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+SIGMA_ONLY = [{"task": "build-sigma", "m": 2, "gamma": 1, "k": 1}]
+
+BOOL_FOR_INT = {
+    "workspace_cap": {"workspace": {"cap": True}, "tasks": SIGMA_ONLY},
+    # true for gamma and k reaches numpy as a boolean mask
+    "build_sigma_gamma_k": {"tasks": [{"task": "build-sigma", "m": 2,
+                                       "gamma": True, "k": True}]},
+    "monomial_generators": _patched(["subspaces", "M1", "generators"], [2, True]),
+    "monomial_exceptional": _patched(["subspaces", "M1", "exceptional"], [True]),
+    "monomial_cap": _patched(["subspaces", "M1", "cap"], True),
+    "operator_k": _patched(["tasks", 0, "operators"], [{"op": "shift", "k": True}]),
+    "operator_n": _patched(["tasks", 0, "operators"],
+                           [{"op": "toeplitz", "n": True, "blaschke": "B"}]),
+    "min_pow": _patched(["objects", "matrices", "Th", "min_pow"], True),
+    "tolerance": _patched(["workspace", "tolerances", "membership"], True),
+    "condition_pair": _patched(["tasks", 1], {"task": "verify-theta", "theta": "Th", "m": 2,
+                                              "conditions": [{"gamma": True, "k": 1}]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOL_FOR_INT))
+def test_bool_for_int_rejected(tmp_path, capsys, case):
+    assert main(["run", write_problem(tmp_path, BOOL_FOR_INT[case])]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_shipped_problem_files(capsys):
-    import pathlib
-
-    root = pathlib.Path(__file__).resolve().parent.parent / "problems"
+    root = ROOT / "problems"
     rc = main(["run", str(root / "demo.json")])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hardyshift import (NoConvergence, NotAMember, build_j_map, certify_theta,
-                        extract_kernels, from_poly_grid, hitt_decompose,
-                        identity, monomial, orthonormalize, taylor)
+from hardyshift import (KernelColumn, NoConvergence, NotAMember, build_j_map,
+                        certify_theta, extract_kernels, from_poly_grid,
+                        hitt_decompose, identity, monomial, orthonormalize,
+                        taylor)
 from hardyshift.series import allclose, shift_pow, sub
 from hardyshift.subspaces import flatten_element
 from hardyshift.veclift import vec_inner, vector
@@ -157,6 +158,18 @@ def test_hitt_decompose_flags_uncaptured_mass():
     E = extract_kernels(M, 2)
     with pytest.raises(NoConvergence):
         hitt_decompose(M.frame[0], M, E, 2)
+
+
+def test_hitt_decompose_counts_dust_past_the_cap():
+    # rounding dust high up in a kernel entry must not trip the cap guard
+    # of the reconstruction; the part past the cap goes into the error
+    M = span(*([0] * (2 * l) + [1, 1] for l in range(CAP // 2)))
+    E = extract_kernels(M, 2)
+    dusty = E.entries[0].padded(CAP + 1)
+    dusty[CAP] = 1e-37
+    E = KernelColumn((taylor(dusty, CAP), E.entries[1]), E.degenerate, 2)
+    dec = hitt_decompose(M.frame[-1], M, E, 2)  # peels down from degree CAP - 1
+    assert dec.reconstruction_error < 1e-12
 
 
 def test_build_j_map_constants():

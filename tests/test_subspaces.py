@@ -38,6 +38,23 @@ def test_orthonormalize_gram_after():
     assert np.max(np.abs(gram(M.frame) - np.eye(2))) < 1e-10
 
 
+def test_frame_matrix_is_the_stored_read_only_array(rng):
+    M = orthonormalize([random_taylor(rng, 5, CAP) for _ in range(3)])
+    fm = M.frame_matrix()
+    assert fm is M.frame_matrix()
+    assert fm.shape == (CAP + 1, 3)
+    assert not fm.flags.writeable
+
+
+def test_span_built_from_elements_gives_them_back(rng):
+    frame = orthonormalize([random_taylor(rng, 5, CAP) for _ in range(2)]).frame
+    M = SpanSubspace(frame, CAP, 1)
+    assert all(allclose(got, want) for got, want in zip(M.frame, frame))
+    F = vector([random_taylor(rng, 3, CAP), random_taylor(rng, 4, CAP)])
+    V = SpanSubspace((F,), CAP, 2)
+    assert all(allclose(a, b) for a, b in zip(V.frame[0].components, F.components))
+
+
 def test_orthonormalize_empty_input():
     with pytest.raises(EmptyInput):
         orthonormalize([])
