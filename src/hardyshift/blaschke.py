@@ -152,13 +152,8 @@ def toeplitz_apply(B: BlaschkeProduct, n: int, adjoint: bool,
     if not adjoint:
         out = np.convolve(b, f.coeffs[: f.deg() + 1])[: cap + 1]
         return TaylorPoly(out, cap)
-    fc = f.padded(cap + 1)
-    bb = np.conj(b)
-    out = np.zeros(cap + 1, dtype=np.complex128)
-    for j in range(cap + 1):
-        klen = cap + 1 - j
-        out[j] = np.dot(bb[:klen], fc[j:])
-    return TaylorPoly(out, cap)
+    # out[j] = sum_k conj(b_k) f_{j+k}: the nonnegative lags of the correlation
+    return TaylorPoly(np.correlate(f.padded(cap + 1), b, "full")[cap:], cap)
 
 
 def _scaled_shift(f: TaylorPoly, k: int, c: complex) -> TaylorPoly:
@@ -193,13 +188,14 @@ def model_basis(B: BlaschkeProduct, cap: int) -> tuple:
 class WoldFrame:
     """Layer frame: powers of the product times the model basis, truncated.
 
-    layers[i][j] models B^i e_j up to the cap; entries whose support lies
-    entirely above the cap are stored as zero and skipped in diagnostics.
+    ``matrix`` holds the layer vectors as read-only columns, layer-major:
+    column i*m + j models B^i e_j up to the cap.  Entries whose support
+    lies entirely above the cap are zero and skipped in diagnostics.
     """
 
     blaschke: BlaschkeProduct
     basis: tuple
-    layers: tuple
+    matrix: np.ndarray
     depth: int
     cap: int
 
@@ -207,19 +203,19 @@ class WoldFrame:
     def m(self) -> int:
         return len(self.basis)
 
+    @property
+    def layers(self) -> tuple:
+        """layers[i][j] is column i*m + j as an element."""
+        cols = [TaylorPoly(c, self.cap) for c in self.matrix.T]
+        return tuple(tuple(cols[i: i + self.m]) for i in range(0, len(cols), self.m))
+
     def layer_matrix(self) -> np.ndarray:
-        """Columns ordered layer-major: (i, j) -> column i*m + j."""
-        cols = []
-        for layer in self.layers:
-            for vec in layer:
-                cols.append(vec.padded(self.cap + 1))
-        return np.column_stack(cols)
+        """The stored layer matrix; shape (cap+1, depth*m)."""
+        return self.matrix
 
     def gram_defect(self) -> float:
         """Max deviation of the nonzero layer vectors' Gram matrix from I."""
-        A = self.layer_matrix()
-        keep = [c for c in range(A.shape[1]) if np.linalg.norm(A[:, c]) > 0.5]
-        A = A[:, keep]
+        A = self.matrix[:, np.linalg.norm(self.matrix, axis=0) > 0.5]
         G = A.conj().T @ A
         return float(np.max(np.abs(G - np.eye(G.shape[0]))))
 
@@ -235,12 +231,12 @@ def build_wold_frame(B: BlaschkeProduct, cap: int,
     if depth < 1:
         raise ParamOutOfRange("depth must be >= 1")
     bexp = taylor_expand(B, cap).coeffs
-    layers = []
-    current = [e.padded(cap + 1) for e in basis]
-    for _ in range(depth):
-        layers.append(tuple(TaylorPoly(v, cap) for v in current))
-        current = [np.convolve(bexp, v)[: cap + 1] for v in current]
-    return WoldFrame(B, basis, tuple(layers), depth, cap)
+    cols = [e.padded(cap + 1) for e in basis]
+    for _ in range(depth - 1):
+        cols += [np.convolve(bexp, v)[: cap + 1] for v in cols[-m:]]
+    matrix = np.column_stack(cols)
+    matrix.flags.writeable = False
+    return WoldFrame(B, basis, matrix, depth, cap)
 
 
 def u_apply(f: TaylorPoly, W: WoldFrame,
@@ -257,7 +253,7 @@ def u_apply(f: TaylorPoly, W: WoldFrame,
     """
     if f.cap != W.cap:
         raise ValueError("element cap must match the frame cap")
-    A = W.layer_matrix()
+    A = W.matrix
     v = f.padded(W.cap + 1)
     coords = A.conj().T @ v
     residual = float(np.linalg.norm(v - A @ coords))
@@ -266,11 +262,8 @@ def u_apply(f: TaylorPoly, W: WoldFrame,
             f"layer frame of depth {W.depth} leaves residual {residual:.3e}",
             residual,
         )
-    m = W.m
-    comps = []
-    for j in range(m):
-        comps.append(TaylorPoly(coords[j::m], W.cap))
-    return VectorPoly(tuple(comps)), residual
+    comps = tuple(TaylorPoly(coords[j::W.m], W.cap) for j in range(W.m))
+    return VectorPoly(comps), residual
 
 
 def u_invert(F: VectorPoly, W: WoldFrame) -> TaylorPoly:
@@ -282,14 +275,11 @@ def u_invert(F: VectorPoly, W: WoldFrame) -> TaylorPoly:
             f"coordinates reach layer {F.deg()} but the frame has depth {W.depth}",
             float("nan"),
         )
-    acc = np.zeros(W.cap + 1, dtype=np.complex128)
+    coords = np.zeros((W.depth, W.m), dtype=np.complex128)  # row i*m + j after ravel
     for j, comp in enumerate(F.components):
-        d = comp.deg()
-        for i in range(d + 1):
-            c = comp.coeffs[i]
-            if c != 0:
-                acc += c * W.layers[i][j].padded(W.cap + 1)
-    return TaylorPoly(acc, W.cap)
+        c = comp.coeffs[: W.depth]
+        coords[: c.size, j] = c
+    return TaylorPoly(W.matrix @ coords.ravel(), W.cap)
 
 
 def check_conjugation(B: BlaschkeProduct, n: int, f: TaylorPoly, W: WoldFrame,

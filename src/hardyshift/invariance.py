@@ -10,7 +10,8 @@ BudgetExceeded only when nothing testable remains.  Near-invariance is
 implemented literally from the definition: build the intersection of the
 subspace with the operator range, apply the adjoint to its frame, and
 test membership — claimed verdicts from the literature are never
-hard-coded.
+hard-coded.  For a Toeplitz symbol B^n the intersection is exact: the
+null space of the frame's pairing with the model space K_{B^n}.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange
 from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, is_analytic,
                       is_inner, matmul)
-from .series import TaylorPoly, coshift_pow, shift_pow, monomial as monomial_poly
-from .subspaces import (Element, MonomialSubspace, SpanSubspace, _null_combos,
-                        intersect, intersect_shifted, monomial_membership,
+from .series import TaylorPoly, coshift_pow, shift_pow
+from .subspaces import (Element, MonomialSubspace, SpanSubspace, _from_coord_matrix,
+                        _null_combos, intersect_shifted, monomial_membership,
                         orthonormalize, project)
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
 from .veclift import VectorPoly, vec_coshift_pow, vec_shift_pow
@@ -274,17 +275,20 @@ def _canonical_pair(op: OperatorSpec):
     return op.adjoint(), op
 
 
-def _toeplitz_range(M: SpanSubspace, T: OperatorSpec) -> SpanSubspace:
-    """Capped frame of the operator range: images of the monomials."""
-    from .blaschke import toeplitz_apply
+def _toeplitz_range_meet(M: SpanSubspace, T: OperatorSpec) -> SpanSubspace:
+    """Exact M ∩ B^n H^2: by Beurling–Lax, the null space of the pairing
+    C = K^H F with an orthonormal basis K of K_{B^n} (each zero of B
+    repeated n times).  K pairs exactly with elements under the cap, so
+    ||C x|| is the distance of F x from B^n H^2."""
+    from .blaschke import BlaschkeProduct, model_basis
 
-    gens = []
-    jmax = M.cap - T.formal_degree_gain()
-    for j in range(jmax + 1):
-        gens.append(toeplitz_apply(T.blaschke, T.power, False,
-                                   monomial_poly(j, M.cap)))
-    return orthonormalize(gens, M.rank_tol,
-                          label=f"range({T.describe()}) at cap {M.cap}")
+    if M.arity != 1:
+        raise DimensionMismatch("toeplitz symbols act on scalar elements only")
+    label = f"{M.label or 'M'} ∩ range({T.describe()})"
+    basis = model_basis(BlaschkeProduct(1.0, T.blaschke.zeros * T.power), M.cap)
+    K = np.stack([e.padded(M.cap + 1) for e in basis])
+    combos = _null_combos(K.conj() @ M.frame_matrix(), M.dim, M.rank_tol)
+    return _from_coord_matrix(M, combos, label)
 
 
 def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
@@ -319,7 +323,7 @@ def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
     if T.kind == "shift":
         inside = intersect_shifted(M, T.power)
     else:
-        inside = intersect(M, _toeplitz_range(M, T))
+        inside = _toeplitz_range_meet(M, T)
     witness = None
     tested = 0
     for idx, w in enumerate(inside.frame):

@@ -40,8 +40,12 @@ def complex_pair(z: complex) -> list:
 
 
 def poly_pairs(f: TaylorPoly) -> list:
-    d = max(f.deg(), 0)
-    return [complex_pair(c) for c in f.coeffs[: d + 1]]
+    """complex_pair of every coefficient up to the degree, formatted in one
+    pass with round12's format spec."""
+    c = f.coeffs[: max(f.deg(), 0) + 1]
+    flat = np.column_stack((c.real, c.imag)).ravel().tolist()
+    vals = [float(t) for t in ("%.12g " * len(flat) % tuple(flat)).split()]
+    return [vals[i: i + 2] for i in range(0, len(vals), 2)]
 
 
 def element_payload(el: Any) -> Any:

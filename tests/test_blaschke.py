@@ -229,3 +229,69 @@ def test_transfer_zero_space():
     assert out.dim == 0
     out = transfer_subspace(Z, B_MIX, W, "to_toeplitz")
     assert out.dim == 0
+
+
+def test_toeplitz_adjoint_matches_loop_formula(rng):
+    from hardyshift.blaschke import power_expansion
+
+    for deg in (1, 2, 3):
+        zeros = 0.8 * (rng.random(deg) - 0.5) + 0.8j * (rng.random(deg) - 0.5)
+        B = BlaschkeProduct(np.exp(1j * rng.random()), zeros)
+        f = random_taylor(rng, CAP, CAP)
+        fc = f.padded(CAP + 1)
+        for n in (1, 2):
+            b = np.conj(power_expansion(B, n, CAP).padded(CAP + 1))
+            want = np.array([np.dot(b[: CAP + 1 - j], fc[j:]) for j in range(CAP + 1)])
+            got = toeplitz_apply(B, n, True, f).padded(CAP + 1)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_near_invariance_sees_range_members_near_the_cap(rng):
+    # (z - a) r lies in B H^2 at every cap, but is no combination of the
+    # truncated images B z^j, j <= cap - 1, when a is close to the circle
+    a, cap = 0.95, 24
+    B = BlaschkeProduct(1.0, [a])
+    r = random_taylor(rng, 23, cap)
+    M = orthonormalize([taylor(np.convolve([-a, 1.0], r.coeffs), cap)], label="M")
+    rep = check_near_invariance(M, OperatorSpec.toeplitz_adjoint(B, 1))
+    assert rep.verdict == "FAIL" and rep.tested == 1
+    w = rep.witness
+    assert abs(w.element.eval(np.array([a]))[0]) < 1e-12
+    assert sub(w.image, toeplitz_apply(B, 1, True, w.element)).norm() == 0.0
+
+
+def _truncated_range_meet(M, B, n):
+    """M ∩ span{B^n z^j cut to the cap : j <= cap - n·deg(B)}."""
+    from hardyshift.subspaces import intersect
+
+    jmax = M.cap - n * B.degree
+    R = orthonormalize([toeplitz_apply(B, n, False, monomial(j, M.cap))
+                        for j in range(jmax + 1)])
+    return intersect(M, R)
+
+
+@pytest.mark.parametrize("zeros, n", [
+    ([0.4, -0.3 + 0.2j], 1),
+    ([0.25j, 0.25j, -0.5], 2),
+])
+def test_toeplitz_range_meet_agrees_with_truncated_range(rng, zeros, n):
+    from hardyshift.invariance import _toeplitz_range_meet
+
+    cap = 96
+    B = BlaschkeProduct(1.0, zeros)
+
+    def vanishing(power):  # prod (z - a)^power over the zeros of B, times r
+        p = random_taylor(rng, 12, cap).coeffs
+        for a in list(zeros) * power:
+            p = np.convolve(p, [-a, 1.0])
+        return taylor(p, cap)
+
+    # two members of B^n H^2, one of B H^2, and two generic polynomials
+    gens = [vanishing(n), vanishing(n), vanishing(1)]
+    M = orthonormalize(gens + [random_taylor(rng, 10, cap) for _ in range(2)])
+    new = _toeplitz_range_meet(M, OperatorSpec.toeplitz(B, n))
+    old = _truncated_range_meet(M, B, n)
+    assert new.dim == old.dim == (3 if n == 1 else 2)
+    P_new = new.matrix @ new.matrix.conj().T
+    P_old = old.matrix @ old.matrix.conj().T
+    assert np.linalg.norm(P_new - P_old, 2) <= 1e-10
