@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, DepthExhausted, ParamOutOfRange, ZeroOnCircle
+from .invariance import OperatorSpec
 from .series import TaylorPoly, sub as poly_sub
 from .subspaces import SpanSubspace, orthonormalize
 from .tolerances import MEMBERSHIP_TOL
-from .veclift import VectorPoly, t_m_apply, t_m_invert
+from .veclift import VectorPoly, t_m_apply
 
 __all__ = [
     "BlaschkeProduct",
@@ -32,6 +34,7 @@ __all__ = [
     "taylor_expand",
     "tail_bound",
     "power_expansion",
+    "toeplitz_columns",
     "toeplitz_apply",
     "model_basis",
     "build_wold_frame",
@@ -127,39 +130,37 @@ def power_expansion(B: BlaschkeProduct, n: int, cap: int) -> TaylorPoly:
     return TaylorPoly(acc, cap)
 
 
-def toeplitz_apply(B: BlaschkeProduct, n: int, adjoint: bool,
-                   f: TaylorPoly) -> TaylorPoly:
-    """Multiplication by the n-th power of the product, or its adjoint.
+def toeplitz_columns(B: BlaschkeProduct, n: int, adjoint: bool,
+                     X: np.ndarray) -> np.ndarray:
+    """Multiplication by the n-th power of the product, or its adjoint,
+    on every column of X (cap+1 coefficient rows).
 
     A pure-monomial symbol is an exact shift and keeps the shift budget
     guard.  For symbols with off-origin zeros the result is truncated at
     the cap; the truncation is exact-at-truncation (an analytic factor
     cannot move mass downward, so cut tails never pollute kept
     coefficients) and the discarded mass is bounded by ``tail_bound``.
-    The adjoint direction is the coefficientwise co-analytic pairing and
-    never needs extra budget.
+    Either way the operator is the lower triangular Toeplitz matrix
+    T[i, j] = b[i - j] of the symbol's coefficients b, and the adjoint is
+    its conjugate transpose, which never needs extra budget.
     """
-    cap = f.cap
-    if f.is_zero():
-        return f
     if not adjoint and all(z == 0 for z in B.zeros):
-        if f.deg() + n * B.degree > cap:
-            raise BudgetExceeded(
-                f"degree {f.deg()} + {n * B.degree} exceeds cap {cap}"
-            )
-        return _scaled_shift(f, n * B.degree, B.lam ** n)
+        return B.lam ** n * OperatorSpec.shift(n * B.degree).apply(X)
+    cap = X.shape[0] - 1
     b = power_expansion(B, n, cap).padded(cap + 1)
-    if not adjoint:
-        out = np.convolve(b, f.coeffs[: f.deg() + 1])[: cap + 1]
-        return TaylorPoly(out, cap)
-    # out[j] = sum_k conj(b_k) f_{j+k}: the nonnegative lags of the correlation
-    return TaylorPoly(np.correlate(f.padded(cap + 1), b, "full")[cap:], cap)
+    # windows w[i] = (0, ..., 0, b_0, ..., b_i) of the zero-padded symbol
+    w = sliding_window_view(np.concatenate([np.zeros(cap), b.conj() if adjoint else b]),
+                            cap + 1)
+    nz = np.flatnonzero(X.any(axis=1))
+    d = int(nz[-1]) + 1 if nz.size else 0  # the rows of X from d on are zero
+    return (w[::-1] if adjoint else w[:, ::-1])[:, :d] @ X[:d]
 
 
-def _scaled_shift(f: TaylorPoly, k: int, c: complex) -> TaylorPoly:
-    from .series import scale, shift_pow
-
-    return scale(shift_pow(f, k), c)
+def toeplitz_apply(B: BlaschkeProduct, n: int, adjoint: bool,
+                   f: TaylorPoly) -> TaylorPoly:
+    """``toeplitz_columns`` on one element."""
+    return TaylorPoly(toeplitz_columns(B, n, adjoint, f.padded(f.cap + 1)[:, None])[:, 0],
+                      f.cap)
 
 
 def model_basis(B: BlaschkeProduct, cap: int) -> tuple:
@@ -209,10 +210,6 @@ class WoldFrame:
         cols = [TaylorPoly(c, self.cap) for c in self.matrix.T]
         return tuple(tuple(cols[i: i + self.m]) for i in range(0, len(cols), self.m))
 
-    def layer_matrix(self) -> np.ndarray:
-        """The stored layer matrix; shape (cap+1, depth*m)."""
-        return self.matrix
-
     def gram_defect(self) -> float:
         """Max deviation of the nonzero layer vectors' Gram matrix from I."""
         A = self.matrix[:, np.linalg.norm(self.matrix, axis=0) > 0.5]
@@ -239,6 +236,30 @@ def build_wold_frame(B: BlaschkeProduct, cap: int,
     return WoldFrame(B, basis, matrix, depth, cap)
 
 
+def _layer_coords(X: np.ndarray, W: WoldFrame, tol: float) -> tuple:
+    """Layer coordinates W^H X of every column of X, with the uncovered
+    residuals.  Raises DepthExhausted at the first column whose residual
+    is not within tol (a NaN residual fails too)."""
+    C = W.matrix.conj().T @ X
+    residuals = np.linalg.norm(X - W.matrix @ C, axis=0)
+    bad = np.flatnonzero(~(residuals <= tol))
+    if bad.size:
+        r = float(residuals[bad[0]])
+        raise DepthExhausted(f"layer frame of depth {W.depth} leaves residual {r:.3e}", r)
+    return C, residuals
+
+
+def _from_layers(C: np.ndarray, W: WoldFrame) -> np.ndarray:
+    """Reassemble scalar columns from layer-major coordinate columns."""
+    k = W.depth * W.m
+    past = np.flatnonzero(np.any(C[k:], axis=1))
+    if past.size:
+        layer = (k + int(past[-1])) // W.m
+        raise DepthExhausted(f"coordinates reach layer {layer} but the frame has depth "
+                             f"{W.depth}", float("nan"))
+    return W.matrix[:, : C.shape[0]] @ C[:k]
+
+
 def u_apply(f: TaylorPoly, W: WoldFrame,
             tol: float = MEMBERSHIP_TOL) -> tuple:
     """Layer coordinates of f, as a vector element, with the uncovered
@@ -253,33 +274,18 @@ def u_apply(f: TaylorPoly, W: WoldFrame,
     """
     if f.cap != W.cap:
         raise ValueError("element cap must match the frame cap")
-    A = W.matrix
-    v = f.padded(W.cap + 1)
-    coords = A.conj().T @ v
-    residual = float(np.linalg.norm(v - A @ coords))
-    if residual > tol:
-        raise DepthExhausted(
-            f"layer frame of depth {W.depth} leaves residual {residual:.3e}",
-            residual,
-        )
-    comps = tuple(TaylorPoly(coords[j::W.m], W.cap) for j in range(W.m))
-    return VectorPoly(comps), residual
+    C, residuals = _layer_coords(f.padded(W.cap + 1)[:, None], W, tol)
+    comps = tuple(TaylorPoly(C[j::W.m, 0], W.cap) for j in range(W.m))
+    return VectorPoly(comps), float(residuals[0])
 
 
 def u_invert(F: VectorPoly, W: WoldFrame) -> TaylorPoly:
     """Reassemble a scalar element from layer coordinates."""
     if F.m != W.m:
         raise ValueError("vector arity must match the model dimension")
-    if F.deg() >= W.depth:
-        raise DepthExhausted(
-            f"coordinates reach layer {F.deg()} but the frame has depth {W.depth}",
-            float("nan"),
-        )
-    coords = np.zeros((W.depth, W.m), dtype=np.complex128)  # row i*m + j after ravel
-    for j, comp in enumerate(F.components):
-        c = comp.coeffs[: W.depth]
-        coords[: c.size, j] = c
-    return TaylorPoly(W.matrix @ coords.ravel(), W.cap)
+    size = max(c.coeffs.size for c in F.components)
+    coords = np.stack([c.padded(size) for c in F.components], axis=1)  # row i, column j
+    return TaylorPoly(_from_layers(coords.reshape(-1, 1), W)[:, 0], W.cap)
 
 
 def check_conjugation(B: BlaschkeProduct, n: int, f: TaylorPoly, W: WoldFrame,
@@ -303,8 +309,10 @@ def transfer_subspace(M: SpanSubspace, B: BlaschkeProduct, W: WoldFrame,
     """Unitary transport of a capped scalar subspace between the Toeplitz
     picture and the power-shift picture.
 
-    to_shift:   frame vector u  ->  lift(u_apply(u))
-    to_toeplitz: frame vector u ->  u_invert(de-interleave(u))
+    to_shift:    frame matrix X  ->  W^H X, the layer coordinates, read
+                 as lifted scalars (lift ∘ u_apply on every column)
+    to_toeplitz: frame matrix X  ->  W X[:depth*m] (u_invert ∘
+                 de-interleave on every column)
     Invariance verdicts transfer along this map on the covered band.
     """
     if direction not in ("to_shift", "to_toeplitz"):
@@ -315,14 +323,19 @@ def transfer_subspace(M: SpanSubspace, B: BlaschkeProduct, W: WoldFrame,
         raise ValueError("subspace cap must match the frame cap")
     if B != W.blaschke:
         raise ValueError("frame was built for a different product")
-    images = []
-    for u in M.frame:
-        if direction == "to_shift":
-            F, _ = u_apply(u, W, tol)
-            images.append(t_m_apply(F))
-        else:
-            images.append(u_invert(t_m_invert(u, W.m), W))
     label = f"{direction}({M.label or 'M'})"
-    if not images:
+    if not M.dim:
         return SpanSubspace((), M.cap, 1, M.rank_tol, label=label)
+    X = M.frame_matrix()
+    if direction == "to_toeplitz":
+        return orthonormalize(_from_layers(X, W), M.rank_tol, label=label)
+    # the lift of layer coordinates is the identity on the layer-major index
+    C, _ = _layer_coords(X, W, tol)
+    past = np.flatnonzero(np.any(C[M.cap + 1:], axis=1))
+    if past.size:
+        r = M.cap + 1 + int(past[-1])
+        raise BudgetExceeded(f"lift of component {r % W.m} (degree {r // W.m}) "
+                             f"needs index {r} > cap {M.cap}")
+    images = np.zeros_like(X)
+    images[: C.shape[0]] = C[: M.cap + 1]
     return orthonormalize(images, M.rank_tol, label=label)

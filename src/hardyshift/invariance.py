@@ -24,12 +24,10 @@ import numpy as np
 from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange
 from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, is_analytic,
                       is_inner, matmul)
-from .series import TaylorPoly, coshift_pow, shift_pow
-from .subspaces import (Element, MonomialSubspace, SpanSubspace, _from_coord_matrix,
+from .subspaces import (MonomialSubspace, SpanSubspace, _from_coord_matrix,
                         _null_combos, intersect_shifted, monomial_membership,
-                        orthonormalize, project)
+                        orthonormalize, unflatten_element)
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
-from .veclift import VectorPoly, vec_coshift_pow, vec_shift_pow
 
 __all__ = [
     "OperatorSpec",
@@ -51,7 +49,7 @@ SubspaceModel = Union[SpanSubspace, MonomialSubspace]
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Symbol of an operator acting on scalar elements.
+    """Symbol of an operator acting on column matrices of flattened elements.
 
     kind is one of "shift", "coshift", "toeplitz", "toeplitz_adjoint";
     power is the shift order k or the Toeplitz power n.  Toeplitz symbols
@@ -115,21 +113,34 @@ class OperatorSpec:
             return self.power * self.blaschke.degree
         return 0
 
-    def apply(self, f: Element) -> Element:
-        if isinstance(f, VectorPoly):
-            if self.kind == "shift":
-                return vec_shift_pow(f, self.power)
-            if self.kind == "coshift":
-                return vec_coshift_pow(f, self.power)
-            raise DimensionMismatch("toeplitz symbols act on scalar elements only")
-        if self.kind == "shift":
-            return shift_pow(f, self.power)
-        if self.kind == "coshift":
-            return coshift_pow(f, self.power)
-        from .blaschke import toeplitz_apply
+    def apply(self, X: np.ndarray, arity: int = 1) -> np.ndarray:
+        """Image of every column of X, each a flattened element: arity
+        component blocks of cap+1 coefficients, stacked.
 
-        return toeplitz_apply(self.blaschke, self.power,
-                              self.kind == "toeplitz_adjoint", f)
+        A shift moves the rows of each block down and raises
+        BudgetExceeded when a nonzero row would pass the cap; a co-shift
+        is a row slice.  Toeplitz symbols act on scalar columns only.
+        """
+        if self.kind.startswith("toeplitz"):
+            if arity != 1:
+                raise DimensionMismatch("toeplitz symbols act on scalar elements only")
+            from .blaschke import toeplitz_columns
+
+            return toeplitz_columns(self.blaschke, self.power,
+                                    self.kind == "toeplitz_adjoint", X)
+        k = self.power
+        blocks = X.reshape(arity, -1, X.shape[1])
+        n = blocks.shape[1]
+        kept = max(n - k, 0)  # rows that stay under the cap
+        out = np.zeros(blocks.shape, dtype=np.complex128)
+        if self.kind == "coshift":
+            out[:, :kept] = blocks[:, k:]
+        elif blocks[:, kept:].any():
+            top = kept + int(np.flatnonzero(blocks[:, kept:].any(axis=(0, 2)))[-1])
+            raise BudgetExceeded(f"shift by {k} moves degree {top} past cap {n - 1}")
+        else:
+            out[:, k:] = blocks[:, :kept]
+        return out.reshape(X.shape)
 
     def monomial_shift_order(self) -> Optional[int]:
         """Total shift order when the symbol is a pure monomial, else None."""
@@ -208,27 +219,25 @@ def _monomial_invariance(M: MonomialSubspace, op: OperatorSpec,
                        witness, tuple(untested), tested)
 
 
-def _clip_above(u: Element, d: int) -> Element:
-    """Drop coefficients above degree d (sub-tolerance dust by contract)."""
-    if isinstance(u, VectorPoly):
-        return VectorPoly(tuple(_clip_above(c, d) for c in u.components))
-    if u.deg() <= d:
-        return u
-    return TaylorPoly(u.coeffs[: max(d + 1, 1)], u.cap)
+def _first_failure(M: SpanSubspace, op: OperatorSpec, X: np.ndarray,
+                   tol: float) -> Optional[tuple]:
+    """Apply op to the columns of X once and test all images for
+    membership in M in one residual computation ||Y - F F^H Y||.
 
-
-def _effective_degree(u: Element, mass_tol: float) -> int:
-    """Smallest degree d with tail mass above d at most mass_tol.
-
-    Equals deg() for exactly stored polynomials; for truncated expansions
-    it ignores sub-tolerance dust so band exclusions track real support.
+    Returns (index, image, residual) of the first failing column, or None.
     """
-    if isinstance(u, VectorPoly):
-        return max(_effective_degree(c, mass_tol) for c in u.components)
-    mags2 = np.abs(u.coeffs) ** 2
-    tail = np.cumsum(mags2[::-1])[::-1]
-    keep = np.flatnonzero(tail > mass_tol ** 2)
-    return int(keep[-1]) if keep.size else -1
+    if not X.shape[1]:
+        return None
+    Y = op.apply(X, M.arity)
+    F = M.frame_matrix()
+    R = F @ (F.conj().T @ Y)
+    R -= Y
+    res = np.sqrt(np.sum(np.abs(R) ** 2, axis=0))
+    bad = np.flatnonzero(~(res <= tol))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return i, unflatten_element(Y[:, i], M.arity, M.cap), float(res[i])
 
 
 def check_invariance(M: SubspaceModel, op: OperatorSpec,
@@ -238,34 +247,42 @@ def check_invariance(M: SubspaceModel, op: OperatorSpec,
     Frame vectors whose image would land above the model's band (cap, or
     the builder-declared truncation band) are excluded and reported;
     support is measured at a fraction of the membership tolerance so that
-    truncated-expansion dust does not inflate degrees.
+    truncated-expansion dust does not inflate degrees.  All frame vectors
+    are tested in one residual computation; the witness is the first
+    failing one, and ``tested`` and ``untested`` stop there.
     """
     name = getattr(M, "label", "") or "M"
     if isinstance(M, MonomialSubspace):
         return _monomial_invariance(M, op, name)
-    untested: list[str] = []
-    witness = None
-    tested = 0
+    X = M.frame_matrix()
     gain = op.formal_degree_gain()
     limit = M.effective_band
-    for idx, u in enumerate(M.frame):
-        eff = _effective_degree(u, 0.25 * tol)
-        if gain and eff + gain > limit:
-            untested.append(
-                f"frame[{idx}] (support {eff}) excluded: image exceeds band {limit}"
-            )
-            continue
-        img = op.apply(_clip_above(u, eff) if gain else u)
-        tested += 1
-        pr = project(img, M)
-        if not pr.residual <= tol:
-            witness = Witness(u, img, pr.residual, f"frame[{idx}] image leaves the span")
-            break
+    keep = np.ones(M.dim, dtype=bool)
+    if gain:
+        # effective degree: the last degree whose tail mass (per component)
+        # exceeds a quarter of tol, found by counting since tail mass only
+        # falls with degree; the dust above it is clipped
+        blocks = X.reshape(M.arity, M.cap + 1, M.dim)
+        tail = np.cumsum(np.abs(blocks[:, ::-1]) ** 2, axis=1)[:, ::-1]
+        eff = np.sum(tail > (0.25 * tol) ** 2, axis=1).max(axis=0) - 1
+        keep = eff + gain <= limit
+        below = np.arange(M.cap + 1)[:, None] <= eff[keep]
+        X = np.where(below, blocks[:, :, keep], 0).reshape(X.shape[0], -1)
+    cols = np.flatnonzero(keep)
+    fail = _first_failure(M, op, X, tol)
+    stop = M.dim if fail is None else int(cols[fail[0]])
+    untested = tuple(
+        f"frame[{i}] (support {eff[i]}) excluded: image exceeds band {limit}"
+        for i in np.flatnonzero(~keep[:stop]))
+    tested = cols.size if fail is None else fail[0] + 1
     if M.dim and tested == 0 and untested:
         raise BudgetExceeded("no testable band remains under the cap")
+    witness = None if fail is None else Witness(
+        unflatten_element(M.matrix[:, stop], M.arity, M.cap), *fail[1:],
+        f"frame[{stop}] image leaves the span")
     verdict = "FAIL" if witness else "PASS"
     return CheckReport("invariance", op.describe(), name, verdict, witness,
-                       tuple(untested), tested)
+                       untested, tested)
 
 
 def _canonical_pair(op: OperatorSpec):
@@ -324,17 +341,13 @@ def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
         inside = intersect_shifted(M, T.power)
     else:
         inside = _toeplitz_range_meet(M, T)
-    witness = None
-    tested = 0
-    for idx, w in enumerate(inside.frame):
-        tested += 1
-        img = Tstar.apply(w)
-        pr = project(img, M)
-        if not pr.residual <= tol:
-            witness = Witness(w, img, pr.residual,
-                              f"intersection frame[{idx}] maps outside the span")
-            break
+    X = inside.frame_matrix()
+    fail = _first_failure(M, Tstar, X, tol)
+    witness = None if fail is None else Witness(
+        unflatten_element(X[:, fail[0]], M.arity, M.cap), *fail[1:],
+        f"intersection frame[{fail[0]}] maps outside the span")
     verdict = "FAIL" if witness else "PASS"
+    tested = inside.dim if fail is None else fail[0] + 1
     return CheckReport("near-invariance", Tstar.describe(), name, verdict,
                        witness, (), tested)
 
@@ -420,8 +433,7 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     n = cap // m + 1
     gens = range_generators(theta, n - 1).reshape(m, n, len(live), n)[..., : ladder + 1]
     lifted = gens.transpose(1, 0, 2, 3).reshape(m * n, -1)[: cap + 1]
-    return orthonormalize([TaylorPoly(g, cap) for g in lifted.T], rank_tol,
-                          label=label, band=m * ladder)
+    return orthonormalize(lifted, rank_tol, label=label, band=m * ladder)
 
 
 def build_model_space(theta: LaurentMatrix, m: int, cap: int,
@@ -446,9 +458,9 @@ def build_model_space(theta: LaurentMatrix, m: int, cap: int,
     if not combos.shape[0]:
         return SpanSubspace((), cap, 1, rank_tol, label=label, band=band)
     # lift: coefficient j of component l moves to index m*j + l
-    lifted = combos.reshape(-1, m, n_sub).transpose(0, 2, 1).reshape(-1, m * n_sub)
-    return orthonormalize([TaylorPoly(v, cap) for v in lifted], rank_tol,
-                          label=label, band=band)
+    lifted = np.zeros((cap + 1, combos.shape[0]), dtype=np.complex128)
+    lifted[: m * n_sub] = combos.reshape(-1, m, n_sub).transpose(2, 1, 0).reshape(m * n_sub, -1)
+    return orthonormalize(lifted, rank_tol, label=label, band=band)
 
 
 @dataclass(frozen=True)

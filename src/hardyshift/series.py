@@ -156,31 +156,26 @@ def norm(f: TaylorPoly) -> float:
     return f.norm()
 
 
-def shift_pow(f: TaylorPoly, k: int) -> TaylorPoly:
-    """Multiply by z^k (k-fold forward shift); norm preserving."""
+def _column_op(kind: str, f: TaylorPoly, k: int) -> TaylorPoly:
+    """``OperatorSpec.apply`` on the single column f."""
     if k < 0:
-        raise ValueError("shift power must be nonnegative")
-    d = f.deg()
-    if d < 0:
-        return zero(f.cap)
-    if d + k > f.cap:
-        raise BudgetExceeded(f"shift by {k} moves degree {d} past cap {f.cap}")
+        raise ValueError(f"{kind} power must be nonnegative")
     if k == 0:
         return f
-    arr = np.zeros(d + k + 1, dtype=np.complex128)
-    arr[k: d + k + 1] = f.coeffs[: d + 1]
-    return TaylorPoly(arr, f.cap)
+    from .invariance import OperatorSpec
+
+    col = OperatorSpec(kind, k).apply(f.padded(f.cap + 1)[:, None])
+    return TaylorPoly(col[:, 0], f.cap)
+
+
+def shift_pow(f: TaylorPoly, k: int) -> TaylorPoly:
+    """Multiply by z^k (k-fold forward shift); norm preserving."""
+    return _column_op("shift", f, k)
 
 
 def coshift_pow(f: TaylorPoly, k: int) -> TaylorPoly:
     """Drop the first k coefficients (k-fold backward shift)."""
-    if k < 0:
-        raise ValueError("co-shift power must be nonnegative")
-    if k == 0:
-        return f
-    if k >= f.coeffs.size:
-        return zero(f.cap)
-    return TaylorPoly(f.coeffs[k:], f.cap)
+    return _column_op("coshift", f, k)
 
 
 def mul(f: TaylorPoly, g: TaylorPoly) -> TaylorPoly:

@@ -135,9 +135,14 @@ def _from_coord_matrix(M: SpanSubspace, combos: np.ndarray, label: str) -> SpanS
                         label=label, band=M.band)
 
 
-def orthonormalize(generators: Sequence[Element], rank_tol: float = RANK_TOL,
-                   label: str = "", band=None) -> SpanSubspace:
+def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
+                   rank_tol: float = RANK_TOL, label: str = "",
+                   band=None) -> SpanSubspace:
     """Modified Gram-Schmidt in input order with one reorthogonalization pass.
+
+    The generators are elements, or the columns of a matrix of scalar
+    coefficients (cap+1 rows).  Non-finite coefficients raise
+    ParamOutOfRange.
 
     Generators whose residual norm falls below rank_tol times the largest
     generator norm are dropped and their indices recorded.
@@ -149,6 +154,8 @@ def orthonormalize(generators: Sequence[Element], rank_tol: float = RANK_TOL,
     norms clear of subnormal underflow, which would otherwise leave the
     frame vectors visibly short of unit length.
     """
+    if isinstance(generators, np.ndarray):
+        generators = [TaylorPoly(c, generators.shape[0] - 1) for c in generators.T]
     gens = tuple(generators)
     if not gens:
         raise EmptyInput("orthonormalize needs at least one generator")
@@ -158,6 +165,8 @@ def orthonormalize(generators: Sequence[Element], rank_tol: float = RANK_TOL,
         if _arity(g) != arity or g.cap != cap:
             raise ValueError("generators must share arity and cap")
     cols = np.stack([flatten_element(g, cap) for g in gens])
+    if not np.all(np.isfinite(cols)):
+        raise ParamOutOfRange("generators must have finite coefficients")
     top = max(np.max(np.abs(cols.real)), np.max(np.abs(cols.imag)))
     if top == 0.0:
         return SpanSubspace((), cap, arity, rank_tol, gens,

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceeded
-from .series import TaylorPoly, add, scale, taylor, zero
+from .series import TaylorPoly, taylor, zero
 
 __all__ = [
     "VectorPoly",
@@ -28,11 +28,6 @@ __all__ = [
     "t_m_invert",
     "check_shift_diagram",
     "vec_inner",
-    "vec_shift_pow",
-    "vec_coshift_pow",
-    "vec_add",
-    "vec_sub",
-    "vec_scale",
 ]
 
 
@@ -96,32 +91,6 @@ def vec_inner(F: VectorPoly, G: VectorPoly) -> complex:
     return sum((inner_product(f, g) for f, g in zip(F.components, G.components)), 0j)
 
 
-def vec_add(F: VectorPoly, G: VectorPoly) -> VectorPoly:
-    if F.m != G.m:
-        raise ValueError("vector arities differ")
-    return VectorPoly(tuple(add(f, g) for f, g in zip(F.components, G.components)))
-
-
-def vec_sub(F: VectorPoly, G: VectorPoly) -> VectorPoly:
-    return vec_add(F, vec_scale(G, -1.0))
-
-
-def vec_scale(F: VectorPoly, c) -> VectorPoly:
-    return VectorPoly(tuple(scale(f, c) for f in F.components))
-
-
-def vec_shift_pow(F: VectorPoly, k: int) -> VectorPoly:
-    from .series import shift_pow
-
-    return VectorPoly(tuple(shift_pow(f, k) for f in F.components))
-
-
-def vec_coshift_pow(F: VectorPoly, k: int) -> VectorPoly:
-    from .series import coshift_pow
-
-    return VectorPoly(tuple(coshift_pow(f, k) for f in F.components))
-
-
 def t_m_apply(F: VectorPoly) -> TaylorPoly:
     """Interleave components into a scalar element; exact isometry."""
     m = F.m
@@ -168,6 +137,6 @@ def check_shift_diagram(F: VectorPoly, m: int) -> float:
 
     if m != F.m:
         raise ValueError("arity m must match the vector element")
-    lhs = t_m_apply(vec_shift_pow(F, 1))
+    lhs = t_m_apply(VectorPoly(tuple(shift_pow(c, 1) for c in F.components)))
     rhs = shift_pow(t_m_apply(F), m)
     return sub(lhs, rhs).norm()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardyshift import (BlaschkeProduct, BudgetExceeded, DepthExhausted,
-                        OperatorSpec, ParamOutOfRange, ZeroOnCircle,
+                        OperatorSpec, ParamOutOfRange, SpanSubspace, ZeroOnCircle,
                         build_wold_frame, check_conjugation, check_invariance,
                         check_near_invariance, model_basis, monomial,
                         orthonormalize, t_m_apply, t_m_invert,
@@ -148,6 +148,25 @@ def test_u_apply_depth_exhausted():
     W = build_wold_frame(B_Z2, CAP, depth=4)  # covers degrees < 8 only
     with pytest.raises(DepthExhausted):
         u_apply(monomial(20, CAP), W)
+
+
+def test_u_apply_and_transfer_fail_closed_on_nan():
+    W = build_wold_frame(B_Z2, CAP)
+    with pytest.raises(DepthExhausted):
+        u_apply(taylor([1, np.nan], CAP), W)
+    frame = np.zeros((CAP + 1, 1), dtype=np.complex128)
+    frame[:2, 0] = [1, np.nan]
+    with pytest.raises(DepthExhausted):
+        transfer_subspace(SpanSubspace(frame, CAP, 1), B_Z2, W, "to_shift")
+
+
+def test_u_invert_and_transfer_to_toeplitz_depth():
+    W = build_wold_frame(B_Z2, CAP, depth=4)
+    with pytest.raises(DepthExhausted, match="layer 5"):
+        u_invert(t_m_invert(monomial(11, CAP), 2), W)
+    M = orthonormalize([monomial(11, CAP)])
+    with pytest.raises(DepthExhausted, match="layer 5"):
+        transfer_subspace(M, B_Z2, W, "to_toeplitz")
 
 
 def test_check_conjugation_monomial_zero():

@@ -60,6 +60,13 @@ def test_orthonormalize_empty_input():
         orthonormalize([])
 
 
+def test_orthonormalize_rejects_non_finite_generators():
+    with pytest.raises(ParamOutOfRange):
+        orthonormalize([taylor([1, 0, 0, np.nan], CAP), taylor([0, 1], CAP)])
+    with pytest.raises(ParamOutOfRange):
+        orthonormalize([taylor([1, np.inf], CAP)])
+
+
 def test_project_gram_solve_example():
     M = orthonormalize([taylor([1, 1, 1], CAP), taylor([0, 1, 2], CAP)])
     proj, residual, _ = project(taylor([1], CAP), M)
