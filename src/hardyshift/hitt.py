@@ -34,7 +34,7 @@ from .invariance import (CheckReport, OperatorSpec, Stage, check_invariance,
                          range_generators)
 from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, is_analytic,
                       is_inner, matmul, toeplitz_adjoint_apply)
-from .series import TaylorPoly, add, coshift_pow, inner_product, monomial, scale, shift_pow, sub, zero
+from .series import TaylorPoly, inner_product, monomial, scale, sub, zero
 from .subspaces import (SpanSubspace, flatten_element, intersect_shifted,
                         ortho_complement_within, orthonormalize, project)
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
@@ -80,11 +80,14 @@ def _phase_fix(f: TaylorPoly) -> TaylorPoly:
 def extract_kernels(M: SpanSubspace, m: int,
                     rank_tol: float = RANK_TOL) -> KernelColumn:
     """Project z^i (i < m) onto M ⊖ (M ∩ z^m H^2), orthogonalize in index
-    order, normalize.  All-zero columns are legal (M inside z^m H^2)."""
+    order, normalize.  All-zero columns are legal (M inside z^m H^2).
+    A non-finite frame raises ParamOutOfRange."""
     if m < 2:
         raise ParamOutOfRange(f"arity m must be >= 2, got {m}")
     if M.arity != 1:
         raise ValueError("kernel extraction acts on scalar subspaces")
+    if not np.all(np.isfinite(M.frame_matrix())):
+        raise ParamOutOfRange("frame matrix has non-finite coefficients")
     X = ortho_complement_within(M, intersect_shifted(M, m))
     entries: list[TaylorPoly] = []
     flags: list[bool] = []
@@ -121,7 +124,9 @@ class HittDecomposition:
 def hitt_decompose(f: TaylorPoly, M: SpanSubspace, E: KernelColumn, m: int,
                    max_iter: Optional[int] = None,
                    tol: float = MEMBERSHIP_TOL) -> HittDecomposition:
-    """Run the peeling recursion on f ∈ M.
+    """Run the peeling recursion on f ∈ M: the one-column call of the peel
+    that ``build_j_map`` runs on every frame vector at once.  f is taken
+    as its cap+1 coefficients.
 
     Raises NotAMember when f is outside M at tol, and NoConvergence when
     the recursion stalls, hits max_iter, or leaves uncaptured mass - the
@@ -129,70 +134,115 @@ def hitt_decompose(f: TaylorPoly, M: SpanSubspace, E: KernelColumn, m: int,
     """
     if m != E.m:
         raise ParamOutOfRange("kernel column arity does not match m")
+    if not isinstance(f, TaylorPoly) or M.arity != 1 or f.cap != M.cap:
+        raise ValueError("element arity/cap does not match the subspace")
+    return _peel(flatten_element(f, M.cap)[None, :], M, E, m, max_iter, tol)[0]
+
+
+def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn, m: int,
+          max_iter: Optional[int], tol: float) -> list:
+    """The peeling recursion on every row of V, each the cap+1 coefficients
+    of one element of M, at once.  Returns one HittDecomposition per row,
+    or raises the error that decomposing the rows one by one, in order,
+    would raise first.
+
+    The remainders are the rows of R, the (cap+1) × live column matrix
+    stored transposed so that each remainder is contiguous.  Each number
+    comes from the same numpy operation on the same coefficients, in the
+    same order, as for one element alone (``np.vdot`` per coordinate,
+    pairwise ``np.sum`` per norm, updates in active-index order), so every
+    row's result is bit-identical to its one-element decomposition.  A
+    row leaves R when it converges or fails; rows after the first failing
+    one are dropped, as their outcome cannot change the error raised.
+    """
+    n = M.cap + 1
     if max_iter is None:
         max_iter = M.cap // m + 2
-    member = project(f, M)
-    if not member.residual <= tol:
-        raise NotAMember(
-            f"element lies outside the span (residual {member.residual:.3e} > {tol:g})"
-        )
-    active = E.active_indices
-    rows: list[np.ndarray] = []
-    norms: list[float] = []
-    fj = f
-    success = False
-    # Termination: each peel drops the remaining degree by m, uncaptured
-    # head mass raises immediately, so max_iter bounds the loop strictly.
-    for _ in range(max_iter + 1):
-        nrm = fj.norm()
-        norms.append(nrm)
-        if nrm <= tol:
-            success = True
+    errors: dict = {}  # row -> its first error
+    F = M.frame_matrix()
+    Fh = F.conj().T
+    for j, v in enumerate(V):
+        residual = float(np.linalg.norm(v - F @ (Fh @ v)))
+        if not residual <= tol:
+            errors[j] = NotAMember(
+                f"element lies outside the span (residual {residual:.3e} > {tol:g})")
             break
-        row = np.zeros(E.m, dtype=np.complex128)
-        x = zero(f.cap)
-        for i in active:
-            c = inner_product(fj, E.entries[i])
-            row[i] = c
-            x = add(x, scale(E.entries[i], c))
-        rows.append(row)
-        rem = sub(fj, x)
-        head = float(np.linalg.norm(rem.padded(m)))
-        if not head <= tol:
+    active = E.active_indices
+    ents = [E.entries[i].padded(n) for i in active]
+    k = min(errors, default=len(V))
+    A = np.zeros((k, max_iter + 1, E.m), dtype=np.complex128)
+    iterations = np.zeros(k, dtype=int)
+    residuals = np.zeros(k)
+    live = np.arange(k)
+    R = V[:k]
+    # Termination: each peel drops the remaining degree by m, uncaptured
+    # head mass fails a row at once, so max_iter bounds the loop strictly.
+    for step in range(max_iter + 1):
+        sq = np.sum(np.abs(R) ** 2, axis=1)
+        if step == 0:
+            norm2 = sq
+        residuals[live] = np.sqrt(sq)
+        done = residuals[live] <= tol
+        iterations[live[done]] = step
+        live, R = live[~done], R[~done]
+        if not live.size:
+            break
+        X = np.zeros(R.shape, dtype=np.complex128)
+        for i, e in zip(active, ents):
+            c = np.array([np.vdot(e, r) for r in R])
+            A[live, step, i] = c
+            X = X + e * c[:, None]
+        rem = R + X * -1.0
+        # The head norm decides only near tol: rows clearly below it pass,
+        # the rest get the one-element value np.linalg.norm, which is also
+        # the value an error reports.
+        head = np.sqrt(np.sum(np.abs(rem[:, :m]) ** 2, axis=1))
+        for r in np.flatnonzero(~(head <= 0.5 * tol)):
+            exact = float(np.linalg.norm(rem[r, :m]))
+            if not exact <= tol:
+                errors[int(live[r])] = NoConvergence(
+                    f"peel {step} left head mass {exact:.3e} below degree {m}; "
+                    "the span is not nearly co-invariant at this cap", exact)
+                break  # later rows cannot be reported
+        before = live < min(errors, default=k)
+        live = live[before]
+        R = np.zeros((live.size, n), dtype=np.complex128)
+        R[:, :max(n - m, 0)] = rem[before, m:]
+    if live.size:  # the first row still live ran out of peels
+        j = int(live[0])
+        errors[j] = NoConvergence(
+            f"no convergence after {max_iter} peels (residual {residuals[j]:.3e})",
+            float(residuals[j]))
+    # Every row before the first error converged.  Rounding dust in a
+    # kernel entry can carry z^(ml) E_i past the cap.  That part is cut
+    # off, and an upper bound of its norm (the sum of the cut norms) is
+    # counted in the error, so nothing is silently dropped.
+    good = min(errors, default=k)
+    recon = np.zeros((good, n), dtype=np.complex128)
+    cut = np.zeros(good)
+    for l in range(int(np.max(iterations[:good], initial=0))):
+        keep = max(0, n - m * l)
+        for i, e in zip(active, ents):
+            a = A[:good, l, i]
+            tail = float(np.linalg.norm(E.entries[i].coeffs[keep:]))
+            if tail:
+                cut = cut + np.hypot(a.real, a.imag) * tail
+            recon[:, m * l:] += e[:keep] * a[:, None]
+    gaps = np.sqrt(np.sum(np.abs(V[:good] + recon * -1.0) ** 2, axis=1))
+    decomps = []
+    for j in range(good):
+        recon_err = math.hypot(gaps[j], cut[j])
+        if not recon_err <= tol:
             raise NoConvergence(
-                f"peel {len(rows) - 1} left head mass {head:.3e} below degree {m}; "
-                "the span is not nearly co-invariant at this cap", head
-            )
-        fj = coshift_pow(rem, m)
-    if not success:
-        raise NoConvergence(
-            f"no convergence after {max_iter} peels (residual {norms[-1]:.3e})",
-            norms[-1],
-        )
-    A = np.array(rows, dtype=np.complex128) if rows else np.zeros((0, E.m), dtype=np.complex128)
-    comps = tuple(TaylorPoly(A[:, i] if A.shape[0] else np.zeros(1), f.cap)
-                  for i in range(E.m))
-    phi = VectorPoly(comps)
-    # Rounding dust in a kernel entry can carry z^(ml) E_i past the cap.
-    # That part is cut off, and an upper bound of its norm (the sum of the
-    # cut norms) is counted in the error, so nothing is silently dropped.
-    recon = zero(f.cap)
-    cut = 0.0
-    for l in range(A.shape[0]):
-        keep = max(0, f.cap + 1 - m * l)
-        for i in active:
-            if A[l, i] != 0:
-                e = E.entries[i].coeffs
-                cut += abs(A[l, i]) * float(np.linalg.norm(e[keep:]))
-                kept = shift_pow(TaylorPoly(e[:keep], f.cap), m * l)
-                recon = add(recon, scale(kept, A[l, i]))
-    recon_err = math.hypot(sub(f, recon).norm(), cut)
-    parseval_gap = abs(f.norm2() - float(np.sum(np.abs(A) ** 2)))
-    if not recon_err <= tol:
-        raise NoConvergence(
-            f"reconstruction residual {recon_err:.3e} exceeds {tol:g}", recon_err
-        )
-    return HittDecomposition(phi, A, A.shape[0], norms[-1], recon_err, parseval_gap)
+                f"reconstruction residual {recon_err:.3e} exceeds {tol:g}", recon_err)
+        rows = A[j, :iterations[j]].copy()
+        comps = tuple(TaylorPoly(rows[:, i], M.cap) for i in range(E.m))
+        parseval_gap = abs(float(norm2[j]) - float(np.sum(np.abs(rows) ** 2)))
+        decomps.append(HittDecomposition(VectorPoly(comps), rows, rows.shape[0],
+                                         float(residuals[j]), recon_err, parseval_gap))
+    if errors:
+        raise errors[good]
+    return decomps
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,23 +258,27 @@ class JMapResult:
 
 def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL,
                 rank_tol: float = RANK_TOL) -> JMapResult:
-    """Decompose every frame vector of M and collect the coordinates.
+    """Decompose every frame vector of M, all at once, and collect the
+    coordinates.  When several frame vectors fail, the error of the first
+    one in frame order is raised.
 
     The map frame -> coordinates is isometric when the decomposition is
     faithful; both that and the co-shift invariance of the coordinate
     space are verified and reported, never assumed.
     """
     E = extract_kernels(M, m, rank_tol)
-    decomps = tuple(hitt_decompose(u, M, E, m, tol=tol) for u in M.frame)
+    # one row per frame vector, the coefficients contiguous
+    decomps = tuple(_peel(np.ascontiguousarray(M.frame_matrix().T), M, E, m, None, tol))
     phis = [d.phi for d in decomps]
+    label = f"J_{m}({M.label or 'M'})"
     if phis:
         P = np.column_stack([flatten_element(p, M.cap) for p in phis])
         # the frame is orthonormal, so its Gram matrix is the identity
         gap = float(np.max(np.abs(P.conj().T @ P - np.eye(len(phis)))))
-        K = orthonormalize(phis, rank_tol, label=f"J_{m}({M.label or 'M'})")
+        K = orthonormalize(phis, rank_tol, label=label)
     else:
         gap = 0.0
-        K = SpanSubspace((), M.cap, m, rank_tol, label=f"J_{m}(M)")
+        K = SpanSubspace((), M.cap, m, rank_tol, label=label)
     costable = check_invariance(K, OperatorSpec.coshift(1), tol)
     return JMapResult(K, E, decomps, gap, costable)
 

@@ -126,6 +126,27 @@ def test_shipped_reports_match_golden(name, cap, capsys):
     assert capsys.readouterr().out == golden.read_bytes().decode("utf-8")
 
 
+def test_hitt_report_matches_golden(capsys):
+    # hitt tasks on spans span{z^(ml) q_i}: m = 2 at dimension 40, m = 3
+    # with two q_i and a certified theta, and a span with a stray monomial
+    # whose peel fails; the report pins every reconstruction error,
+    # Parseval gap and the failing peel's message
+    golden = ROOT / "tests" / "golden"
+    assert main(["run", str(golden / "hitt_problem.json")]) == 1
+    assert capsys.readouterr().out == (golden / "hitt_report.json").read_bytes().decode("utf-8")
+
+
+def test_empty_jmap_space_keeps_the_span_label(tmp_path, capsys):
+    data = {"workspace": {"cap": 16},
+            "objects": {"polys": {"z0": [[0, 0]], "z1": [[0, 0], [0, 0]]}},
+            "subspaces": {"zero_span": {"kind": "span", "generators": ["z0", "z1"]}},
+            "tasks": [{"task": "hitt", "subspace": "zero_span", "m": 2}]}
+    assert main(["run", write_problem(tmp_path, data)]) == 0
+    jmap = json.loads(capsys.readouterr().out)["tasks"][0]["jmap"]
+    assert jmap["dim"] == 0
+    assert jmap["coshift_invariance"]["subspace"] == "J_2(zero_span)"
+
+
 def test_out_file_and_text_format(tmp_path, capsys):
     path = write_problem(tmp_path)
     target = tmp_path / "report.json"
