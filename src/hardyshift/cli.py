@@ -22,8 +22,8 @@ from .invariance import (OperatorSpec, check_invariance, check_near_invariance,
 from .laurent import build_sigma
 from .problem import (ParseError, Problem, Task, ValidationError,
                       load_problem, parse_problem)
-from .report import (check_payload, matrix_payload, matrix_text, poly_pairs,
-                     round12, stage_payload)
+from .report import (check_payload, element_payload, floored12, matrix_payload,
+                     matrix_text, round12, stage_payload)
 
 __all__ = ["main", "run_problem"]
 
@@ -103,7 +103,7 @@ def _run_hitt(problem: Problem, task: Task) -> dict:
 
 def _kernel_payload(E) -> dict:
     return {
-        "entries": [poly_pairs(e) for e in E.entries],
+        "entries": [element_payload(e)["coeffs"] for e in E.entries],
         "degenerate": list(E.degenerate),
     }
 
@@ -111,11 +111,11 @@ def _kernel_payload(E) -> dict:
 def _jmap_payload(jmap) -> dict:
     return {
         "dim": jmap.space.dim,
-        "isometry_gap": round12(jmap.isometry_gap),
+        "isometry_gap": floored12(jmap.isometry_gap),
         "coshift_invariance": check_payload(jmap.costable),
-        "reconstruction_errors": [round12(d.reconstruction_error)
+        "reconstruction_errors": [floored12(d.reconstruction_error)
                                   for d in jmap.decompositions],
-        "parseval_gaps": [round12(d.parseval_gap) for d in jmap.decompositions],
+        "parseval_gaps": [floored12(d.parseval_gap) for d in jmap.decompositions],
     }
 
 

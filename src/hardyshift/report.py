@@ -3,7 +3,10 @@
 All floats are rounded to 12 significant digits before they enter a
 payload, orderings are fixed by construction, and nothing time- or
 machine-dependent is ever written, so identical inputs produce
-byte-identical reports.
+byte-identical reports.  Elements and relative gaps pass the print floor
+first: a real or imaginary part within PRINT_FLOOR of the element's norm,
+and a gap within PRINT_FLOOR, prints as 0.0, so reports do not depend on
+the order of rounding.
 """
 
 from __future__ import annotations
@@ -15,10 +18,13 @@ import numpy as np
 from .invariance import CheckReport, Witness
 from .laurent import LaurentMatrix
 from .series import TaylorPoly
+from .tolerances import PRINT_FLOOR
 from .veclift import VectorPoly
 
 __all__ = [
     "round12",
+    "floored12",
+    "floored",
     "complex_pair",
     "poly_pairs",
     "element_payload",
@@ -32,6 +38,26 @@ __all__ = [
 
 def round12(x: float) -> float:
     return float(f"{float(x):.12g}")
+
+
+def floored12(x: float) -> float:
+    """round12 of a relative gap; 0.0 within the print floor."""
+    return 0.0 if abs(x) <= PRINT_FLOOR else round12(x)
+
+
+def _norm(c: np.ndarray) -> float:
+    """2-norm of a coefficient array, scaled so that it cannot overflow."""
+    top = float(np.max(np.abs(c), initial=0.0))
+    return top * float(np.linalg.norm(c / top)) if top else 0.0
+
+
+def floored(f: TaylorPoly, scale: float) -> TaylorPoly:
+    """f with every real or imaginary part within PRINT_FLOOR·scale set to
+    0.0, so poly_pairs stops at its last coefficient above the floor."""
+    c = f.coeffs.copy()
+    for part in (c.real, c.imag):
+        part[np.abs(part) <= PRINT_FLOOR * scale] = 0.0
+    return TaylorPoly(c, f.cap)
 
 
 def complex_pair(z: complex) -> list:
@@ -49,10 +75,13 @@ def poly_pairs(f: TaylorPoly) -> list:
 
 
 def element_payload(el: Any) -> Any:
+    """Coefficient pairs under the print floor of the element's norm."""
     if isinstance(el, VectorPoly):
-        return {"kind": "vector", "components": [poly_pairs(c) for c in el.components]}
+        scale = _norm(np.concatenate([c.coeffs for c in el.components]))
+        return {"kind": "vector",
+                "components": [poly_pairs(floored(c, scale)) for c in el.components]}
     if isinstance(el, TaylorPoly):
-        return {"kind": "scalar", "coeffs": poly_pairs(el)}
+        return {"kind": "scalar", "coeffs": poly_pairs(floored(el, _norm(el.coeffs)))}
     return el  # already plain (monomial exponent)
 
 

@@ -16,3 +16,7 @@ ANALYTICITY_TOL = 1e-10
 # Used where a quantity is zero in exact arithmetic and only rounding noise
 # is admissible.
 EXACT_TOL = 1e-12
+
+# Reports print a value within this fraction of its scale as 0.0 (see
+# report.py); no verdict reads it.
+PRINT_FLOOR = 1e-13
