@@ -29,15 +29,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotAMember, ParamOutOfRange
-from .invariance import (CheckReport, OperatorSpec, Stage, check_invariance,
-                         range_generators)
+from .errors import (BudgetExceeded, DimensionMismatch, NoConvergence, NotAMember,
+                     ParamOutOfRange)
+from .invariance import (CheckReport, OperatorSpec, PipelineReport, Stage,
+                         check_invariance, range_generators)
 from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, is_analytic,
                       is_inner, matmul, toeplitz_adjoint_apply)
-from .series import TaylorPoly, inner_product, monomial, scale, sub, zero
-from .subspaces import (SpanSubspace, flatten_element, intersect_shifted,
-                        ortho_complement_within, orthonormalize, project)
-from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
+from .series import TaylorPoly, zero
+from .subspaces import (SpanSubspace, _cgs2, flatten_element, intersect_shifted,
+                        ortho_complement_within, orthonormalize)
+from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL, RANK_TOL
 from .veclift import VectorPoly
 
 __all__ = [
@@ -69,44 +70,29 @@ class KernelColumn:
         return f"KernelColumn(m={self.m}, active={len(self.active_indices)})"
 
 
-def _phase_fix(f: TaylorPoly) -> TaylorPoly:
-    nz = np.flatnonzero(np.abs(f.coeffs) > 1e-13)
-    if not nz.size:
-        return f
-    c = f.coeffs[nz[0]]
-    return scale(f, np.conj(c) / abs(c))
-
-
 def extract_kernels(M: SpanSubspace, m: int,
                     rank_tol: float = RANK_TOL) -> KernelColumn:
-    """Project z^i (i < m) onto M ⊖ (M ∩ z^m H^2), orthogonalize in index
-    order, normalize.  All-zero columns are legal (M inside z^m H^2).
-    A non-finite frame raises ParamOutOfRange."""
+    """Project z^i (i < m) onto M ⊖ (M ∩ z^m H^2), orthonormalize in index
+    order (a norm left below max(rank_tol, EXACT_TOL) gives a degenerate
+    entry).  All-zero columns are legal (M inside z^m H^2).  A non-finite
+    frame raises ParamOutOfRange."""
     if m < 2:
         raise ParamOutOfRange(f"arity m must be >= 2, got {m}")
     if M.arity != 1:
         raise ValueError("kernel extraction acts on scalar subspaces")
     if not np.all(np.isfinite(M.frame_matrix())):
         raise ParamOutOfRange("frame matrix has non-finite coefficients")
-    X = ortho_complement_within(M, intersect_shifted(M, m))
-    entries: list[TaylorPoly] = []
-    flags: list[bool] = []
-    kept: list[TaylorPoly] = []
-    for i in range(m):
-        w = project(monomial(i, M.cap), X).projection
-        for _ in range(2):  # second pass controls cancellation error
-            for u in kept:
-                w = sub(w, scale(u, inner_product(w, u)))
-        nrm = w.norm()
-        if nrm < max(rank_tol, 1e-12):
-            entries.append(zero(M.cap))
-            flags.append(True)
-        else:
-            e = _phase_fix(scale(w, 1.0 / nrm))
-            entries.append(e)
-            flags.append(False)
-            kept.append(e)
-    return KernelColumn(tuple(entries), tuple(flags), m)
+    if m > M.cap + 1:
+        raise BudgetExceeded(f"monomial degree {M.cap + 1} exceeds cap {M.cap}")
+    F = ortho_complement_within(M, intersect_shifted(M, m)).frame_matrix()
+    # row i is the projection F F^H z^i of z^i
+    Q, dropped = _cgs2(F[:m].conj() @ F.T, max(rank_tol, EXACT_TOL))
+    # phase: the first coefficient above 1e-13 of each entry real positive
+    first = Q[np.argmax(np.abs(Q) > 1e-13, axis=0), np.arange(Q.shape[1])]
+    kept = iter((Q * (first.conj() / np.abs(first))).T)
+    entries = tuple(zero(M.cap) if i in dropped else TaylorPoly(next(kept), M.cap)
+                    for i in range(m))
+    return KernelColumn(entries, tuple(i in dropped for i in range(m)), m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,22 +270,11 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL,
 
 
 @dataclass(frozen=True, eq=False)
-class CertifyReport:
-    name: str
-    stages: tuple
-    verdict: str
-    product: LaurentMatrix
-    jmap: JMapResult
+class CertifyReport(PipelineReport):
+    """Stages and verdict, with the conjugated product and the J-map."""
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
-
-    def stage(self, name: str) -> Stage:
-        for s in self.stages:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+    product: Optional[LaurentMatrix] = None
+    jmap: Optional[JMapResult] = None
 
 
 def certify_theta(M: SpanSubspace, m: int, gamma: int, k: int,
@@ -343,4 +318,4 @@ def certify_theta(M: SpanSubspace, m: int, gamma: int, k: int,
                         f"max |<Σ*Φ, Θ·z^j δ_i>| = {worst_d:.6e}"))
 
     verdict = "PASS" if all(s.passed for s in stages) else "FAIL"
-    return CertifyReport("certify-theta", tuple(stages), verdict, product, jmap)
+    return CertifyReport("certify-theta", tuple(stages), verdict, product=product, jmap=jmap)

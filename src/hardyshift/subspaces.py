@@ -6,10 +6,10 @@ the label.  A MonomialSubspace is exact combinatorics: membership of an
 exponent is decided by dynamic programming over the semigroup generators
 plus a finite exceptional set.
 
-Frames are built by modified Gram-Schmidt in input order with a second
-orthogonalization pass; rank drops are deterministic and recorded.  A span
-stores its frame once, as one read-only matrix, and every operation here
-works on that matrix.
+Every frame is built by one kernel, ``_cgs2``: classical Gram-Schmidt
+with one reorthogonalization, in input order; rank drops are recorded.  A
+span stores its frame once, as one read-only matrix, and every operation
+here works on that matrix.
 """
 
 from __future__ import annotations
@@ -135,14 +135,34 @@ def _from_coord_matrix(M: SpanSubspace, combos: np.ndarray, label: str) -> SpanS
                         label=label, band=M.band)
 
 
+def _cgs2(rows: np.ndarray, threshold: float) -> tuple:
+    """CGS2 ("twice is enough") over the rows, in order: each row is
+    projected off the vectors kept so far twice, w -= Q (Qᴴ w), and is
+    dropped when the norm left is below threshold, else normalized and
+    kept.  Returns the frame matrix and the dropped row indices."""
+    Q = np.empty_like(rows)  # kept vectors as rows
+    r, dropped = 0, []
+    for idx, g in enumerate(rows):
+        w = g.copy()
+        for _ in range(2):
+            w -= (Q[:r] @ w.conj()).conj() @ Q[:r]
+        nrm = float(np.linalg.norm(w))
+        if nrm < threshold:
+            dropped.append(idx)
+        else:
+            Q[r] = w / nrm
+            r += 1
+    return np.ascontiguousarray(Q[:r].T), tuple(dropped)
+
+
 def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
                    rank_tol: float = RANK_TOL, label: str = "",
                    band=None) -> SpanSubspace:
-    """Modified Gram-Schmidt in input order with one reorthogonalization pass.
+    """Orthonormal frame of the generators by ``_cgs2``, in input order.
 
-    The generators are elements, or the columns of a matrix of scalar
-    coefficients (cap+1 rows).  Non-finite coefficients raise
-    ParamOutOfRange.
+    The generators are elements, flattened once, or the columns of a
+    matrix of scalar coefficients (cap+1 rows), used as they are.
+    Non-finite coefficients raise ParamOutOfRange.
 
     Generators whose residual norm falls below rank_tol times the largest
     generator norm are dropped and their indices recorded.
@@ -155,40 +175,28 @@ def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
     frame vectors visibly short of unit length.
     """
     if isinstance(generators, np.ndarray):
-        generators = [TaylorPoly(c, generators.shape[0] - 1) for c in generators.T]
-    gens = tuple(generators)
+        gens, arity, cap = tuple(generators.T), 1, generators.shape[0] - 1
+        rows = np.array(generators.T, dtype=np.complex128, order="C")
+    else:
+        gens = tuple(generators)
+        arity, cap = (_arity(gens[0]), gens[0].cap) if gens else (1, 0)
+        if any(_arity(g) != arity or g.cap != cap for g in gens):
+            raise ValueError("generators must share arity and cap")
+        rows = np.array([flatten_element(g, cap) for g in gens], dtype=np.complex128)
     if not gens:
         raise EmptyInput("orthonormalize needs at least one generator")
-    arity = _arity(gens[0])
-    cap = gens[0].cap
-    for g in gens:
-        if _arity(g) != arity or g.cap != cap:
-            raise ValueError("generators must share arity and cap")
-    cols = np.stack([flatten_element(g, cap) for g in gens])
-    if not np.all(np.isfinite(cols)):
+    if not np.all(np.isfinite(rows)):
         raise ParamOutOfRange("generators must have finite coefficients")
-    top = max(np.max(np.abs(cols.real)), np.max(np.abs(cols.imag)))
+    top = max(np.max(np.abs(rows.real)), np.max(np.abs(rows.imag)))
     if top == 0.0:
         return SpanSubspace((), cap, arity, rank_tol, gens,
                             tuple(range(len(gens))), label, band)
     exponent = -int(np.frexp(top)[1])
-    cols.real = np.ldexp(cols.real, exponent)
-    cols.imag = np.ldexp(cols.imag, exponent)
-    scale = max(float(np.linalg.norm(c)) for c in cols)
-    frame_vecs: list[np.ndarray] = []
-    dropped: list[int] = []
-    for idx, c in enumerate(cols):
-        w = c.copy()
-        for _ in range(2):  # second pass controls cancellation error
-            for u in frame_vecs:
-                w -= np.vdot(u, w) * u
-        nrm = float(np.linalg.norm(w))
-        if nrm < rank_tol * scale:
-            dropped.append(idx)
-        else:
-            frame_vecs.append(w / nrm)
-    matrix = np.column_stack(frame_vecs) if frame_vecs else ()
-    return SpanSubspace(matrix, cap, arity, rank_tol, gens, tuple(dropped), label, band)
+    rows.real = np.ldexp(rows.real, exponent)
+    rows.imag = np.ldexp(rows.imag, exponent)
+    scale = float(np.max(np.linalg.norm(rows, axis=1)))
+    matrix, dropped = _cgs2(rows, rank_tol * scale)
+    return SpanSubspace(matrix, cap, arity, rank_tol, gens, dropped, label, band)
 
 
 class Projection(NamedTuple):
