@@ -20,10 +20,10 @@ from .hitt import build_j_map, certify_theta
 from .invariance import (OperatorSpec, check_invariance, check_near_invariance,
                          verify_theorem_multi)
 from .laurent import build_sigma
-from .problem import (ParseError, Problem, Task, ValidationError,
+from .problem import (ParseError, Problem, Task, ValidationError, _parse_task,
                       load_problem, parse_problem)
-from .report import (check_payload, element_payload, floored12, matrix_payload,
-                     matrix_text, round12, stage_payload)
+from .report import (check_payload, floored, floored12, matrix_payload, matrix_text,
+                     poly_pairs, round12, stage_payload)
 
 __all__ = ["main", "run_problem"]
 
@@ -52,7 +52,7 @@ def _run_verify_theta(problem: Problem, task: Task) -> dict:
                                task.params["conditions"], problem.cap,
                                problem.membership_tol,
                                problem.analyticity_tol, problem.rank_tol)
-    out = {
+    return {
         "theta": task.params["theta_name"],
         "m": task.params["m"],
         "stages": [stage_payload(s) for s in rep.stages],
@@ -63,47 +63,41 @@ def _run_verify_theta(problem: Problem, task: Task) -> dict:
         ],
         "verdict": rep.verdict,
     }
-    return out
 
 
 def _run_hitt(problem: Problem, task: Task) -> dict:
     sub = task.params["subspace"]
     m = task.params["m"]
+    certify = None
     if "theta" in task.params:
         rep = certify_theta(sub, m, task.params["gamma"], task.params["k"],
                             task.params["theta"], problem.membership_tol,
                             problem.analyticity_tol)
-        jmap = rep.jmap
-        payload = {
-            "subspace": task.params["subspace_name"],
-            "m": m,
-            "kernel": _kernel_payload(jmap.kernel),
-            "jmap": _jmap_payload(jmap),
-            "certify": {
-                "theta": task.params["theta_name"],
-                "gamma": task.params["gamma"],
-                "k": task.params["k"],
-                "stages": [stage_payload(s) for s in rep.stages],
-                "product": matrix_payload(rep.product),
-                "product_text": matrix_text(rep.product),
-            },
-            "verdict": rep.verdict,
+        jmap, verdict = rep.jmap, rep.verdict
+        certify = {
+            "theta": task.params["theta_name"],
+            "gamma": task.params["gamma"],
+            "k": task.params["k"],
+            "stages": [stage_payload(s) for s in rep.stages],
+            "product": matrix_payload(rep.product),
+            "product_text": matrix_text(rep.product),
         }
-        return payload
-    jmap = build_j_map(sub, m, problem.membership_tol, problem.rank_tol)
+    else:
+        jmap = build_j_map(sub, m, problem.membership_tol, problem.rank_tol)
+        verdict = "PASS" if jmap.costable.passed else "FAIL"
     return {
         "subspace": task.params["subspace_name"],
         "m": m,
         "kernel": _kernel_payload(jmap.kernel),
         "jmap": _jmap_payload(jmap),
-        "certify": None,
-        "verdict": "PASS" if jmap.costable.passed else "FAIL",
+        "certify": certify,
+        "verdict": verdict,
     }
 
 
 def _kernel_payload(E) -> dict:
     return {
-        "entries": [element_payload(e)["coeffs"] for e in E.entries],
+        "entries": [poly_pairs(floored(e)) for e in E.entries],
         "degenerate": list(E.degenerate),
     }
 
@@ -279,7 +273,7 @@ def _single_task_raw(args: argparse.Namespace) -> dict:
         conds = []
         for c in args.cond:
             bits = c.split(":")
-            if len(bits) != 2 or not all(b.isdigit() for b in bits):
+            if len(bits) != 2 or not all(b.isascii() and b.isdigit() for b in bits):
                 raise ValidationError("--cond", f"expected gamma:k, got {c!r}")
             conds.append({"gamma": int(bits[0]), "k": int(bits[1])})
         return {"task": "verify-theta", "theta": args.theta, "m": args.m,
@@ -338,10 +332,7 @@ def main(argv=None) -> int:
                                     args.cap, args.tol)
         else:
             problem = load_problem(args.problem, args.cap, args.tol)
-            problem.tasks = []
-            from .problem import _parse_task
-
-            problem.tasks.append(_parse_task(problem, 0, _single_task_raw(args)))
+            problem.tasks = [_parse_task(problem, 0, _single_task_raw(args))]
     except (ParseError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

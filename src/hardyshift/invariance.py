@@ -357,25 +357,14 @@ def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
 # ---------------------------------------------------------------------------
 
 
-def _column_degree(theta: LaurentMatrix, col: int) -> int:
-    d = -1
-    for i in range(theta.rows):
-        lo, coefs = theta.entry(i, col)
-        nz = np.flatnonzero(coefs)
-        if nz.size:
-            d = max(d, lo + int(nz[-1]))
-    return d
-
-
-def _column_lift_degree(theta: LaurentMatrix, col: int, m: int) -> int:
-    """Lift degree of the col-th column as a scalar element (-1 if zero)."""
-    out = -1
+def _entry_degrees(theta: LaurentMatrix, col: int) -> list:
+    """Degree of each entry of the col-th column, -1 for a zero entry."""
+    degrees = []
     for row in range(theta.rows):
         lo, coefs = theta.entry(row, col)
         nz = np.flatnonzero(coefs)
-        if nz.size:
-            out = max(out, m * (lo + int(nz[-1])) + row)
-    return out
+        degrees.append(lo + int(nz[-1]) if nz.size else -1)
+    return degrees
 
 
 def range_generators(theta: LaurentMatrix, cap: int) -> np.ndarray:
@@ -388,7 +377,7 @@ def range_generators(theta: LaurentMatrix, cap: int) -> np.ndarray:
     unchanged.
     """
     n = cap + 1
-    live = [col for col in range(theta.cols) if _column_degree(theta, col) >= 0]
+    live = [col for col in range(theta.cols) if max(_entry_degrees(theta, col)) >= 0]
     wide = max(cap, theta.max_pow)
     out = np.zeros((theta.rows, n, len(live), n), dtype=np.complex128)
     for c, col in enumerate(live):
@@ -420,7 +409,9 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     missing top shell for a genuine invariance failure.
     """
     _check_builder_input(theta, m, analytic_tol, "range builder")
-    lifts = [_column_lift_degree(theta, col, m) for col in range(theta.cols)]
+    # lift degree of each column as a scalar element, -1 for a zero column
+    lifts = [max([m * d + row for row, d in enumerate(_entry_degrees(theta, col)) if d >= 0],
+                 default=-1) for col in range(theta.cols)]
     live = [col for col, d in enumerate(lifts) if d >= 0]
     label = f"T_{m}(Θ·H2) at cap {cap}"
     if not live:

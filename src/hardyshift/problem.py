@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -27,6 +28,10 @@ __all__ = ["ParseError", "ValidationError", "Problem", "Task",
 
 TASK_KINDS = ("check-invariance", "check-near-invariance", "verify-theta",
               "hitt", "blaschke-transfer", "build-sigma")
+
+# The power in an operator token: ASCII digits only, since str.isdigit
+# also accepts digits such as '²' that int() rejects.
+_INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
 class ParseError(HardyShiftError):
@@ -102,32 +107,28 @@ class Problem:
 def parse_operator_token(token: Any, problem: "Problem", path: str) -> OperatorSpec:
     """Accepts {"op": ..., ...} dicts or compact "kind:arg[:arg]" strings."""
     if isinstance(token, str):
-        bits = token.split(":")
-        kind = bits[0]
-        if kind in ("shift", "coshift"):
-            if len(bits) != 2 or not bits[1].lstrip("-").isdigit():
-                raise ValidationError(path, f"bad operator token {token!r}")
-            return OperatorSpec(kind, int(bits[1]))
-        if kind in ("toeplitz", "toeplitz_adjoint"):
-            if len(bits) != 3 or not bits[2].lstrip("-").isdigit():
-                raise ValidationError(path, f"bad operator token {token!r}")
-            return OperatorSpec(kind, int(bits[2]), _blaschke_ref(problem, bits[1], path))
-        raise ValidationError(path, f"unknown operator kind {kind!r}")
-    if not isinstance(token, dict) or "op" not in token:
+        kind, *args = token.split(":")
+    elif isinstance(token, dict) and "op" in token:
+        kind = token["op"]
+    else:
         raise ValidationError(path, "operator must be a string token or an object with 'op'")
-    kind = token["op"]
-    if kind in ("shift", "coshift"):
-        k = token.get("k", token.get("power"))
-        if not _is_int(k):
-            raise ValidationError(path, "shift operators need an integer 'k'")
-        return OperatorSpec(kind, k)
-    if kind in ("toeplitz", "toeplitz_adjoint"):
-        n = token.get("n", token.get("power"))
-        if not _is_int(n):
-            raise ValidationError(path, "toeplitz operators need an integer 'n'")
-        name = token.get("blaschke")
-        return OperatorSpec(kind, n, _blaschke_ref(problem, name, path))
-    raise ValidationError(path, f"unknown operator kind {kind!r}")
+    if kind not in ("shift", "coshift", "toeplitz", "toeplitz_adjoint"):
+        raise ValidationError(path, f"unknown operator kind {kind!r}")
+    toeplitz = kind.startswith("toeplitz")
+    if isinstance(token, str):
+        if len(args) != 1 + toeplitz or not _INT_TOKEN.fullmatch(args[-1]):
+            raise ValidationError(path, f"bad operator token {token!r}")
+        power, name = int(args[-1]), args[0]
+    else:
+        key = "n" if toeplitz else "k"
+        power, name = token.get(key, token.get("power")), token.get("blaschke")
+        if not _is_int(power):
+            raise ValidationError(path, f"{'toeplitz' if toeplitz else 'shift'} "
+                                        f"operators need an integer '{key}'")
+    blaschke = _blaschke_ref(problem, name, path) if toeplitz else None
+    if power < 1:
+        raise ValidationError(path, "operator power must be >= 1")
+    return OperatorSpec(kind, power, blaschke)
 
 
 def _blaschke_ref(problem: "Problem", name: Any, path: str) -> BlaschkeProduct:
@@ -336,7 +337,9 @@ def _parse_task(problem: Problem, idx: int, raw: Any) -> Task:
         params["n"] = _int_at(raw, "n", path, 1)
         if "depth" in raw:
             params["depth"] = _int_at(raw, "depth", path, 1)
-        params["near"] = bool(raw.get("near", False))
+        params["near"] = raw.get("near", False)
+        if not isinstance(params["near"], bool):
+            raise ValidationError(f"{path}.near", "must be a boolean")
     else:  # build-sigma
         params["m"] = _int_at(raw, "m", path, 2)
         params["gamma"] = _int_at(raw, "gamma", path, 1)

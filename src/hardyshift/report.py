@@ -3,15 +3,14 @@
 All floats are rounded to 12 significant digits before they enter a
 payload, orderings are fixed by construction, and nothing time- or
 machine-dependent is ever written, so identical inputs produce
-byte-identical reports.  Elements and relative gaps pass the print floor
-first: a real or imaginary part within PRINT_FLOOR of the element's norm,
-and a gap within PRINT_FLOOR, prints as 0.0, so reports do not depend on
-the order of rounding.
+byte-identical reports.  Under the print floor, reports also do not
+depend on the order of rounding (see ``floored`` and ``floored12``).
 """
 
 from __future__ import annotations
 
-from typing import Any
+import math
+from typing import Any, Optional
 
 import numpy as np
 
@@ -45,15 +44,12 @@ def floored12(x: float) -> float:
     return 0.0 if abs(x) <= PRINT_FLOOR else round12(x)
 
 
-def _norm(c: np.ndarray) -> float:
-    """2-norm of a coefficient array, scaled so that it cannot overflow."""
-    top = float(np.max(np.abs(c), initial=0.0))
-    return top * float(np.linalg.norm(c / top)) if top else 0.0
-
-
-def floored(f: TaylorPoly, scale: float) -> TaylorPoly:
+def floored(f: TaylorPoly, scale: Optional[float] = None) -> TaylorPoly:
     """f with every real or imaginary part within PRINT_FLOOR·scale set to
-    0.0, so poly_pairs stops at its last coefficient above the floor."""
+    0.0, so poly_pairs stops at its last coefficient above the floor.  The
+    scale defaults to the norm of f (``math.hypot`` cannot overflow)."""
+    if scale is None:
+        scale = math.hypot(*np.abs(f.coeffs))
     c = f.coeffs.copy()
     for part in (c.real, c.imag):
         part[np.abs(part) <= PRINT_FLOOR * scale] = 0.0
@@ -77,11 +73,11 @@ def poly_pairs(f: TaylorPoly) -> list:
 def element_payload(el: Any) -> Any:
     """Coefficient pairs under the print floor of the element's norm."""
     if isinstance(el, VectorPoly):
-        scale = _norm(np.concatenate([c.coeffs for c in el.components]))
+        scale = math.hypot(*np.abs(np.concatenate([c.coeffs for c in el.components])))
         return {"kind": "vector",
                 "components": [poly_pairs(floored(c, scale)) for c in el.components]}
     if isinstance(el, TaylorPoly):
-        return {"kind": "scalar", "coeffs": poly_pairs(floored(el, _norm(el.coeffs)))}
+        return {"kind": "scalar", "coeffs": poly_pairs(floored(el))}
     return el  # already plain (monomial exponent)
 
 

@@ -161,8 +161,9 @@ def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
     """Orthonormal frame of the generators by ``_cgs2``, in input order.
 
     The generators are elements, flattened once, or the columns of a
-    matrix of scalar coefficients (cap+1 rows), used as they are.
-    Non-finite coefficients raise ParamOutOfRange.
+    matrix of scalar coefficients (cap+1 rows), copied once; the span's
+    generators are then its columns.  Non-finite coefficients raise
+    ParamOutOfRange.
 
     Generators whose residual norm falls below rank_tol times the largest
     generator norm are dropped and their indices recorded.

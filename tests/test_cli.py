@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -134,6 +137,22 @@ def test_hitt_report_matches_golden(capsys):
     golden = ROOT / "tests" / "golden"
     assert main(["run", str(golden / "hitt_problem.json")]) == 1
     assert capsys.readouterr().out == (golden / "hitt_report.json").read_bytes().decode("utf-8")
+
+
+def _run_report(blas_threads, *args):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "hardyshift.cli", "run", *args], cwd=ROOT,
+                          env=env, capture_output=True, check=False).stdout
+
+
+@pytest.mark.parametrize("args", [("problems/demo.json", "--cap", "192"),
+                                  ("tests/golden/hitt_problem.json",)])
+def test_reports_do_not_depend_on_blas_threads(args):
+    # the print floor makes report bytes independent of the BLAS
+    # reduction order, which changes with the thread count
+    one = _run_report(1, *args)
+    assert one.startswith(b"{") and one == _run_report(2, *args)
 
 
 def test_empty_jmap_space_keeps_the_span_label(tmp_path, capsys):
@@ -277,6 +296,9 @@ BOOL_FOR_INT = {
     "tolerance": _patched(["workspace", "tolerances", "membership"], True),
     "condition_pair": _patched(["tasks", 1], {"task": "verify-theta", "theta": "Th", "m": 2,
                                               "conditions": [{"gamma": True, "k": 1}]}),
+    # a string is not a bool: "no" used to run the near-invariance check
+    "transfer_near": _patched(["tasks", 1], {"task": "blaschke-transfer", "subspace": "S",
+                                             "blaschke": "B", "n": 1, "near": "no"}),
 }
 
 
@@ -284,6 +306,33 @@ BOOL_FOR_INT = {
 def test_bool_for_int_rejected(tmp_path, capsys, case):
     assert main(["run", write_problem(tmp_path, BOOL_FOR_INT[case])]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_transfer_near_must_be_a_json_boolean(tmp_path, capsys):
+    assert main(["run", write_problem(tmp_path, BOOL_FOR_INT["transfer_near"])]) == 2
+    assert "tasks[1].near" in capsys.readouterr().err
+
+
+# str.isdigit accepts '²', which int() rejects
+@pytest.mark.parametrize("op", ["shift:²", "coshift:٣", "toeplitz:B:²", "shift:--3",
+                                "shift:0", "coshift:-3", "shift:+2", "shift: 2"])
+def test_operator_token_integers_exit_2(tmp_path, capsys, op):
+    path = write_problem(tmp_path)
+    assert main(["check-invariance", path, "--subspace", "M1", "--op", op]) == 2
+    assert "tasks[0].operators[0]" in capsys.readouterr().err
+
+
+def test_operator_power_below_one_exits_2(tmp_path, capsys):
+    data = _patched(["tasks", 0, "operators"], [{"op": "shift", "k": 0}])
+    assert main(["run", write_problem(tmp_path, data)]) == 2
+    assert "tasks[0].operators[0]: operator power must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cond", ["1:²", "²:1", "1:٣", "1:-1"])
+def test_cond_integers_exit_2(tmp_path, capsys, cond):
+    path = write_problem(tmp_path)
+    assert main(["verify-theta", path, "--theta", "Th", "--m", "2", "--cond", cond]) == 2
+    assert "--cond" in capsys.readouterr().err
 
 
 def test_shipped_problem_files(capsys):

@@ -205,3 +205,69 @@ def test_monomial_exceptional_and_bounds():
         monomial_membership(-1, M)
     with pytest.raises(ParamOutOfRange):
         MonomialSubspace((0,), 10)
+
+
+def test_matrix_and_element_input_give_the_same_frame(rng):
+    gens = [random_taylor(rng, 10, CAP) for _ in range(4)]
+    gens.insert(2, taylor(gens[0].coeffs + 2j * gens[1].coeffs, CAP))  # dependent
+    G = np.column_stack([g.padded(CAP + 1) for g in gens])
+    by_matrix, by_elements = orthonormalize(G), orthonormalize(gens)
+    assert np.array_equal(by_matrix.frame_matrix(), by_elements.frame_matrix())
+    assert by_matrix.dropped == by_elements.dropped == (2,)
+    # one generator per input: bench/tracing.py counts them
+    assert len(by_matrix.generators) == len(by_elements.generators) == len(gens)
+    assert np.array_equal(np.column_stack(by_matrix.generators), G)
+
+
+def test_orthonormalize_leaves_a_matrix_input_unchanged(rng):
+    G = 1e-300 * (rng.standard_normal((CAP + 1, 3)) + 1j * rng.standard_normal((CAP + 1, 3)))
+    before = G.copy()
+    M = orthonormalize(G)  # rescaled by a power of two inside, not in place
+    assert M.dim == 3
+    assert np.array_equal(G, before)
+
+
+def test_near_dependent_generators_stay_orthonormal():
+    # random rank-6 mixtures plus perturbations of size 1e-8.5 .. 1e-6:
+    # the first pass leaves residuals of 1e-8.5 relative, the second pass
+    # restores orthogonality to working precision
+    rng = np.random.default_rng(1994)
+    cap = 96
+    base = rng.standard_normal((cap + 1, 6)) + 1j * rng.standard_normal((cap + 1, 6))
+    mix = base @ (rng.standard_normal((6, 60)) + 1j * rng.standard_normal((6, 60)))
+    noise = rng.standard_normal((cap + 1, 60)) + 1j * rng.standard_normal((cap + 1, 60))
+    noise /= np.linalg.norm(noise, axis=0)
+    G = mix + noise * 10.0 ** rng.uniform(-8.5, -6, 60) * np.linalg.norm(mix, axis=0)
+    M = orthonormalize(G)
+    assert M.dim > 6
+    F = M.frame_matrix()
+    assert np.max(np.abs(F.conj().T @ F - np.eye(M.dim))) <= 1e-14
+
+
+def _mgs_reference(G, rank_tol):
+    """Modified Gram-Schmidt with a second pass, one vector pair at a time:
+    the loop orthonormalize ran before CGS2, kept as the reference."""
+    scale = max(np.linalg.norm(g) for g in G.T)
+    kept, dropped = [], []
+    for idx, g in enumerate(G.T):
+        w = g.copy()
+        for _ in range(2):
+            for u in kept:
+                w -= np.vdot(u, w) * u
+        nrm = np.linalg.norm(w)
+        if nrm < rank_tol * scale:
+            dropped.append(idx)
+        else:
+            kept.append(w / nrm)
+    return np.column_stack(kept), tuple(dropped)
+
+
+def test_cgs2_matches_the_modified_gram_schmidt_reference(rng):
+    G = rng.standard_normal((CAP + 1, 8)) + 1j * rng.standard_normal((CAP + 1, 8))
+    G[12:] = 0
+    G = np.column_stack([G[:, :3], G[:, 0] - 2j * G[:, 2], G[:, 3:], 3 * G[:, 5]])
+    M = orthonormalize(G)
+    F, dropped = _mgs_reference(G, M.rank_tol)
+    assert M.dropped == dropped == (3, 9)
+    # the same basis up to rounding: the order of the sums changed
+    assert np.max(np.abs(M.frame_matrix() - F)) <= 1e-13
