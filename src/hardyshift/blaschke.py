@@ -147,7 +147,14 @@ def toeplitz_columns(B: BlaschkeProduct, n: int, adjoint: bool,
     if not adjoint and all(z == 0 for z in B.zeros):
         return B.lam ** n * OperatorSpec.shift(n * B.degree).apply(X)
     cap = X.shape[0] - 1
-    b = power_expansion(B, n, cap).padded(cap + 1)
+    return _toeplitz_product(power_expansion(B, n, cap).padded(cap + 1), adjoint, X)
+
+
+def _toeplitz_product(b: np.ndarray, adjoint: bool, X: np.ndarray) -> np.ndarray:
+    """The lower triangular Toeplitz matrix T[i, j] = b[i - j] of the cap+1
+    symbol coefficients b, or its conjugate transpose, times X, cut to the
+    cap+1 rows of X."""
+    cap = b.size - 1
     # windows w[i] = (0, ..., 0, b_0, ..., b_i) of the zero-padded symbol
     w = sliding_window_view(np.concatenate([np.zeros(cap), b.conj() if adjoint else b]),
                             cap + 1)
@@ -204,12 +211,6 @@ class WoldFrame:
     def m(self) -> int:
         return len(self.basis)
 
-    @property
-    def layers(self) -> tuple:
-        """layers[i][j] is column i*m + j as an element."""
-        cols = [TaylorPoly(c, self.cap) for c in self.matrix.T]
-        return tuple(tuple(cols[i: i + self.m]) for i in range(0, len(cols), self.m))
-
     def gram_defect(self) -> float:
         """Max deviation of the nonzero layer vectors' Gram matrix from I."""
         A = self.matrix[:, np.linalg.norm(self.matrix, axis=0) > 0.5]
@@ -220,18 +221,38 @@ class WoldFrame:
 def build_wold_frame(B: BlaschkeProduct, cap: int,
                      depth: Optional[int] = None) -> WoldFrame:
     """Build layers 0..depth-1.  The default depth fills the cap: layers
-    stop once a lift of the covered coordinates could not fit."""
-    basis = model_basis(B, cap)
+    stop once a lift of the covered coordinates could not fit.  A depth
+    whose last layer starts above the cap, (depth - 1)·deg B > cap,
+    raises BudgetExceeded.
+
+    The layers are built by doubling: layers s..2s-1 are B^s times layers
+    0..s-1, one Toeplitz product of the symbol of B^s, whose square is the
+    next symbol.  Coefficients up to the cap of a product depend only on
+    coefficients up to the cap of its factors, so cutting every product
+    at the cap is exact.
+    """
     m = B.degree
+    if m < 1:
+        raise ParamOutOfRange("a layer frame needs a product with at least one zero")
     if depth is None:
         depth = max(1, (cap + 1) // m)
     if depth < 1:
         raise ParamOutOfRange("depth must be >= 1")
-    bexp = taylor_expand(B, cap).coeffs
-    cols = [e.padded(cap + 1) for e in basis]
-    for _ in range(depth - 1):
-        cols += [np.convolve(bexp, v)[: cap + 1] for v in cols[-m:]]
-    matrix = np.column_stack(cols)
+    if (depth - 1) * m > cap:
+        raise BudgetExceeded(f"depth {depth} puts layer {depth - 1} of a degree {m} "
+                             f"product at degree {(depth - 1) * m} > cap {cap}")
+    basis = model_basis(B, cap)
+    matrix = np.empty((cap + 1, depth * m), dtype=np.complex128)
+    for j, e in enumerate(basis):
+        matrix[:, j] = e.padded(cap + 1)
+    b = taylor_expand(B, cap).padded(cap + 1)  # the symbol of B^s
+    s = 1  # layers built
+    while s < depth:
+        t = min(s, depth - s)
+        matrix[:, s * m: (s + t) * m] = _toeplitz_product(b, False, matrix[:, : t * m])
+        s += t
+        if s < depth:
+            b = _toeplitz_product(b, False, b[:, None])[:, 0]
     matrix.flags.writeable = False
     return WoldFrame(B, basis, matrix, depth, cap)
 

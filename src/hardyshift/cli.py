@@ -253,7 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subspace", required=True)
     p.add_argument("--blaschke", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=int,
+                   help="layers of the frame, at most cap // deg B + 1 "
+                        "(default (cap + 1) // deg B)")
     p.add_argument("--near", action="store_true",
                    help="compare near-invariance instead of invariance")
     _add_common(p)

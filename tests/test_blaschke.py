@@ -8,7 +8,9 @@ from hardyshift import (BlaschkeProduct, BudgetExceeded, DepthExhausted,
                         orthonormalize, t_m_apply, t_m_invert,
                         tail_bound, taylor, taylor_expand, toeplitz_apply,
                         transfer_subspace, u_apply, u_invert)
-from hardyshift.series import allclose, coshift_pow, inner_product, shift_pow, sub
+from hardyshift.blaschke import power_expansion
+from hardyshift.series import (TaylorPoly, allclose, coshift_pow, inner_product, shift_pow,
+                               sub)
 
 from conftest import random_taylor
 
@@ -101,6 +103,55 @@ def test_wold_frame_orthonormal_at_adequate_cap():
     assert W.gram_defect() < 1e-8
 
 
+def _wold_frame_by_convolution(B, cap, depth):
+    """Reference: each layer vector is B times the one a layer up, one
+    truncated convolution per vector."""
+    cols = [e.padded(cap + 1) for e in model_basis(B, cap)]
+    bexp = taylor_expand(B, cap).coeffs
+    for _ in range(depth - 1):
+        cols += [np.convolve(bexp, v)[: cap + 1] for v in cols[-B.degree:]]
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("cap", [24, 96, 384])
+@pytest.mark.parametrize("zeros", [
+    [0.5], [0.3 + 0.2j, -0.6j], [0.4, -0.3 + 0.5j, 0.7],
+    [0.5j, 0.5j],     # repeated zero
+    [0, 0.5, -0.4j],  # a zero at the origin among off-origin zeros
+    [0, 0],           # z^2: deep layers are cut at the cap, not refused
+])
+def test_wold_frame_doubling_matches_per_layer_convolution(cap, zeros):
+    B = BlaschkeProduct(np.exp(0.7j), zeros)
+    m = B.degree
+    for depth in (1, 2, 3, 5, 7, cap // m + 1, None):
+        W = build_wold_frame(B, cap, depth)
+        ref = _wold_frame_by_convolution(B, cap, W.depth)
+        assert W.matrix.shape == ref.shape == (cap + 1, W.depth * m)
+        assert np.max(np.abs(W.matrix - ref)) <= 1e-13
+        assert not W.matrix.flags.writeable
+    # column i*m + j is B^i e_j cut at the cap (W has the default depth)
+    for i in sorted({0, 1, 2, W.depth // 2, W.depth - 1}):
+        bi = power_expansion(B, i, cap).coeffs if i else np.ones(1)
+        for j, e in enumerate(W.basis):
+            want = np.zeros(cap + 1, dtype=complex)
+            prod = np.convolve(bi, e.coeffs)[: cap + 1]
+            want[: prod.size] = prod
+            assert np.max(np.abs(W.matrix[:, i * m + j] - want)) <= 1e-13
+
+
+def test_wold_depth_past_the_cap_fails_closed():
+    # layer depth-1 starts at degree (depth-1)·deg B, which must fit the cap
+    assert build_wold_frame(B_HALF, 48, depth=49).depth == 49
+    with pytest.raises(BudgetExceeded, match="depth 50 .*degree 1 .*cap 48"):
+        build_wold_frame(B_HALF, 48, depth=50)
+    assert build_wold_frame(B_MIX, CAP, depth=33).depth == 33
+    with pytest.raises(BudgetExceeded, match="depth 34 .*degree 2 .*cap 64"):
+        build_wold_frame(B_MIX, CAP, depth=34)
+    # a constant has no layers; the default depth would divide by its degree
+    with pytest.raises(ParamOutOfRange, match="at least one zero"):
+        build_wold_frame(BlaschkeProduct(1.0, []), CAP)
+
+
 def test_u_apply_monomial_case_equals_deinterleave(rng):
     W = build_wold_frame(B_Z2, CAP, depth=33)
     f = random_taylor(rng, 40, CAP)
@@ -124,7 +175,7 @@ def test_u_apply_basis_vectors():
 
 def test_u_apply_single_factor_layer():
     W = build_wold_frame(B_HALF, CAP, depth=20)
-    f = W.layers[1][0]  # truncation of B * e_1
+    f = TaylorPoly(W.matrix[:, W.m], CAP)  # truncation of B * e_1
     F, resid = u_apply(f, W)
     assert resid < 1e-8
     assert sub(F.components[0], monomial(1, CAP)).norm() < 1e-8
@@ -251,8 +302,6 @@ def test_transfer_zero_space():
 
 
 def test_toeplitz_adjoint_matches_loop_formula(rng):
-    from hardyshift.blaschke import power_expansion
-
     for deg in (1, 2, 3):
         zeros = 0.8 * (rng.random(deg) - 0.5) + 0.8j * (rng.random(deg) - 0.5)
         B = BlaschkeProduct(np.exp(1j * rng.random()), zeros)

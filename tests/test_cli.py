@@ -146,11 +146,32 @@ def _run_report(blas_threads, *args):
                           env=env, capture_output=True, check=False).stdout
 
 
+# invariance and near-invariance transfer for an off-origin degree-2
+# product at cap 384, where the layer frame and the Toeplitz images are
+# BLAS products
+TRANSFER_PROBLEM = {
+    "workspace": {"cap": 384},
+    "objects": {
+        "polys": {"r0": [[1, 0], [0.5, 0], [0, -0.25], [0.3, 0]],
+                  "r1": [[0.2, 0], [-1, 0], [0, 0.7]],
+                  # r0 (z - 0.5)(z + 0.3 - 0.5j), a member of B H^2
+                  "br0": [[-0.15, 0.25], [-0.275, -0.375], [0.9625, -0.2125],
+                          [0.33, 0.125], [-0.06, -0.4], [0.3, 0]]},
+        "blaschke": {"B": {"lambda": [0.6, 0.8], "zeros": [[0.5, 0], [-0.3, 0.5]]}},
+    },
+    "subspaces": {"M": {"kind": "span", "generators": ["r0", "br0", "r1"]}},
+    "tasks": [{"task": "blaschke-transfer", "subspace": "M", "blaschke": "B",
+               "n": 1, "near": near} for near in (False, True)],
+}
+
+
 @pytest.mark.parametrize("args", [("problems/demo.json", "--cap", "192"),
-                                  ("tests/golden/hitt_problem.json",)])
-def test_reports_do_not_depend_on_blas_threads(args):
+                                  ("tests/golden/hitt_problem.json",),
+                                  (TRANSFER_PROBLEM,)])
+def test_reports_do_not_depend_on_blas_threads(args, tmp_path):
     # the print floor makes report bytes independent of the BLAS
     # reduction order, which changes with the thread count
+    args = [write_problem(tmp_path, a) if isinstance(a, dict) else a for a in args]
     one = _run_report(1, *args)
     assert one.startswith(b"{") and one == _run_report(2, *args)
 
@@ -215,10 +236,23 @@ def test_single_task_subcommands(tmp_path, capsys):
     assert out["tasks"][0]["verdict"] == "PASS"
 
     rc = main(["blaschke-transfer", path, "--subspace", "S", "--blaschke", "B",
-               "--n", "1", "--depth", "28"])
+               "--n", "1", "--depth", "24"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["tasks"][0]["agreement"] is True
+
+
+@pytest.mark.parametrize("depth", [26, 10 ** 12])
+def test_transfer_depth_past_the_cap_is_a_task_error(tmp_path, capsys, depth):
+    # B has degree 2 at cap 48, so the deepest layer may start at degree 48
+    # (depth 25); the depth is refused before the layer frame is allocated
+    rc = main(["blaschke-transfer", write_problem(tmp_path), "--subspace", "S",
+               "--blaschke", "B", "--n", "1", "--depth", str(depth)])
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert rc == 1
+    assert task["verdict"] == "ERROR"
+    assert task["error"]["type"] == "BudgetExceeded"
+    assert f"depth {depth} " in task["error"]["message"]
 
 
 def test_problem_parsing_validation():
