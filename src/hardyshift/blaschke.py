@@ -3,8 +3,9 @@ associated model space, and layer coordinates for the attached isometry.
 
 Expansions are geometric-series based and deliberately truncated at the
 working cap; every construction that truncates reports (or bounds) the
-discarded tail, which decays like max_j |z_j|^cap.  Zeros on (or within
-1e-12 of) the unit circle are rejected.
+discarded tail, whose coefficients decay like cap^(d-1)·max_j |z_j|^cap
+for d zeros (``tail_bound``).  Zeros on (or within 1e-12 of) the unit
+circle are rejected.
 
 The forward coordinate map ``u_apply`` is scalar-to-vector: the i-th power
 of the product times the j-th model basis vector is sent to z^i in
@@ -14,16 +15,16 @@ S^m (lift ∘ U) = (lift ∘ U) T_B composes; the reverse map is ``u_invert``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded, DepthExhausted, ParamOutOfRange, ZeroOnCircle
 from .invariance import OperatorSpec
-from .series import TaylorPoly, sub as poly_sub
+from .series import TaylorPoly, sub as poly_sub, toeplitz_product
 from .subspaces import SpanSubspace, orthonormalize
 from .tolerances import MEMBERSHIP_TOL
 from .veclift import VectorPoly, t_m_apply
@@ -56,10 +57,15 @@ class BlaschkeProduct:
 
     def __post_init__(self) -> None:
         lam = complex(self.lam)
-        if abs(abs(lam) - 1.0) > 1e-14:
+        zeros = tuple(complex(z) for z in self.zeros)
+        if not zeros:
+            raise ParamOutOfRange("a Blaschke product needs at least one zero")
+        if not abs(abs(lam) - 1.0) <= 1e-14:
             raise ParamOutOfRange(f"|lambda| must be 1, got {abs(lam)!r}")
+        if not all(cmath.isfinite(z) for z in zeros):
+            raise ParamOutOfRange(f"zeros must be finite, got {zeros!r}")
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
+        object.__setattr__(self, "zeros", zeros)
 
     @property
     def degree(self) -> int:
@@ -74,49 +80,47 @@ class BlaschkeProduct:
         return f"BlaschkeProduct(degree={self.degree})"
 
 
-def _divide_geometric(arr: np.ndarray, a: complex, width: int) -> np.ndarray:
-    """Division by (1 - conj(a) z) out to the given width:
-    out[n] = arr[n] + conj(a) out[n-1].  The quotient has an infinite tail
-    for a != 0, so the input is zero-padded to the full width first."""
-    abar = complex(np.conj(a))
-    if abar == 0:
-        return arr.astype(np.complex128, copy=True)
-    out = np.zeros(width, dtype=np.complex128)
-    out[: min(arr.size, width)] = arr[:width]
-    for n in range(1, width):
-        out[n] += abar * out[n - 1]
-    return out
-
-
-def _mul_z_minus(arr: np.ndarray, a: complex, width: int) -> np.ndarray:
-    """Multiply by (z - a), truncating the result to the given width."""
-    arr = arr[:width]
-    out = np.zeros(min(arr.size + 1, width), dtype=np.complex128)
-    out[: arr.size] -= a * arr
-    out[1: arr.size + 1] += arr[: out.size - 1]
-    return out
-
-
 def tail_bound(B: BlaschkeProduct, cap: int) -> float:
-    """Bound on any single discarded coefficient of the degree-cap expansion."""
-    radii = [abs(z) for z in B.zeros if z != 0]
-    if not radii:
+    """Bound on any single discarded coefficient (degree > cap) of the
+    expansion; it does not bound their mass.
+
+    With rho the largest zero modulus and d = deg B, the coefficients of
+    each factor are at most those of rho + z/(1 - rho z), so the k-th
+    coefficient of B is at most C(k+d-1, d-1)·rho^(k-d).  The bound is the
+    largest of these over k > cap, and never above 1 (B is inner).
+    """
+    B.check_zeros()
+    rho = max(abs(z) for z in B.zeros)
+    if rho == 0:
         return 0.0
-    rho = max(radii)
-    return float(B.degree * rho ** max(0, cap - B.degree + 1))
+    d = B.degree
+    k = max(cap + 1, math.floor((d * rho - 1) / (1 - rho)) + 1)  # the peak past the cap
+    log_c = math.lgamma(k + d) - math.lgamma(k + 1) - math.lgamma(d) + (k - d) * math.log(rho)
+    return math.exp(min(0.0, log_c))
+
+
+def _factor_chain(B: BlaschkeProduct, cap: int) -> tuple:
+    """(E, p), cut at the cap: the model basis as the columns of E and the
+    product p of the factors (z - a)/(1 - conj(a) z).  For each zero a,
+    with P the product of the earlier factors, g = P·sum conj(a)^k z^k is
+    one cut product; sqrt(1 - |a|^2)·g is the normalized reproducing
+    kernel at a times P, and the next P is z·g - a·g."""
+    B.check_zeros()
+    if cap < B.degree:
+        raise BudgetExceeded(f"cap {cap} is below the product degree {B.degree}")
+    E = np.empty((cap + 1, B.degree), dtype=np.complex128)
+    p = np.zeros(cap + 1, dtype=np.complex128)
+    p[0] = 1.0
+    for k, a in enumerate(B.zeros):
+        g = np.convolve(p, np.cumprod(np.r_[1.0, np.full(cap, a.conjugate())]))[: cap + 1]
+        E[:, k] = math.sqrt(1.0 - abs(a) ** 2) * g
+        p = np.r_[0.0, g[:-1]] - a * g
+    return E, p
 
 
 def taylor_expand(B: BlaschkeProduct, cap: int) -> TaylorPoly:
     """Coefficients 0..cap of the product; exact when all zeros sit at 0."""
-    if cap < B.degree:
-        raise BudgetExceeded(f"cap {cap} is below the product degree {B.degree}")
-    B.check_zeros()
-    width = cap + 1
-    arr = np.zeros(1, dtype=np.complex128)
-    arr[0] = B.lam
-    for a in B.zeros:
-        arr = _divide_geometric(_mul_z_minus(arr, a, width), a, width)
-    return TaylorPoly(arr, cap)
+    return TaylorPoly(B.lam * _factor_chain(B, cap)[1], cap)
 
 
 def power_expansion(B: BlaschkeProduct, n: int, cap: int) -> TaylorPoly:
@@ -139,28 +143,15 @@ def toeplitz_columns(B: BlaschkeProduct, n: int, adjoint: bool,
     guard.  For symbols with off-origin zeros the result is truncated at
     the cap; the truncation is exact-at-truncation (an analytic factor
     cannot move mass downward, so cut tails never pollute kept
-    coefficients) and the discarded mass is bounded by ``tail_bound``.
-    Either way the operator is the lower triangular Toeplitz matrix
-    T[i, j] = b[i - j] of the symbol's coefficients b, and the adjoint is
-    its conjugate transpose, which never needs extra budget.
+    coefficients), and ``tail_bound`` bounds each single discarded
+    coefficient of the expansion of the product, not the discarded mass.
+    Either way the operator is ``series.toeplitz_view`` of the symbol's
+    coefficients, or its conjugate transpose, which never needs extra budget.
     """
     if not adjoint and all(z == 0 for z in B.zeros):
         return B.lam ** n * OperatorSpec.shift(n * B.degree).apply(X)
     cap = X.shape[0] - 1
-    return _toeplitz_product(power_expansion(B, n, cap).padded(cap + 1), adjoint, X)
-
-
-def _toeplitz_product(b: np.ndarray, adjoint: bool, X: np.ndarray) -> np.ndarray:
-    """The lower triangular Toeplitz matrix T[i, j] = b[i - j] of the cap+1
-    symbol coefficients b, or its conjugate transpose, times X, cut to the
-    cap+1 rows of X."""
-    cap = b.size - 1
-    # windows w[i] = (0, ..., 0, b_0, ..., b_i) of the zero-padded symbol
-    w = sliding_window_view(np.concatenate([np.zeros(cap), b.conj() if adjoint else b]),
-                            cap + 1)
-    nz = np.flatnonzero(X.any(axis=1))
-    d = int(nz[-1]) + 1 if nz.size else 0  # the rows of X from d on are zero
-    return (w[::-1] if adjoint else w[:, ::-1])[:, :d] @ X[:d]
+    return toeplitz_product(power_expansion(B, n, cap).padded(cap + 1), adjoint, X)
 
 
 def toeplitz_apply(B: BlaschkeProduct, n: int, adjoint: bool,
@@ -177,19 +168,7 @@ def model_basis(B: BlaschkeProduct, cap: int) -> tuple:
     Basis vector k is the normalized reproducing kernel at zero k times
     the partial product of the earlier factors.
     """
-    B.check_zeros()
-    if cap < B.degree:
-        raise BudgetExceeded(f"cap {cap} is below the product degree {B.degree}")
-    width = cap + 1
-    prefix = np.zeros(1, dtype=np.complex128)
-    prefix[0] = 1.0
-    basis = []
-    for a in B.zeros:
-        scale = math.sqrt(1.0 - abs(a) ** 2)
-        ek = scale * _divide_geometric(prefix, a, width)
-        basis.append(TaylorPoly(ek, cap))
-        prefix = _divide_geometric(_mul_z_minus(prefix, a, width), a, width)
-    return tuple(basis)
+    return tuple(TaylorPoly(e, cap) for e in _factor_chain(B, cap)[0].T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +211,6 @@ def build_wold_frame(B: BlaschkeProduct, cap: int,
     at the cap is exact.
     """
     m = B.degree
-    if m < 1:
-        raise ParamOutOfRange("a layer frame needs a product with at least one zero")
     if depth is None:
         depth = max(1, (cap + 1) // m)
     if depth < 1:
@@ -241,20 +218,19 @@ def build_wold_frame(B: BlaschkeProduct, cap: int,
     if (depth - 1) * m > cap:
         raise BudgetExceeded(f"depth {depth} puts layer {depth - 1} of a degree {m} "
                              f"product at degree {(depth - 1) * m} > cap {cap}")
-    basis = model_basis(B, cap)
+    E, p = _factor_chain(B, cap)
     matrix = np.empty((cap + 1, depth * m), dtype=np.complex128)
-    for j, e in enumerate(basis):
-        matrix[:, j] = e.padded(cap + 1)
-    b = taylor_expand(B, cap).padded(cap + 1)  # the symbol of B^s
+    matrix[:, :m] = E
+    b = B.lam * p  # the symbol of B^s
     s = 1  # layers built
     while s < depth:
         t = min(s, depth - s)
-        matrix[:, s * m: (s + t) * m] = _toeplitz_product(b, False, matrix[:, : t * m])
+        matrix[:, s * m: (s + t) * m] = toeplitz_product(b, False, matrix[:, : t * m])
         s += t
         if s < depth:
-            b = _toeplitz_product(b, False, b[:, None])[:, 0]
+            b = toeplitz_product(b, False, b[:, None])[:, 0]
     matrix.flags.writeable = False
-    return WoldFrame(B, basis, matrix, depth, cap)
+    return WoldFrame(B, tuple(TaylorPoly(e, cap) for e in E.T), matrix, depth, cap)
 
 
 def _layer_coords(X: np.ndarray, W: WoldFrame, tol: float) -> tuple:

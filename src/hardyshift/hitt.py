@@ -238,6 +238,7 @@ class JMapResult:
     space: SpanSubspace          # arity-m span of the frame coordinates
     kernel: KernelColumn
     decompositions: tuple
+    coords: np.ndarray           # the coordinates phi as arity-stacked columns
     isometry_gap: float          # max |Gram(coords) - Gram(frame)|
     costable: CheckReport        # co-shift invariance check of the space
 
@@ -263,10 +264,11 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL,
         gap = float(np.max(np.abs(P.conj().T @ P - np.eye(len(phis)))))
         K = orthonormalize(phis, rank_tol, label=label)
     else:
+        P = np.zeros((m * (M.cap + 1), 0), dtype=np.complex128)
         gap = 0.0
         K = SpanSubspace((), M.cap, m, rank_tol, label=label)
     costable = check_invariance(K, OperatorSpec.coshift(1), tol)
-    return JMapResult(K, E, decomps, gap, costable)
+    return JMapResult(K, E, decomps, P, gap, costable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,10 +311,8 @@ def certify_theta(M: SpanSubspace, m: int, gamma: int, k: int,
                         "PASS" if worst_c <= tol else "FAIL",
                         f"max |<K, Θ·z^j δ_i>| = {worst_c:.6e}"))
 
-    images = np.zeros((len(jmap.decompositions), gens.shape[0]), dtype=np.complex128)
-    for r, d in enumerate(jmap.decompositions):
-        images[r] = flatten_element(toeplitz_adjoint_apply(sigma, d.phi), cap)
-    worst_d = float(np.max(np.abs(images.conj() @ gens), initial=0.0))
+    images = toeplitz_adjoint_apply(sigma, jmap.coords)
+    worst_d = float(np.max(np.abs(images.conj().T @ gens), initial=0.0))
     stages.append(Stage("conclusion_orthogonal",
                         "PASS" if worst_d <= tol else "FAIL",
                         f"max |<Σ*Φ, Θ·z^j δ_i>| = {worst_d:.6e}"))

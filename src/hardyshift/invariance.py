@@ -24,6 +24,7 @@ import numpy as np
 from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange
 from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, is_analytic,
                       is_inner, matmul)
+from .series import toeplitz_view
 from .subspaces import (MonomialSubspace, SpanSubspace, _from_coord_matrix,
                         _null_combos, intersect_shifted, monomial_membership,
                         orthonormalize, unflatten_element)
@@ -297,13 +298,12 @@ def _toeplitz_range_meet(M: SpanSubspace, T: OperatorSpec) -> SpanSubspace:
     C = K^H F with an orthonormal basis K of K_{B^n} (each zero of B
     repeated n times).  K pairs exactly with elements under the cap, so
     ||C x|| is the distance of F x from B^n H^2."""
-    from .blaschke import BlaschkeProduct, model_basis
+    from .blaschke import BlaschkeProduct, _factor_chain
 
     if M.arity != 1:
         raise DimensionMismatch("toeplitz symbols act on scalar elements only")
     label = f"{M.label or 'M'} ∩ range({T.describe()})"
-    basis = model_basis(BlaschkeProduct(1.0, T.blaschke.zeros * T.power), M.cap)
-    K = np.stack([e.padded(M.cap + 1) for e in basis])
+    K = _factor_chain(BlaschkeProduct(1.0, T.blaschke.zeros * T.power), M.cap)[0].T
     combos = _null_combos(K.conj() @ M.frame_matrix(), M.dim, M.rank_tol)
     return _from_coord_matrix(M, combos, label)
 
@@ -382,9 +382,7 @@ def range_generators(theta: LaurentMatrix, cap: int) -> np.ndarray:
     out = np.zeros((theta.rows, n, len(live), n), dtype=np.complex128)
     for c, col in enumerate(live):
         for i in range(theta.rows):
-            coefs = theta.entry_poly(i, col, wide).padded(n)
-            for j in range(n):
-                out[i, j:, c, j] = coefs[: n - j]
+            out[i, :, c, :] = toeplitz_view(theta.entry_poly(i, col, wide).padded(n), False)
     return out.reshape(theta.rows * n, len(live) * n)
 
 

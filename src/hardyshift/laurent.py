@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange
-from .series import TaylorPoly
+from .series import TaylorPoly, toeplitz_product
 from .tolerances import ANALYTICITY_TOL
 from .veclift import VectorPoly
 
@@ -226,80 +226,61 @@ def allclose(A: LaurentMatrix, B: LaurentMatrix, tol: float = 0.0) -> bool:
     return bool(np.all(np.abs(ta - tb) <= tol))
 
 
+def _column_action(A: LaurentMatrix, X: np.ndarray) -> np.ndarray:
+    """Analytic part of A F for every column F of X; X stacks A.cols
+    component blocks of cap+1 coefficients, the result A.rows.  Powers
+    0..cap of an entry act by the lower Toeplitz kernel; powers -1..-cap,
+    conjugated and reflected, by the adjoint kernel."""
+    n = X.shape[0] // A.cols
+    if n < 1 or n * A.cols != X.shape[0]:
+        raise DimensionMismatch(f"{X.shape[0]} rows do not stack {A.cols} components")
+    pows = A.min_pow + np.arange(A.table.shape[2])
+    lower = np.zeros((A.rows, A.cols, n), dtype=np.complex128)
+    upper = np.zeros_like(lower)
+    keep = (pows >= 0) & (pows < n)
+    lower[:, :, pows[keep]] = A.table[:, :, keep]
+    keep = (pows < 0) & (pows > -n)
+    upper[:, :, -pows[keep]] = A.table[:, :, keep].conj()
+    blocks = X.reshape(A.cols, n, X.shape[1])
+    out = np.zeros((A.rows, n, X.shape[1]), dtype=np.complex128)
+    for symbols, adjoint in ((lower, False), (upper, True)):
+        for i, j in zip(*np.nonzero(symbols.any(axis=2))):
+            out[i] += toeplitz_product(symbols[i, j], adjoint, blocks[j])
+    return out.reshape(-1, X.shape[1])
+
+
 def apply_matrix(A: LaurentMatrix, F: VectorPoly,
                  tol: float = ANALYTICITY_TOL) -> VectorPoly:
     """Componentwise convolution action of an analytic matrix on a vector
-    element; isometric whenever A is inner."""
+    element; isometric whenever A is inner.  Negative powers within tol
+    are dropped; a term of degree past the cap raises BudgetExceeded."""
     _require_analytic(A, tol, "matrix operand")
     if A.cols != F.m:
         raise DimensionMismatch(
             f"matrix has {A.cols} columns but the vector has arity {F.m}"
         )
     cap = F.cap
-    drop = max(0, -A.min_pow)  # tolerated sub-threshold negative slices
-    comps = []
-    for i in range(A.rows):
-        acc = np.zeros(1, dtype=np.complex128)
-        for j in range(F.m):
-            a = A.table[i, j, drop:]
-            fj = F.components[j]
-            if not np.any(a) or fj.is_zero():
-                continue
-            entry_lo = A.min_pow + drop
-            seg = np.convolve(a, fj.coeffs[: fj.deg() + 1])
-            top = entry_lo + seg.size - 1
-            if top > cap:
-                # Exact top degree check: trailing zero convolution tails allowed.
-                nz = np.flatnonzero(seg)
-                if nz.size and entry_lo + int(nz[-1]) > cap:
-                    raise BudgetExceeded(
-                        f"matrix action needs degree {entry_lo + int(nz[-1])} > cap {cap}"
-                    )
-                seg = seg[: cap - entry_lo + 1]
-            term = np.zeros(entry_lo + seg.size, dtype=np.complex128)
-            term[entry_lo:] = seg
-            if term.size > acc.size:
-                term[: acc.size] += acc
-                acc = term
-            else:
-                acc = acc.copy()
-                acc[: term.size] += term
-        comps.append(TaylorPoly(acc, cap))
-    return VectorPoly(tuple(comps))
+    pows = A.min_pow + np.arange(A.table.shape[2])
+    tab = np.where(pows >= 0, A.table, 0)
+    degs = np.array([f.deg() for f in F.components])
+    top = pows[-1 - np.argmax(tab[:, :, ::-1] != 0, axis=2)] + degs
+    over = tab.any(axis=2) & (degs >= 0) & (top > cap)
+    if over.any():
+        raise BudgetExceeded(f"matrix action needs degree {top[over][0]} > cap {cap}")
+    X = np.concatenate([f.padded(cap + 1) for f in F.components])[:, None]
+    Y = _column_action(LaurentMatrix(A.rows, A.cols, A.min_pow, tab), X)
+    return VectorPoly(tuple(TaylorPoly(y, cap) for y in Y.reshape(A.rows, cap + 1)))
 
 
-def toeplitz_adjoint_apply(A: LaurentMatrix, F: VectorPoly) -> VectorPoly:
-    """Analytic part of (A* F): the Hilbert-space adjoint action on vector
-    elements when A acts by multiplication.
+def toeplitz_adjoint_apply(A: LaurentMatrix, X: np.ndarray) -> np.ndarray:
+    """Analytic part of A* F for every column F of X, which stacks A.rows
+    component blocks of cap+1 coefficients: the Hilbert-space adjoint of
+    the action of A by multiplication.
 
     For the block shift matrices this reproduces the componentwise co-shift
     pattern used in the co-invariance conclusions.
     """
-    Aadj = adjoint_on_circle(A)
-    if Aadj.cols != F.m:
-        raise DimensionMismatch(
-            f"adjoint has {Aadj.cols} columns but the vector has arity {F.m}"
-        )
-    cap = F.cap
-    comps = []
-    for i in range(Aadj.rows):
-        acc = np.zeros(cap + 1, dtype=np.complex128)
-        for j in range(F.m):
-            a = Aadj.table[i, j]
-            fj = F.components[j]
-            if not np.any(a) or fj.is_zero():
-                continue
-            seg = np.convolve(a, fj.coeffs[: fj.deg() + 1])
-            lo = Aadj.min_pow  # power of seg[0]
-            # keep only powers 0..cap
-            start = max(0, -lo)
-            for t in range(start, seg.size):
-                p = lo + t
-                if p > cap:
-                    break
-                acc[p] += seg[t]
-        comps.append(TaylorPoly(acc, cap))
-    return VectorPoly(tuple(comps))
+    return _column_action(adjoint_on_circle(A), X)
 
 
 def eval_at(A: LaurentMatrix, z: complex) -> np.ndarray:

@@ -5,7 +5,10 @@ degree cap.  Within the cap all operations are exact (up to double
 rounding); any operation that would need coefficients beyond the cap
 raises :class:`~hardyshift.errors.BudgetExceeded` instead of silently
 dropping the tail, because dropped tails would corrupt invariance
-verdicts downstream.
+verdicts downstream.  The one Toeplitz kernel (``toeplitz_view``,
+``toeplitz_product``) is the documented exception: it cuts a product at
+the cap, which leaves every kept coefficient exact, and callers that must
+not lose mass check degrees first.
 
 Everything here is a pure function over immutable values.
 """
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceeded
 
@@ -34,6 +38,8 @@ __all__ = [
     "scale",
     "norm",
     "allclose",
+    "toeplitz_view",
+    "toeplitz_product",
 ]
 
 Scalar = Union[int, float, complex]
@@ -213,3 +219,22 @@ def allclose(f: TaylorPoly, g: TaylorPoly, tol: float = 0.0) -> bool:
     n = max(f.coeffs.size, g.coeffs.size)
     diff = np.abs(f.padded(n) - g.padded(n))
     return bool(np.all(diff <= tol))
+
+
+def toeplitz_view(b: np.ndarray, adjoint: bool) -> np.ndarray:
+    """The lower triangular Toeplitz matrix T[i, j] = b[i - j] of the cap+1
+    symbol coefficients b, or its conjugate transpose, as a read-only
+    window view of one zero-padded copy of b."""
+    cap = b.size - 1
+    # windows w[i] = (0, ..., 0, b_0, ..., b_i) of the zero-padded symbol
+    w = sliding_window_view(np.concatenate([np.zeros(cap), b.conj() if adjoint else b]),
+                            cap + 1)
+    return w[::-1] if adjoint else w[:, ::-1]
+
+
+def toeplitz_product(b: np.ndarray, adjoint: bool, X: np.ndarray) -> np.ndarray:
+    """``toeplitz_view(b, adjoint)`` times X, cut to the cap+1 rows of X:
+    multiplication by the symbol, or its adjoint, on every column of X."""
+    nz = np.flatnonzero(X.any(axis=1))
+    d = int(nz[-1]) + 1 if nz.size else 0  # the rows of X from d on are zero
+    return toeplitz_view(b, adjoint)[:, :d] @ X[:d]

@@ -36,6 +36,24 @@ def test_taylor_expand_half_zero():
     assert tail_bound(B_HALF, 64) < 1e-18
 
 
+@pytest.mark.parametrize("zeros, cap", [([0.5, 0.5], 48), ([0.9] * 3, 64)])
+def test_tail_bound_covers_repeated_zeros(zeros, cap):
+    B = BlaschkeProduct(1.0, zeros)
+    discarded = taylor_expand(B, 2000).coeffs[cap + 1:]
+    assert np.max(np.abs(discarded)) <= tail_bound(B, cap)
+
+
+def test_tail_bound_covers_random_zero_lists(rng):
+    for _ in range(60):
+        radii = 0.95 * rng.random(int(rng.integers(1, 5)))
+        zeros = list(radii * np.exp(2j * np.pi * rng.random(radii.size)))
+        zeros += zeros[: int(rng.integers(0, 3))]  # repeat some
+        B = BlaschkeProduct(1.0, zeros)
+        cap = int(rng.integers(B.degree, 160))
+        discarded = taylor_expand(B, cap + 400).coeffs[cap + 1:]
+        assert np.max(np.abs(discarded)) <= tail_bound(B, cap)
+
+
 def test_unimodular_boundary_random_zeros(rng):
     zeros = 0.6 * (rng.random(3) - 0.5) + 0.5j * (rng.random(3) - 0.5)
     lam = np.exp(1j * rng.random())
@@ -52,6 +70,18 @@ def test_constructor_validation():
         taylor_expand(BlaschkeProduct(1.0, [1.0]), 8)
     with pytest.raises(BudgetExceeded):
         taylor_expand(B_MIX, 1)
+
+
+@pytest.mark.parametrize("lam, zeros, match", [
+    (1.0, [], "at least one zero"),
+    (complex(np.nan, 0), [0.5], "lambda"),
+    (np.inf, [0.5], "lambda"),
+    (1.0, [0.5, complex(np.nan, 0)], "finite"),
+    (1.0, [complex(0, np.inf)], "finite"),
+])
+def test_constructor_fails_closed(lam, zeros, match):
+    with pytest.raises(ParamOutOfRange, match=match):
+        BlaschkeProduct(lam, zeros)
 
 
 def test_toeplitz_monomial_is_shift():
@@ -113,13 +143,54 @@ def _wold_frame_by_convolution(B, cap, depth):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("cap", [24, 96, 384])
-@pytest.mark.parametrize("zeros", [
+PRODUCT_FAMILIES = [
     [0.5], [0.3 + 0.2j, -0.6j], [0.4, -0.3 + 0.5j, 0.7],
     [0.5j, 0.5j],     # repeated zero
     [0, 0.5, -0.4j],  # a zero at the origin among off-origin zeros
     [0, 0],           # z^2: deep layers are cut at the cap, not refused
-])
+]
+
+
+def _divide_geometric(arr, a, width):
+    """Reference: division by (1 - conj(a) z), out[n] = arr[n] + conj(a) out[n-1]."""
+    out = np.zeros(width, dtype=complex)
+    out[: min(arr.size, width)] = arr[:width]
+    for n in range(1, width):
+        out[n] += np.conj(a) * out[n - 1]
+    return out
+
+
+def _mul_z_minus(arr, a, width):
+    """Reference: multiplication by (z - a), cut to the width."""
+    out = np.zeros(min(arr.size + 1, width), dtype=complex)
+    out[: arr.size] -= a * arr[:width]
+    out[1: arr.size + 1] += arr[: out.size - 1]
+    return out
+
+
+@pytest.mark.parametrize("cap", [24, 96, 384])
+@pytest.mark.parametrize("zeros", PRODUCT_FAMILIES)
+def test_factor_chain_matches_recurrence(cap, zeros):
+    """Model basis and expansion against the recurrence of one division and
+    one multiplication per factor."""
+    B = BlaschkeProduct(np.exp(0.7j), zeros)
+    width = cap + 1
+    prefix, basis = np.ones(1, dtype=complex), []
+    for a in B.zeros:
+        basis.append(np.sqrt(1 - abs(a) ** 2) * _divide_geometric(prefix, a, width))
+        prefix = _divide_geometric(_mul_z_minus(prefix, a, width), a, width)
+    ref = np.column_stack(basis)
+    got = np.column_stack([e.padded(width) for e in model_basis(B, cap)])
+    assert np.max(np.abs(got - ref)) <= 1e-13
+    assert np.max(np.abs(taylor_expand(B, cap).padded(width) - B.lam * prefix)) <= 1e-13
+    W = build_wold_frame(B, cap, 2)
+    assert np.max(np.abs(W.matrix[:, : B.degree] - ref)) <= 1e-13
+    bref = np.convolve(B.lam * prefix, ref[:, 0])[:width]
+    assert np.max(np.abs(W.matrix[:, B.degree] - bref)) <= 1e-13
+
+
+@pytest.mark.parametrize("cap", [24, 96, 384])
+@pytest.mark.parametrize("zeros", PRODUCT_FAMILIES)
 def test_wold_frame_doubling_matches_per_layer_convolution(cap, zeros):
     B = BlaschkeProduct(np.exp(0.7j), zeros)
     m = B.degree

@@ -313,6 +313,19 @@ def test_non_finite_tol_flag_rejected(tmp_path, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", [
+    {"task": "check-near-invariance", "subspace": "S", "operators": ["toeplitz:B:1"]},
+    {"task": "check-invariance", "subspace": "S", "operators": ["toeplitz:B:1"]},
+    {"task": "check-invariance", "subspace": "M1", "operators": ["toeplitz:B:1"]},
+])
+def test_zero_free_blaschke_product_exits_2(tmp_path, capsys, task):
+    data = _patched(["objects", "blaschke", "B", "zeros"], [])
+    data["tasks"] = [task]
+    assert main(["run", write_problem(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert "objects.blaschke.B" in err and "at least one zero" in err
+
+
 SIGMA_ONLY = [{"task": "build-sigma", "m": 2, "gamma": 1, "k": 1}]
 
 BOOL_FOR_INT = {

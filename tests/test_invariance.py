@@ -200,3 +200,31 @@ def test_invariance_versus_near_invariance_divergence():
     shifted_members = orthonormalize(
         [monomial(j, CAP) for j in range(3, CAP + 1)], label="S(z2H2)")
     assert project(w, shifted_members).residual > 1e-2
+
+
+def _range_generators_by_shift(theta, cap):
+    """Reference: every shift j of every entry written out one at a time."""
+    n = cap + 1
+    live = [c for c in range(theta.cols) if np.any(theta.table[:, c])]
+    wide = max(cap, theta.max_pow)
+    out = np.zeros((theta.rows, n, len(live), n), dtype=np.complex128)
+    for c, col in enumerate(live):
+        for i in range(theta.rows):
+            coefs = theta.entry_poly(i, col, wide).padded(n)
+            for j in range(n):
+                out[i, j:, c, j] = coefs[: n - j]
+    return out.reshape(theta.rows * n, len(live) * n)
+
+
+@pytest.mark.parametrize("cap", [0, 3, 16])
+def test_range_generators_equal_the_shift_loop(rng, cap):
+    from hardyshift.invariance import range_generators
+    from hardyshift.laurent import LaurentMatrix
+
+    table = rng.standard_normal((3, 4, 6)) + 1j * rng.standard_normal((3, 4, 6))
+    table[:, 1] = 0  # a zero column is not a generator
+    table[2, 3] = 0  # a zero entry
+    for theta in (LaurentMatrix(3, 4, 0, table), LaurentMatrix(3, 4, 14, table),
+                  from_poly_grid([[[1, 0, 0, 0.5]], [[0, 1]]])):
+        got = range_generators(theta, cap)
+        assert np.array_equal(got, _range_generators_by_shift(theta, cap))

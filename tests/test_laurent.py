@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hardyshift import (DimensionMismatch, NotAnalytic, ParamOutOfRange,
+from hardyshift import (BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange,
                         adjoint_on_circle, apply_matrix, build_sigma,
                         diag_polys, from_poly_grid, identity, is_analytic,
-                        is_inner, matmul, taylor, vector)
+                        is_inner, matmul, taylor, toeplitz_adjoint_apply, vector)
 from hardyshift.laurent import LaurentMatrix, allclose, eval_at
 from hardyshift.series import allclose as poly_close
 
@@ -182,3 +182,91 @@ def test_sigma_is_inner_for_all_small_parameters():
         for gamma in range(1, m):
             for k in range(1, 4):
                 assert is_inner(build_sigma(m, gamma, k), 1e-14)
+
+
+def _apply_matrix_by_convolution(A, F):
+    """Reference: one convolution per entry, negative slices dropped, and
+    the exact top degree of each term checked against the cap."""
+    cap, drop = F.cap, max(0, -A.min_pow)
+    lo = A.min_pow + drop
+    comps = []
+    for i in range(A.rows):
+        acc = np.zeros(cap + 1, dtype=complex)
+        for j, f in enumerate(F.components):
+            seg = np.convolve(A.table[i, j, drop:], f.coeffs)
+            nz = np.flatnonzero(seg)
+            if nz.size and lo + nz[-1] > cap:
+                raise BudgetExceeded(f"matrix action needs degree {lo + nz[-1]} > cap {cap}")
+            seg = seg[: max(0, cap + 1 - lo)]
+            acc[lo: lo + seg.size] += seg
+        comps.append(acc)
+    return np.concatenate(comps)
+
+
+def _adjoint_apply_by_convolution(A, F):
+    """Reference: one convolution per entry of the boundary adjoint, then
+    the coefficients of powers 0..cap kept one by one."""
+    Aadj, cap = adjoint_on_circle(A), F.cap
+    comps = []
+    for i in range(Aadj.rows):
+        acc = np.zeros(cap + 1, dtype=complex)
+        for j, f in enumerate(F.components):
+            seg = np.convolve(Aadj.table[i, j], f.coeffs)
+            for t in range(max(0, -Aadj.min_pow), seg.size):
+                if Aadj.min_pow + t > cap:
+                    break
+                acc[Aadj.min_pow + t] += seg[t]
+        comps.append(acc)
+    return np.concatenate(comps)
+
+
+def _random_laurent(rng, rows, cols, min_pow, width, scale=1.0):
+    tab = scale * (rng.standard_normal((rows, cols, width))
+                   + 1j * rng.standard_normal((rows, cols, width)))
+    return LaurentMatrix(rows, cols, min_pow, tab)
+
+
+def _matrix_cases(rng):
+    """Block shift matrices, a random analytic matrix, and matrices with
+    negative powers (some past the cap on either side)."""
+    yield from (build_sigma(m, gamma, k) for m, gamma, k in [(2, 1, 1), (3, 1, 2), (4, 3, 1)])
+    yield _random_laurent(rng, 3, 2, 0, 5)
+    yield _random_laurent(rng, 2, 3, -3, 8)
+    yield _random_laurent(rng, 2, 2, -30, 70)
+
+
+def test_toeplitz_adjoint_apply_matches_convolution_loop(rng):
+    from conftest import random_vector
+
+    cap = 24
+    for A in _matrix_cases(rng):
+        Fs = [random_vector(rng, A.rows, deg, cap) for deg in (0, 5, cap)]
+        X = np.column_stack([np.concatenate([c.padded(cap + 1) for c in F.components])
+                             for F in Fs])
+        got = toeplitz_adjoint_apply(A, X)
+        assert got.shape == (A.cols * (cap + 1), len(Fs))
+        for col, F in zip(got.T, Fs):
+            assert np.max(np.abs(col - _adjoint_apply_by_convolution(A, F))) <= 1e-13
+
+
+def test_apply_matrix_matches_convolution_loop(rng):
+    from conftest import random_vector
+
+    cap = 24
+    cases = [A for A in _matrix_cases(rng) if A.min_pow >= 0]
+    # negative slices below the analyticity tolerance are dropped
+    tiny = _random_laurent(rng, 2, 3, -2, 7)
+    table = tiny.table.copy()
+    table[:, :, :2] *= 1e-12
+    cases.append(LaurentMatrix(2, 3, -2, table))
+    for A in cases:
+        for deg in (0, 3, cap - A.max_pow):
+            F = random_vector(rng, A.cols, deg, cap)
+            got = np.concatenate([c.padded(cap + 1) for c in apply_matrix(A, F).components])
+            assert np.max(np.abs(got - _apply_matrix_by_convolution(A, F))) <= 1e-13
+        # one degree more fails closed, with the reference's message
+        F = random_vector(rng, A.cols, cap - A.max_pow + 1, cap)
+        with pytest.raises(BudgetExceeded) as ref:
+            _apply_matrix_by_convolution(A, F)
+        with pytest.raises(BudgetExceeded, match=str(ref.value)):
+            apply_matrix(A, F)
