@@ -31,8 +31,7 @@ from .errors import (BudgetExceeded, DepthExhausted, DimensionMismatch,
                      ZeroOnCircle)
 from .series import (TaylorPoly, coshift_pow, inner_product, monomial, mul,
                      shift_pow, taylor, zero)
-from .veclift import (VectorPoly, check_shift_diagram, t_m_apply, t_m_invert,
-                      unit_vector, vector)
+from .veclift import VectorPoly, check_shift_diagram, t_m_apply, t_m_invert, vector
 from .laurent import (LaurentMatrix, adjoint_on_circle, apply_matrix,
                       build_sigma, diag_polys, from_poly_grid, identity,
                       is_analytic, is_inner, matmul, toeplitz_adjoint_apply)

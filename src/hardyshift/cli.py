@@ -83,7 +83,7 @@ def _run_hitt(problem: Problem, task: Task) -> dict:
             "product_text": matrix_text(rep.product),
         }
     else:
-        jmap = build_j_map(sub, m, problem.membership_tol, problem.rank_tol)
+        jmap = build_j_map(sub, m, problem.membership_tol)
         verdict = "PASS" if jmap.costable.passed else "FAIL"
     return {
         "subspace": task.params["subspace_name"],

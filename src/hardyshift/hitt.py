@@ -38,7 +38,7 @@ from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, is_analytic
 from .series import TaylorPoly, zero
 from .subspaces import (SpanSubspace, _cgs2, flatten_element, intersect_shifted,
                         ortho_complement_within, orthonormalize)
-from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL, RANK_TOL
+from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL
 from .veclift import VectorPoly
 
 __all__ = [
@@ -70,10 +70,9 @@ class KernelColumn:
         return f"KernelColumn(m={self.m}, active={len(self.active_indices)})"
 
 
-def extract_kernels(M: SpanSubspace, m: int,
-                    rank_tol: float = RANK_TOL) -> KernelColumn:
+def extract_kernels(M: SpanSubspace, m: int) -> KernelColumn:
     """Project z^i (i < m) onto M ⊖ (M ∩ z^m H^2), orthonormalize in index
-    order (a norm left below max(rank_tol, EXACT_TOL) gives a degenerate
+    order (a norm left below max(M.rank_tol, EXACT_TOL) gives a degenerate
     entry).  All-zero columns are legal (M inside z^m H^2).  A non-finite
     frame raises ParamOutOfRange."""
     if m < 2:
@@ -86,7 +85,7 @@ def extract_kernels(M: SpanSubspace, m: int,
         raise BudgetExceeded(f"monomial degree {M.cap + 1} exceeds cap {M.cap}")
     F = ortho_complement_within(M, intersect_shifted(M, m)).frame_matrix()
     # row i is the projection F F^H z^i of z^i
-    Q, dropped = _cgs2(F[:m].conj() @ F.T, max(rank_tol, EXACT_TOL))
+    Q, dropped = _cgs2(F[:m].conj() @ F.T, max(M.rank_tol, EXACT_TOL))
     # phase: the first coefficient above 1e-13 of each entry real positive
     first = Q[np.argmax(np.abs(Q) > 1e-13, axis=0), np.arange(Q.shape[1])]
     kept = iter((Q * (first.conj() / np.abs(first))).T)
@@ -243,17 +242,17 @@ class JMapResult:
     costable: CheckReport        # co-shift invariance check of the space
 
 
-def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL,
-                rank_tol: float = RANK_TOL) -> JMapResult:
+def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL) -> JMapResult:
     """Decompose every frame vector of M, all at once, and collect the
     coordinates.  When several frame vectors fail, the error of the first
-    one in frame order is raised.
+    one in frame order is raised.  Rank decisions use the span's own
+    rank tolerance.
 
     The map frame -> coordinates is isometric when the decomposition is
     faithful; both that and the co-shift invariance of the coordinate
     space are verified and reported, never assumed.
     """
-    E = extract_kernels(M, m, rank_tol)
+    E = extract_kernels(M, m)
     # one row per frame vector, the coefficients contiguous
     decomps = tuple(_peel(np.ascontiguousarray(M.frame_matrix().T), M, E, m, None, tol))
     phis = [d.phi for d in decomps]
@@ -262,11 +261,11 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL,
         P = np.column_stack([flatten_element(p, M.cap) for p in phis])
         # the frame is orthonormal, so its Gram matrix is the identity
         gap = float(np.max(np.abs(P.conj().T @ P - np.eye(len(phis)))))
-        K = orthonormalize(phis, rank_tol, label=label)
+        K = orthonormalize(phis, M.rank_tol, label=label)
     else:
         P = np.zeros((m * (M.cap + 1), 0), dtype=np.complex128)
         gap = 0.0
-        K = SpanSubspace((), M.cap, m, rank_tol, label=label)
+        K = SpanSubspace((), M.cap, m, M.rank_tol, label=label)
     costable = check_invariance(K, OperatorSpec.coshift(1), tol)
     return JMapResult(K, E, decomps, P, gap, costable)
 

@@ -22,11 +22,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange
-from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, is_analytic,
-                      is_inner, matmul)
+from .laurent import (LaurentMatrix, _lower_symbols, adjoint_on_circle, build_sigma,
+                      is_analytic, is_inner, matmul)
 from .series import toeplitz_view
 from .subspaces import (MonomialSubspace, SpanSubspace, _from_coord_matrix,
-                        _null_combos, intersect_shifted, monomial_membership,
+                        _null_combos, intersect_shifted,
                         orthonormalize, unflatten_element)
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
 
@@ -178,46 +178,31 @@ class CheckReport:
         return self.verdict == "PASS"
 
 
-def _monomial_invariance(M: MonomialSubspace, op: OperatorSpec,
-                         subspace_name: str) -> CheckReport:
+def _monomial_order(M: MonomialSubspace, op: OperatorSpec) -> int:
+    """Total shift order of a monomial symbol, at most cap + 1: an order
+    past the cap leaves no image under it."""
     order = op.monomial_shift_order()
     if order is None:
-        raise DimensionMismatch(
-            "monomial subspaces support shift-type operators only"
-        )
-    exps = M.exponents()
-    untested: list[str] = []
-    tested = 0
-    witness = None
-    if op.kind in ("shift", "toeplitz"):
-        top = M.cap - order
-        skipped = [int(e) for e in exps if e > top]
-        if skipped:
-            untested.append(
-                f"exponents above {top} excluded (image would exceed cap {M.cap})"
-            )
-        testable = [int(e) for e in exps if e <= top]
-        if not testable and len(skipped):
-            raise BudgetExceeded("no testable exponent band remains under the cap")
-        for e in testable:
-            tested += 1
-            if not monomial_membership(e + order, M):
-                witness = Witness(e, e + order, 1.0,
-                                  f"z^{e} maps to z^{e + order} outside the set")
-                break
-    else:
-        for e in (int(x) for x in exps):
-            tested += 1
-            img = e - order
-            if img < 0:
-                continue  # adjoint sends it to 0, always a member
-            if not monomial_membership(img, M):
-                witness = Witness(e, img, 1.0,
-                                  f"z^{e} maps to z^{img} outside the set")
-                break
-    verdict = "FAIL" if witness else "PASS"
-    return CheckReport("invariance", op.describe(), subspace_name, verdict,
-                       witness, tuple(untested), tested)
+        raise DimensionMismatch("monomial subspaces support shift-type operators only")
+    return min(order, M.cap + 1)
+
+
+def _exponent_check(M: MonomialSubspace, check: str, op: OperatorSpec, name: str,
+                    domain: np.ndarray, shift: int, note: str,
+                    untested: tuple = ()) -> CheckReport:
+    """Map every exponent e of domain to z^(e + shift) at once and test
+    membership in the model's table; an image below 0 is the zero
+    element, always a member.  The witness is the first non-member, and
+    ``tested`` stops there."""
+    if not domain.size and untested:
+        raise BudgetExceeded("no testable exponent band remains under the cap")
+    images = domain + shift
+    bad = np.flatnonzero((images >= 0) & ~M._table[np.maximum(images, 0)])
+    if not bad.size:
+        return CheckReport(check, op.describe(), name, "PASS", None, untested, domain.size)
+    e, img = int(domain[bad[0]]), int(images[bad[0]])
+    witness = Witness(e, img, 1.0, note.format(e=e, img=img))
+    return CheckReport(check, op.describe(), name, "FAIL", witness, untested, int(bad[0]) + 1)
 
 
 def _first_failure(M: SpanSubspace, op: OperatorSpec, X: np.ndarray,
@@ -254,7 +239,15 @@ def check_invariance(M: SubspaceModel, op: OperatorSpec,
     """
     name = getattr(M, "label", "") or "M"
     if isinstance(M, MonomialSubspace):
-        return _monomial_invariance(M, op, name)
+        order, exps = _monomial_order(M, op), M.exponents()
+        domain, shift, untested = exps, -order, ()  # an adjoint tests every exponent
+        if op.is_isometry:
+            top = M.cap - order
+            domain, shift = exps[exps <= top], order
+            if domain.size < exps.size:
+                untested = (f"exponents above {top} excluded (image would exceed cap {M.cap})",)
+        return _exponent_check(M, "invariance", op, name, domain, shift,
+                               "z^{e} maps to z^{img} outside the set", untested)
     X = M.frame_matrix()
     gain = op.formal_degree_gain()
     limit = M.effective_band
@@ -318,24 +311,10 @@ def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
     T, Tstar = _canonical_pair(op)
     name = getattr(M, "label", "") or "M"
     if isinstance(M, MonomialSubspace):
-        order = T.monomial_shift_order()
-        if order is None:
-            raise DimensionMismatch(
-                "monomial subspaces support shift-type operators only"
-            )
-        witness = None
-        tested = 0
-        for e in (int(x) for x in M.exponents()):
-            if e < order:
-                continue  # z^e is not in T(H^2)
-            tested += 1
-            if not monomial_membership(e - order, M):
-                witness = Witness(e, e - order, 1.0,
-                                  f"z^{e} lies in the range but maps to z^{e - order} outside")
-                break
-        verdict = "FAIL" if witness else "PASS"
-        return CheckReport("near-invariance", Tstar.describe(), name, verdict,
-                           witness, (), tested)
+        order, exps = _monomial_order(M, T), M.exponents()
+        # z^e lies in T(H^2) exactly when e >= order
+        return _exponent_check(M, "near-invariance", Tstar, name, exps[exps >= order],
+                               -order, "z^{e} lies in the range but maps to z^{img} outside")
 
     if T.kind == "shift":
         inside = intersect_shifted(M, T.power)
@@ -357,14 +336,12 @@ def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
 # ---------------------------------------------------------------------------
 
 
-def _entry_degrees(theta: LaurentMatrix, col: int) -> list:
-    """Degree of each entry of the col-th column, -1 for a zero entry."""
-    degrees = []
-    for row in range(theta.rows):
-        lo, coefs = theta.entry(row, col)
-        nz = np.flatnonzero(coefs)
-        degrees.append(lo + int(nz[-1]) if nz.size else -1)
-    return degrees
+def _last_analytic_index(theta: LaurentMatrix) -> np.ndarray:
+    """Table index of the last nonzero coefficient at a power >= 0 of every
+    entry, -1 where there is none; the entry's degree is min_pow plus it.
+    Indices, not powers, keep the arithmetic exact for any min_pow."""
+    idx = np.arange(theta.table.shape[2])
+    return np.max(np.where((theta.table != 0) & (idx >= -theta.min_pow), idx, -1), axis=2)
 
 
 def range_generators(theta: LaurentMatrix, cap: int) -> np.ndarray:
@@ -374,16 +351,16 @@ def range_generators(theta: LaurentMatrix, cap: int) -> np.ndarray:
 
     These are all the range generators that pair nontrivially with an
     element of component degree <= cap, and the cut leaves those pairings
-    unchanged.
+    unchanged.  Only powers 0..cap of Θ are read.
     """
     n = cap + 1
-    live = [col for col in range(theta.cols) if max(_entry_degrees(theta, col)) >= 0]
-    wide = max(cap, theta.max_pow)
-    out = np.zeros((theta.rows, n, len(live), n), dtype=np.complex128)
-    for c, col in enumerate(live):
+    live = np.flatnonzero(_last_analytic_index(theta).max(axis=0) >= 0)
+    symbols = _lower_symbols(theta, n)[:, live]
+    out = np.zeros((theta.rows, n, live.size, n), dtype=np.complex128)
+    for c in range(live.size):
         for i in range(theta.rows):
-            out[i, :, c, :] = toeplitz_view(theta.entry_poly(i, col, wide).padded(n), False)
-    return out.reshape(theta.rows * n, len(live) * n)
+            out[i, :, c, :] = toeplitz_view(symbols[i, c], False)
+    return out.reshape(theta.rows * n, live.size * n)
 
 
 def _check_builder_input(theta: LaurentMatrix, m: int, analytic_tol: float,
@@ -407,20 +384,20 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     missing top shell for a genuine invariance failure.
     """
     _check_builder_input(theta, m, analytic_tol, "range builder")
-    # lift degree of each column as a scalar element, -1 for a zero column
-    lifts = [max([m * d + row for row, d in enumerate(_entry_degrees(theta, col)) if d >= 0],
-                 default=-1) for col in range(theta.cols)]
-    live = [col for col, d in enumerate(lifts) if d >= 0]
+    last = _last_analytic_index(theta)
     label = f"T_{m}(Θ·H2) at cap {cap}"
-    if not live:
+    if last.max() < 0:
         return SpanSubspace((), cap, 1, rank_tol, label=label)
-    ladder = (cap - max(lifts[col] for col in live)) // m
+    # the largest lift degree m * (min_pow + last) + row of a nonzero entry
+    lifts = np.where(last >= 0, m * last + np.arange(m)[:, None], -1)
+    top = m * theta.min_pow + int(lifts.max())
+    ladder = (cap - top) // m
     if ladder < 0:
         raise BudgetExceeded(f"cap {cap} cannot host a single column lift")
     # every shift j <= ladder keeps each component within degree cap // m,
     # so no generator is cut; the lift interleaves the component blocks
     n = cap // m + 1
-    gens = range_generators(theta, n - 1).reshape(m, n, len(live), n)[..., : ladder + 1]
+    gens = range_generators(theta, n - 1).reshape(m, n, -1, n)[..., : ladder + 1]
     lifted = gens.transpose(1, 0, 2, 3).reshape(m * n, -1)[: cap + 1]
     return orthonormalize(lifted, rank_tol, label=label, band=m * ladder)
 

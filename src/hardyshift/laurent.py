@@ -226,6 +226,17 @@ def allclose(A: LaurentMatrix, B: LaurentMatrix, tol: float = 0.0) -> bool:
     return bool(np.all(np.abs(ta - tb) <= tol))
 
 
+def _lower_symbols(A: LaurentMatrix, n: int) -> np.ndarray:
+    """The coefficients of z^0..z^(n-1) of every entry, rows x cols x n;
+    powers below 0 are not read."""
+    out = np.zeros((A.rows, A.cols, n), dtype=np.complex128)
+    # the table indices of powers 0..n-1, in Python ints for any min_pow
+    lo, hi = max(0, -A.min_pow), min(A.table.shape[2], n - A.min_pow)
+    if lo < hi:
+        out[:, :, A.min_pow + lo: A.min_pow + hi] = A.table[:, :, lo:hi]
+    return out
+
+
 def _column_action(A: LaurentMatrix, X: np.ndarray) -> np.ndarray:
     """Analytic part of A F for every column F of X; X stacks A.cols
     component blocks of cap+1 coefficients, the result A.rows.  Powers
@@ -235,10 +246,8 @@ def _column_action(A: LaurentMatrix, X: np.ndarray) -> np.ndarray:
     if n < 1 or n * A.cols != X.shape[0]:
         raise DimensionMismatch(f"{X.shape[0]} rows do not stack {A.cols} components")
     pows = A.min_pow + np.arange(A.table.shape[2])
-    lower = np.zeros((A.rows, A.cols, n), dtype=np.complex128)
+    lower = _lower_symbols(A, n)
     upper = np.zeros_like(lower)
-    keep = (pows >= 0) & (pows < n)
-    lower[:, :, pows[keep]] = A.table[:, :, keep]
     keep = (pows < 0) & (pows > -n)
     upper[:, :, -pows[keep]] = A.table[:, :, keep].conj()
     blocks = X.reshape(A.cols, n, X.shape[1])

@@ -68,6 +68,14 @@ def _complex_at(path: str, value: Any) -> complex:
     return complex(_real_at(path, value))
 
 
+def _object_at(parent: dict, key: str, path: str) -> dict:
+    """An optional section, which must be a JSON object when present."""
+    value = parent.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(path, "must be an object")
+    return value
+
+
 def _coeff_list_at(path: str, value: Any) -> list:
     if not isinstance(value, list) or not value:
         raise ValidationError(path, "expected a nonempty coefficient array")
@@ -165,9 +173,7 @@ def parse_problem(data: Any, cap: Optional[int] = None,
                   tol: Optional[float] = None) -> Problem:
     if not isinstance(data, dict):
         raise ValidationError("$", "problem file must be a JSON object")
-    ws = data.get("workspace", {})
-    if not isinstance(ws, dict):
-        raise ValidationError("workspace", "must be an object")
+    ws = _object_at(data, "workspace", "workspace")
     file_cap = ws.get("cap", 64)
     if not _is_int(file_cap) or file_cap < 1:
         raise ValidationError("workspace.cap", "must be a positive integer")
@@ -175,10 +181,7 @@ def parse_problem(data: Any, cap: Optional[int] = None,
         file_cap = cap
     tols = {"membership": MEMBERSHIP_TOL, "rank": RANK_TOL,
             "analyticity": ANALYTICITY_TOL}
-    ws_tols = ws.get("tolerances", {})
-    if not isinstance(ws_tols, dict):
-        raise ValidationError("workspace.tolerances", "must be an object")
-    for key, val in ws_tols.items():
+    for key, val in _object_at(ws, "tolerances", "workspace.tolerances").items():
         if key not in tols:
             raise ValidationError(f"workspace.tolerances.{key}", "unknown tolerance")
         path = f"workspace.tolerances.{key}"
@@ -191,18 +194,16 @@ def parse_problem(data: Any, cap: Optional[int] = None,
             raise ValidationError("--tol", "must be positive")
 
     problem = Problem(file_cap, tols, {}, {}, {}, {}, [])
-    objects = data.get("objects", {})
-    if not isinstance(objects, dict):
-        raise ValidationError("objects", "must be an object")
+    objects = _object_at(data, "objects", "objects")
 
-    for name, coeffs in (objects.get("polys", {}) or {}).items():
+    for name, coeffs in _object_at(objects, "polys", "objects.polys").items():
         vals = _coeff_list_at(f"objects.polys.{name}", coeffs)
         try:
             problem.polys[name] = taylor(vals, file_cap)
         except HardyShiftError as exc:
             raise ValidationError(f"objects.polys.{name}", str(exc)) from exc
 
-    for name, spec in (objects.get("matrices", {}) or {}).items():
+    for name, spec in _object_at(objects, "matrices", "objects.matrices").items():
         path = f"objects.matrices.{name}"
         if not isinstance(spec, dict) or "entries" not in spec:
             raise ValidationError(path, "expected an object with 'entries'")
@@ -223,10 +224,12 @@ def parse_problem(data: Any, cap: Optional[int] = None,
         except HardyShiftError as exc:
             raise ValidationError(path, str(exc)) from exc
 
-    for name, spec in (objects.get("blaschke", {}) or {}).items():
+    for name, spec in _object_at(objects, "blaschke", "objects.blaschke").items():
         path = f"objects.blaschke.{name}"
         if not isinstance(spec, dict) or "zeros" not in spec:
             raise ValidationError(path, "expected an object with 'zeros'")
+        if not isinstance(spec["zeros"], list):
+            raise ValidationError(f"{path}.zeros", "expected a list of zeros")
         lam = _complex_at(f"{path}.lambda", spec.get("lambda", 1.0))
         zeros = [_complex_at(f"{path}.zeros[{i}]", z)
                  for i, z in enumerate(spec["zeros"])]
@@ -235,7 +238,7 @@ def parse_problem(data: Any, cap: Optional[int] = None,
         except HardyShiftError as exc:
             raise ValidationError(path, str(exc)) from exc
 
-    for name, spec in (data.get("subspaces", {}) or {}).items():
+    for name, spec in _object_at(data, "subspaces", "subspaces").items():
         path = f"subspaces.{name}"
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ValidationError(path, "expected an object with 'kind'")

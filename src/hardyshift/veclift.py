@@ -18,12 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceeded
-from .series import TaylorPoly, taylor, zero
+from .series import TaylorPoly, zero
 
 __all__ = [
     "VectorPoly",
     "vector",
-    "unit_vector",
     "t_m_apply",
     "t_m_invert",
     "check_shift_diagram",
@@ -72,15 +71,6 @@ class VectorPoly:
 
 def vector(components: Sequence[TaylorPoly]) -> VectorPoly:
     return VectorPoly(tuple(components))
-
-
-def unit_vector(m: int, index: int, cap: int) -> VectorPoly:
-    """Constant canonical basis vector delta_index in C^m."""
-    if not 0 <= index < m:
-        raise ValueError("unit vector index out of range")
-    comps = [zero(cap) for _ in range(m)]
-    comps[index] = taylor([1.0], cap)
-    return VectorPoly(tuple(comps))
 
 
 def vec_inner(F: VectorPoly, G: VectorPoly) -> complex:

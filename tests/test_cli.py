@@ -255,6 +255,24 @@ def test_transfer_depth_past_the_cap_is_a_task_error(tmp_path, capsys, depth):
     assert f"depth {depth} " in task["error"]["message"]
 
 
+def test_hitt_certification_uses_the_file_rank_tolerance(tmp_path, capsys):
+    # at rank 1e-12 the 1e-10 z direction is kept, and both kernel entries
+    # live; the certification used to peel at rank 1e-9 and stall
+    data = {"workspace": {"cap": 24, "tolerances": {"rank": 1e-12}},
+            "objects": {"polys": {"p": [1e-2, 0, 1], "q": [0, 1e-10, 0, 1]},
+                        "matrices": {"Th": {"entries": [[[0, 0, 1]], [[0]]]}}},
+            "subspaces": {"S": {"kind": "span", "generators": ["p", "q"]}},
+            "tasks": [{"task": "hitt", "subspace": "S", "m": 2},
+                      {"task": "hitt", "subspace": "S", "m": 2,
+                       "theta": "Th", "gamma": 1, "k": 1}]}
+    assert main(["run", write_problem(tmp_path, data)]) == 0
+    plain, certified = json.loads(capsys.readouterr().out)["tasks"]
+    assert plain["kernel"]["degenerate"] == [False, False]
+    assert certified["kernel"] == plain["kernel"]
+    assert certified["jmap"] == plain["jmap"]
+    assert [s["verdict"] for s in certified["certify"]["stages"]] == ["PASS"] * 4
+
+
 def test_problem_parsing_validation():
     with pytest.raises(ValidationError):
         parse_problem({"workspace": {"cap": 0}})
@@ -347,6 +365,35 @@ BOOL_FOR_INT = {
     "transfer_near": _patched(["tasks", 1], {"task": "blaschke-transfer", "subspace": "S",
                                              "blaschke": "B", "n": 1, "near": "no"}),
 }
+
+
+def _section(path, value):
+    """PROBLEM with one section replaced and only a build-sigma task."""
+    data = _patched(path, value)
+    data["tasks"] = SIGMA_ONLY
+    return data
+
+
+# each section is a JSON object and each zero list a list; a list or a
+# number used to crash (TypeError, AttributeError) or read as empty
+WRONG_SECTION_TYPE = {
+    "polys_list": ("objects.polys", _section(["objects", "polys"], [[1, 0]])),
+    "polys_null": ("objects.polys", _section(["objects", "polys"], None)),
+    "matrices_list": ("objects.matrices", _section(["objects", "matrices"], [])),
+    "blaschke_list": ("objects.blaschke", _section(["objects", "blaschke"], ["B"])),
+    "subspaces_list": ("subspaces", _section(["subspaces"], ["M1"])),
+    "zeros_number": ("objects.blaschke.B.zeros",
+                     _section(["objects", "blaschke", "B", "zeros"], 5)),
+    "zeros_object": ("objects.blaschke.B.zeros",
+                     _section(["objects", "blaschke", "B", "zeros"], {"a": [0, 0]})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_SECTION_TYPE))
+def test_wrong_section_type_exits_2(tmp_path, capsys, case):
+    path, data = WRONG_SECTION_TYPE[case]
+    assert main(["run", write_problem(tmp_path, data)]) == 2
+    assert f"input error: {path}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", sorted(BOOL_FOR_INT))

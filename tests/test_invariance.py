@@ -228,3 +228,36 @@ def test_range_generators_equal_the_shift_loop(rng, cap):
                   from_poly_grid([[[1, 0, 0, 0.5]], [[0, 1]]])):
         got = range_generators(theta, cap)
         assert np.array_equal(got, _range_generators_by_shift(theta, cap))
+
+
+@pytest.mark.parametrize("cap", [6, 24])
+def test_builders_ignore_negative_power_dust_within_tolerance(cap):
+    # coefficients from z^-2 up: dust at z^-2 and z^-1 within the
+    # analyticity tolerance, and a column of dust only (a zero column)
+    dusty = [[[0, 1e-12, 1, 0.5], [3e-12, 2e-12, 0, 0]],
+             [[1e-13, 0, 0, 0.3], [0, 1e-13, 0, 0]]]
+    clean = [[[0, 0, *e[2:]] for e in row] for row in dusty]
+    for cols in (slice(0, 1), slice(0, 2)):
+        theta = from_poly_grid([row[cols] for row in clean], -2)
+        dusted = from_poly_grid([row[cols] for row in dusty], -2)
+        assert dusted.min_pow == -2 and theta.min_pow == 0
+        for build in (build_theta_range, build_model_space):
+            want = build(theta, 2, cap)
+            got = build(dusted, 2, cap, analytic_tol=1e-10)
+            assert np.array_equal(got.frame_matrix(), want.frame_matrix())
+            assert (got.label, got.effective_band) == (want.label, want.effective_band)
+
+
+@pytest.mark.parametrize("min_pow", [2 ** 62, 10 ** 20])
+def test_builders_take_powers_of_any_size(min_pow):
+    # Θ = z^min_pow (1, 0)^T: the lift degree 2·min_pow must not wrap
+    # around in fixed-width integers and pass as an empty range
+    theta = from_poly_grid([[[1]], [[0]]], min_pow)
+    with pytest.raises(BudgetExceeded, match="cannot host a single column lift"):
+        build_theta_range(theta, 2, 16)
+    # dust at z^-min_pow only: Θ has no analytic part and acts as 0
+    dust = from_poly_grid([[[1e-12]], [[0]]], -min_pow)
+    zero = from_poly_grid([[[0]], [[0]]])
+    for build in (build_theta_range, build_model_space):
+        got = build(dust, 2, 16, analytic_tol=1e-10)
+        assert np.array_equal(got.frame_matrix(), build(zero, 2, 16).frame_matrix())
