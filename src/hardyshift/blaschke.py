@@ -112,7 +112,8 @@ def _factor_chain(B: BlaschkeProduct, cap: int) -> tuple:
     p = np.zeros(cap + 1, dtype=np.complex128)
     p[0] = 1.0
     for k, a in enumerate(B.zeros):
-        g = np.convolve(p, np.cumprod(np.r_[1.0, np.full(cap, a.conjugate())]))[: cap + 1]
+        g = p if a == 0 else np.convolve(  # at a = 0 the geometric symbol is 1
+            p, np.cumprod(np.r_[1.0, np.full(cap, a.conjugate())]))[: cap + 1]
         E[:, k] = math.sqrt(1.0 - abs(a) ** 2) * g
         p = np.r_[0.0, g[:-1]] - a * g
     return E, p
@@ -127,9 +128,11 @@ def power_expansion(B: BlaschkeProduct, n: int, cap: int) -> TaylorPoly:
     """Degree-cap expansion of the n-th power (truncating convolution)."""
     if n < 1:
         raise ParamOutOfRange("power must be >= 1")
-    base = taylor_expand(B, cap).coeffs
-    acc = base
+    acc = taylor_expand(B, cap).coeffs
+    base = acc[: np.flatnonzero(acc)[-1] + 1]  # trailing zeros add nothing
     for _ in range(n - 1):
+        if not acc.any():  # a zero power stays zero
+            break
         acc = np.convolve(acc, base)[: cap + 1]
     return TaylorPoly(acc, cap)
 

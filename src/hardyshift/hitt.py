@@ -18,7 +18,9 @@ nearly co-invariant at this cap; the loop stops immediately and reports
 that mass rather than silently dropping it.
 
 Degenerate kernel entries are kept as exact zeros in place so the column
-always has arity m; decomposition rows carry 0 at those positions.
+always has arity m; decomposition rows carry 0 at those positions.  The
+members of a frame are peeled at once, as the columns of one working
+matrix in which the co-shift is a row offset (see ``_peel``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .invariance import (CheckReport, OperatorSpec, PipelineReport, Stage,
                          check_invariance, range_generators)
 from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, is_analytic,
                       is_inner, matmul, toeplitz_adjoint_apply)
-from .series import TaylorPoly, zero
+from .series import TaylorPoly, toeplitz_view, zero
 from .subspaces import (SpanSubspace, _cgs2, flatten_element, intersect_shifted,
                         ortho_complement_within, orthonormalize)
 from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL
@@ -124,103 +126,100 @@ def hitt_decompose(f: TaylorPoly, M: SpanSubspace, E: KernelColumn, m: int,
     return _peel(flatten_element(f, M.cap)[None, :], M, E, m, max_iter, tol)[0]
 
 
+def _col_sq(X: np.ndarray) -> np.ndarray:
+    """Squared norms of the columns of a complex matrix with contiguous rows."""
+    Xf = X.view(np.float64)
+    sq = np.einsum("ij,ij->j", Xf, Xf)
+    return sq[0::2] + sq[1::2]
+
+
 def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn, m: int,
           max_iter: Optional[int], tol: float) -> list:
     """The peeling recursion on every row of V, each the cap+1 coefficients
-    of one element of M, at once.  Returns one HittDecomposition per row,
-    or raises the error that decomposing the rows one by one, in order,
-    would raise first.
+    of one element of M, at once: one HittDecomposition per row, or the
+    error that decomposing the rows one by one, in order, would raise first.
 
-    The remainders are the rows of R, the (cap+1) × live column matrix
-    stored transposed so that each remainder is contiguous.  Each number
-    comes from the same numpy operation on the same coefficients, in the
-    same order, as for one element alone (``np.vdot`` per coordinate,
-    pairwise ``np.sum`` per norm, updates in active-index order), so every
-    row's result is bit-identical to its one-element decomposition.  A
-    row leaves R when it converges or fails; rows after the first failing
-    one are dropped, as their outcome cannot change the error raised.
+    The rows are the columns of one working matrix W whose rows m·s ..
+    m·s+cap hold each remainder f_s.  The zero rows past the cap take the
+    part of z^(ms)·E past it, which stays in the remainder as in the
+    one-element recursion.  A step acts on the columns from the first
+    live one to the last: one norm reduction, C = E^H f_s and f_s -= E·C
+    as two products, and the head test on the first m rows.  Results agree
+    with the one-element recursion up to rounding.
     """
     n = M.cap + 1
     if max_iter is None:
         max_iter = M.cap // m + 2
-    errors: dict = {}  # row -> its first error
     F = M.frame_matrix()
-    Fh = F.conj().T
-    for j, v in enumerate(V):
-        residual = float(np.linalg.norm(v - F @ (Fh @ v)))
-        if not residual <= tol:
-            errors[j] = NotAMember(
-                f"element lies outside the span (residual {residual:.3e} > {tol:g})")
-            break
-    active = E.active_indices
-    ents = [E.entries[i].padded(n) for i in active]
+    R = F @ (F.conj().T @ V.T)
+    R -= V.T
+    off = np.sqrt(_col_sq(R))
+    errors = {int(j): NotAMember(  # column -> its first error
+        f"element lies outside the span (residual {off[j]:.3e} > {tol:g})")
+        for j in np.flatnonzero(~(off <= tol))[:1]}
     k = min(errors, default=len(V))
-    A = np.zeros((k, max_iter + 1, E.m), dtype=np.complex128)
-    iterations = np.zeros(k, dtype=int)
-    residuals = np.zeros(k)
-    live = np.arange(k)
-    R = V[:k]
+    active = list(E.active_indices)
+    Ea = np.column_stack([E.entries[i].padded(n) for i in active] or [np.zeros((n, 0))])
+    d = int(np.flatnonzero(Ea.any(axis=1)).max(initial=-1)) + 1  # rows past d are 0
+    W = np.zeros((n + m * (max_iter + 1), k), dtype=np.complex128)
+    W[:n] = V[:k].T
+    norm2 = _col_sq(W[:n])
+    A = np.zeros((max_iter + 1, E.m, k), dtype=np.complex128)
+    iterations, residuals = np.zeros(k, dtype=int), np.zeros(k)
+    live, lo, hi = np.ones(k, dtype=bool), 0, k
     # Termination: each peel drops the remaining degree by m, uncaptured
-    # head mass fails a row at once, so max_iter bounds the loop strictly.
+    # head mass fails a column at once, so max_iter bounds the loop strictly.
     for step in range(max_iter + 1):
-        sq = np.sum(np.abs(R) ** 2, axis=1)
-        if step == 0:
-            norm2 = sq
-        residuals[live] = np.sqrt(sq)
-        done = residuals[live] <= tol
-        iterations[live[done]] = step
-        live, R = live[~done], R[~done]
-        if not live.size:
+        win, on = W[m * step: m * step + n, lo:hi], live[lo:hi]
+        res = np.sqrt(_col_sq(win))
+        np.copyto(residuals[lo:hi], res, where=on)
+        on &= ~(res <= tol)
+        iterations[lo:hi] += on
+        at = np.flatnonzero(on)
+        if not at.size:
             break
-        X = np.zeros(R.shape, dtype=np.complex128)
-        for i, e in zip(active, ents):
-            c = np.array([np.vdot(e, r) for r in R])
-            A[live, step, i] = c
-            X = X + e * c[:, None]
-        rem = R + X * -1.0
-        # The head norm decides only near tol: rows clearly below it pass,
-        # the rest get the one-element value np.linalg.norm, which is also
-        # the value an error reports.
-        head = np.sqrt(np.sum(np.abs(rem[:, :m]) ** 2, axis=1))
-        for r in np.flatnonzero(~(head <= 0.5 * tol)):
-            exact = float(np.linalg.norm(rem[r, :m]))
-            if not exact <= tol:
-                errors[int(live[r])] = NoConvergence(
-                    f"peel {step} left head mass {exact:.3e} below degree {m}; "
-                    "the span is not nearly co-invariant at this cap", exact)
-                break  # later rows cannot be reported
-        before = live < min(errors, default=k)
-        live = live[before]
-        R = np.zeros((live.size, n), dtype=np.complex128)
-        R[:, :max(n - m, 0)] = rem[before, m:]
-    if live.size:  # the first row still live ran out of peels
-        j = int(live[0])
+        lo, hi = lo + int(at[0]), lo + int(at[-1]) + 1  # from the first live to the last
+        win, on = W[m * step: m * step + n, lo:hi], live[lo:hi]
+        C = Ea[:d].conj().T @ win[:d]
+        C *= on  # columns that converged inside the range keep their remainder
+        A[step, active, lo:hi] = C
+        win[:d] -= Ea[:d] @ C
+        head = np.sqrt(_col_sq(win[:m]))
+        bad = np.flatnonzero(on & ~(head <= tol))
+        if bad.size:
+            j, h = lo + int(bad[0]), float(head[bad[0]])
+            errors[j] = NoConvergence(
+                f"peel {step} left head mass {h:.3e} below degree {m}; "
+                "the span is not nearly co-invariant at this cap", h)
+            live[j:] = False  # later columns cannot be reported
+    if live.any():  # the first column still live ran out of peels
+        j = int(np.argmax(live))
         errors[j] = NoConvergence(
             f"no convergence after {max_iter} peels (residual {residuals[j]:.3e})",
             float(residuals[j]))
-    # Every row before the first error converged.  Rounding dust in a
+    # Every column before the first error converged.  Rounding dust in a
     # kernel entry can carry z^(ml) E_i past the cap.  That part is cut
     # off, and an upper bound of its norm (the sum of the cut norms) is
     # counted in the error, so nothing is silently dropped.
     good = min(errors, default=k)
-    recon = np.zeros((good, n), dtype=np.complex128)
-    cut = np.zeros(good)
-    for l in range(int(np.max(iterations[:good], initial=0))):
-        keep = max(0, n - m * l)
-        for i, e in zip(active, ents):
-            a = A[:good, l, i]
-            tail = float(np.linalg.norm(E.entries[i].coeffs[keep:]))
-            if tail:
-                cut = cut + np.hypot(a.real, a.imag) * tail
-            recon[:, m * l:] += e[:keep] * a[:, None]
-    gaps = np.sqrt(np.sum(np.abs(V[:good] + recon * -1.0) ** 2, axis=1))
+    L = int(np.max(iterations[:good], initial=0))
+    start = np.maximum(n - m * np.arange(L), 0)  # first cut coefficient of z^(ml) E_i
+    recon, cut = np.zeros((n, good), dtype=np.complex128), np.zeros(good)
+    for c, i in enumerate(active):
+        a = A[:L, i, :good]
+        T = toeplitz_view(Ea[:, c], False)[:, : m * L: m]  # column l: z^(ml) E_i, cut
+        recon += T @ a[: T.shape[1]]
+        tail = np.sqrt(np.cumsum(np.abs(Ea[::-1, c]) ** 2)[::-1])  # tail[t] = ||E_i[t:]||
+        cut += np.append(tail, 0.0)[start] @ np.abs(a)
+    recon -= V[:good].T
+    gaps = np.sqrt(_col_sq(recon))
     decomps = []
     for j in range(good):
         recon_err = math.hypot(gaps[j], cut[j])
         if not recon_err <= tol:
             raise NoConvergence(
                 f"reconstruction residual {recon_err:.3e} exceeds {tol:g}", recon_err)
-        rows = A[j, :iterations[j]].copy()
+        rows = A[:iterations[j], :, j].copy()
         comps = tuple(TaylorPoly(rows[:, i], M.cap) for i in range(E.m))
         parseval_gap = abs(float(norm2[j]) - float(np.sum(np.abs(rows) ** 2)))
         decomps.append(HittDecomposition(VectorPoly(comps), rows, rows.shape[0],
@@ -253,8 +252,7 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL) -> JMapRes
     space are verified and reported, never assumed.
     """
     E = extract_kernels(M, m)
-    # one row per frame vector, the coefficients contiguous
-    decomps = tuple(_peel(np.ascontiguousarray(M.frame_matrix().T), M, E, m, None, tol))
+    decomps = tuple(_peel(M.frame_matrix().T, M, E, m, None, tol))
     phis = [d.phi for d in decomps]
     label = f"J_{m}({M.label or 'M'})"
     if phis:

@@ -22,8 +22,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange
-from .laurent import (LaurentMatrix, _lower_symbols, adjoint_on_circle, build_sigma,
-                      is_analytic, is_inner, matmul)
+from .laurent import (LaurentMatrix, _last_analytic_index, _lower_symbols,
+                      adjoint_on_circle, build_sigma, is_analytic, is_inner, matmul)
 from .series import toeplitz_view
 from .subspaces import (MonomialSubspace, SpanSubspace, _from_coord_matrix,
                         _null_combos, intersect_shifted,
@@ -249,7 +249,7 @@ def check_invariance(M: SubspaceModel, op: OperatorSpec,
         return _exponent_check(M, "invariance", op, name, domain, shift,
                                "z^{e} maps to z^{img} outside the set", untested)
     X = M.frame_matrix()
-    gain = op.formal_degree_gain()
+    gain = min(op.formal_degree_gain(), M.cap + 1)  # a larger gain leaves no image either
     limit = M.effective_band
     keep = np.ones(M.dim, dtype=bool)
     if gain:
@@ -296,6 +296,8 @@ def _toeplitz_range_meet(M: SpanSubspace, T: OperatorSpec) -> SpanSubspace:
     if M.arity != 1:
         raise DimensionMismatch("toeplitz symbols act on scalar elements only")
     label = f"{M.label or 'M'} ∩ range({T.describe()})"
+    if T.formal_degree_gain() > M.cap:  # refused before the zeros are repeated
+        raise BudgetExceeded(f"cap {M.cap} is below the product degree {T.formal_degree_gain()}")
     K = _factor_chain(BlaschkeProduct(1.0, T.blaschke.zeros * T.power), M.cap)[0].T
     combos = _null_combos(K.conj() @ M.frame_matrix(), M.dim, M.rank_tol)
     return _from_coord_matrix(M, combos, label)
@@ -334,14 +336,6 @@ def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
 # ---------------------------------------------------------------------------
 # Beurling-type range / model-space constructions and the theorem pipelines
 # ---------------------------------------------------------------------------
-
-
-def _last_analytic_index(theta: LaurentMatrix) -> np.ndarray:
-    """Table index of the last nonzero coefficient at a power >= 0 of every
-    entry, -1 where there is none; the entry's degree is min_pow plus it.
-    Indices, not powers, keep the arithmetic exact for any min_pow."""
-    idx = np.arange(theta.table.shape[2])
-    return np.max(np.where((theta.table != 0) & (idx >= -theta.min_pow), idx, -1), axis=2)
 
 
 def range_generators(theta: LaurentMatrix, cap: int) -> np.ndarray:

@@ -237,6 +237,14 @@ def _lower_symbols(A: LaurentMatrix, n: int) -> np.ndarray:
     return out
 
 
+def _last_analytic_index(A: LaurentMatrix) -> np.ndarray:
+    """Table index of the last nonzero coefficient at a power >= 0 of every
+    entry, -1 where there is none; the entry's degree is min_pow plus it.
+    Indices, not powers, keep the arithmetic exact for any min_pow."""
+    idx = np.arange(A.table.shape[2])
+    return np.max(np.where((A.table != 0) & (idx >= -A.min_pow), idx, -1), axis=2)
+
+
 def _column_action(A: LaurentMatrix, X: np.ndarray) -> np.ndarray:
     """Analytic part of A F for every column F of X; X stacks A.cols
     component blocks of cap+1 coefficients, the result A.rows.  Powers
@@ -245,11 +253,10 @@ def _column_action(A: LaurentMatrix, X: np.ndarray) -> np.ndarray:
     n = X.shape[0] // A.cols
     if n < 1 or n * A.cols != X.shape[0]:
         raise DimensionMismatch(f"{X.shape[0]} rows do not stack {A.cols} components")
-    pows = A.min_pow + np.arange(A.table.shape[2])
     lower = _lower_symbols(A, n)
-    upper = np.zeros_like(lower)
-    keep = (pows < 0) & (pows > -n)
-    upper[:, :, -pows[keep]] = A.table[:, :, keep].conj()
+    # A's powers -1..-(n-1), conjugated, are A*'s powers 1..n-1: transpose back
+    upper = _lower_symbols(adjoint_on_circle(A), n).transpose(1, 0, 2)
+    upper[:, :, 0] = 0  # power 0 acts in lower
     blocks = X.reshape(A.cols, n, X.shape[1])
     out = np.zeros((A.rows, n, X.shape[1]), dtype=np.complex128)
     for symbols, adjoint in ((lower, False), (upper, True)):
@@ -269,13 +276,13 @@ def apply_matrix(A: LaurentMatrix, F: VectorPoly,
             f"matrix has {A.cols} columns but the vector has arity {F.m}"
         )
     cap = F.cap
-    pows = A.min_pow + np.arange(A.table.shape[2])
-    tab = np.where(pows >= 0, A.table, 0)
+    last = _last_analytic_index(A)
     degs = np.array([f.deg() for f in F.components])
-    top = pows[-1 - np.argmax(tab[:, :, ::-1] != 0, axis=2)] + degs
-    over = tab.any(axis=2) & (degs >= 0) & (top > cap)
+    over = (last >= 0) & (degs >= 0) & (last + degs > cap - A.min_pow)
     if over.any():
-        raise BudgetExceeded(f"matrix action needs degree {top[over][0]} > cap {cap}")
+        top = A.min_pow + int((last + degs)[over][0])
+        raise BudgetExceeded(f"matrix action needs degree {top} > cap {cap}")
+    tab = np.where(np.arange(A.table.shape[2]) >= -A.min_pow, A.table, 0)
     X = np.concatenate([f.padded(cap + 1) for f in F.components])[:, None]
     Y = _column_action(LaurentMatrix(A.rows, A.cols, A.min_pow, tab), X)
     return VectorPoly(tuple(TaylorPoly(y, cap) for y in Y.reshape(A.rows, cap + 1)))

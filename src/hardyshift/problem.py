@@ -9,16 +9,20 @@ the whole file with a field path instead of failing one task mid-run.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Optional
+from itertools import chain
+from typing import Any, Optional, Sequence
+
+import numpy as np
 
 from .blaschke import BlaschkeProduct
 from .errors import HardyShiftError
 from .invariance import OperatorSpec
-from .laurent import LaurentMatrix, from_poly_grid
+from .laurent import from_poly_grid
 from .series import taylor
 from .subspaces import MonomialSubspace, SpanSubspace, orthonormalize
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
@@ -76,9 +80,18 @@ def _object_at(parent: dict, key: str, path: str) -> dict:
     return value
 
 
-def _coeff_list_at(path: str, value: Any) -> list:
+def _coeff_list_at(path: str, value: Any) -> Sequence[complex]:
+    """A list of [re, im] pairs of ints and floats is read in one array
+    pass; any other list, or one with a value past the float range, is
+    walked, so that an error names the first bad entry."""
     if not isinstance(value, list) or not value:
         raise ValidationError(path, "expected a nonempty coefficient array")
+    if (set(map(type, value)) == {list} and set(map(len, value)) == {2}
+            and set(map(type, chain.from_iterable(value))) <= {int, float}):
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            pairs = np.array(value, dtype=np.float64)
+            if np.isfinite(pairs).all():
+                return pairs.view(np.complex128)[:, 0]
     return [_complex_at(f"{path}[{i}]", v) for i, v in enumerate(value)]
 
 
@@ -133,28 +146,17 @@ def parse_operator_token(token: Any, problem: "Problem", path: str) -> OperatorS
         if not _is_int(power):
             raise ValidationError(path, f"{'toeplitz' if toeplitz else 'shift'} "
                                         f"operators need an integer '{key}'")
-    blaschke = _blaschke_ref(problem, name, path) if toeplitz else None
+    blaschke = _ref(problem.blaschke, "blaschke product", name, path) if toeplitz else None
     if power < 1:
         raise ValidationError(path, "operator power must be >= 1")
     return OperatorSpec(kind, power, blaschke)
 
 
-def _blaschke_ref(problem: "Problem", name: Any, path: str) -> BlaschkeProduct:
-    if not isinstance(name, str) or name not in problem.blaschke:
-        raise ValidationError(path, f"unknown blaschke product {name!r}")
-    return problem.blaschke[name]
-
-
-def _subspace_ref(problem: "Problem", name: Any, path: str):
-    if not isinstance(name, str) or name not in problem.subspaces:
-        raise ValidationError(path, f"unknown subspace {name!r}")
-    return problem.subspaces[name]
-
-
-def _matrix_ref(problem: "Problem", name: Any, path: str) -> LaurentMatrix:
-    if not isinstance(name, str) or name not in problem.matrices:
-        raise ValidationError(path, f"unknown matrix {name!r}")
-    return problem.matrices[name]
+def _ref(objects: dict, what: str, name: Any, path: str) -> Any:
+    """The declared object a task or span names."""
+    if not isinstance(name, str) or name not in objects:
+        raise ValidationError(path, f"unknown {what} {name!r}")
+    return objects[name]
 
 
 def load_problem(path: str, cap: Optional[int] = None,
@@ -262,11 +264,8 @@ def parse_problem(data: Any, cap: Optional[int] = None,
             gen_names = spec.get("generators", [])
             if not isinstance(gen_names, list) or not gen_names:
                 raise ValidationError(f"{path}.generators", "expected a nonempty name list")
-            gens = []
-            for g in gen_names:
-                if not isinstance(g, str) or g not in problem.polys:
-                    raise ValidationError(f"{path}.generators", f"unknown polynomial {g!r}")
-                gens.append(problem.polys[g])
+            gens = [_ref(problem.polys, "polynomial", g, f"{path}.generators")
+                    for g in gen_names]
             problem.subspaces[name] = orthonormalize(gens, tols["rank"], label=name)
         else:
             raise ValidationError(f"{path}.kind", f"unknown subspace kind {kind!r}")
@@ -294,17 +293,20 @@ def _parse_task(problem: Problem, idx: int, raw: Any) -> Task:
     if kind not in TASK_KINDS:
         raise ValidationError(f"{path}.task", f"unknown task {kind!r}")
     params: dict = {}
+
+    def named(key: str, objects: dict, what: str) -> Any:
+        params[f"{key}_name"] = raw.get(key)
+        return _ref(objects, what, raw.get(key), f"{path}.{key}")
+
     if kind in ("check-invariance", "check-near-invariance"):
-        params["subspace_name"] = raw.get("subspace")
-        params["subspace"] = _subspace_ref(problem, raw.get("subspace"), f"{path}.subspace")
+        params["subspace"] = named("subspace", problem.subspaces, "subspace")
         ops = raw.get("operators")
         if not isinstance(ops, list) or not ops:
             raise ValidationError(f"{path}.operators", "expected a nonempty list")
         params["operators"] = [parse_operator_token(o, problem, f"{path}.operators[{i}]")
                                for i, o in enumerate(ops)]
     elif kind == "verify-theta":
-        params["theta_name"] = raw.get("theta")
-        params["theta"] = _matrix_ref(problem, raw.get("theta"), f"{path}.theta")
+        params["theta"] = named("theta", problem.matrices, "matrix")
         params["m"] = _int_at(raw, "m", path, 2)
         conds = raw.get("conditions")
         if not isinstance(conds, list) or not conds:
@@ -318,25 +320,21 @@ def _parse_task(problem: Problem, idx: int, raw: Any) -> Task:
             parsed.append((c["gamma"], c["k"]))
         params["conditions"] = parsed
     elif kind == "hitt":
-        params["subspace_name"] = raw.get("subspace")
-        sub = _subspace_ref(problem, raw.get("subspace"), f"{path}.subspace")
+        sub = named("subspace", problem.subspaces, "subspace")
         if not isinstance(sub, SpanSubspace):
             raise ValidationError(f"{path}.subspace", "hitt needs a span subspace")
         params["subspace"] = sub
         params["m"] = _int_at(raw, "m", path, 2)
         if "theta" in raw:
-            params["theta_name"] = raw.get("theta")
-            params["theta"] = _matrix_ref(problem, raw.get("theta"), f"{path}.theta")
+            params["theta"] = named("theta", problem.matrices, "matrix")
             params["gamma"] = _int_at(raw, "gamma", path, 1)
             params["k"] = _int_at(raw, "k", path, 1)
     elif kind == "blaschke-transfer":
-        params["subspace_name"] = raw.get("subspace")
-        sub = _subspace_ref(problem, raw.get("subspace"), f"{path}.subspace")
+        sub = named("subspace", problem.subspaces, "subspace")
         if not isinstance(sub, SpanSubspace):
             raise ValidationError(f"{path}.subspace", "transfer needs a span subspace")
         params["subspace"] = sub
-        params["blaschke_name"] = raw.get("blaschke")
-        params["blaschke"] = _blaschke_ref(problem, raw.get("blaschke"), f"{path}.blaschke")
+        params["blaschke"] = named("blaschke", problem.blaschke, "blaschke product")
         params["n"] = _int_at(raw, "n", path, 1)
         if "depth" in raw:
             params["depth"] = _int_at(raw, "depth", path, 1)

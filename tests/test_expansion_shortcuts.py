@@ -1,0 +1,55 @@
+"""The factor chain and the power expansion against their full-width
+loops: skipping the product at a zero at the origin, trimming the base
+of a power and stopping at a zero power leave every value unchanged."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hardyshift import BlaschkeProduct, model_basis, taylor_expand
+from hardyshift.blaschke import _factor_chain, power_expansion
+
+from test_blaschke import PRODUCT_FAMILIES
+
+
+def full_factor_chain(B, cap):
+    """One full cut convolution per zero, as written before the shortcut."""
+    E = np.empty((cap + 1, B.degree), dtype=np.complex128)
+    p = np.zeros(cap + 1, dtype=np.complex128)
+    p[0] = 1.0
+    for k, a in enumerate(B.zeros):
+        g = np.convolve(p, np.cumprod(np.r_[1.0, np.full(cap, a.conjugate())]))[: cap + 1]
+        E[:, k] = math.sqrt(1.0 - abs(a) ** 2) * g
+        p = np.r_[0.0, g[:-1]] - a * g
+    return E, p
+
+
+def full_power(B, n, cap):
+    base = B.lam * full_factor_chain(B, cap)[1]
+    acc = base
+    for _ in range(n - 1):
+        acc = np.convolve(acc, base)[: cap + 1]
+    return acc
+
+
+FAMILIES = PRODUCT_FAMILIES + [[0], [0, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("cap", [24, 96, 384])
+@pytest.mark.parametrize("zeros", FAMILIES)
+def test_shortcuts_leave_every_value_unchanged(cap, zeros):
+    B = BlaschkeProduct(np.exp(0.7j), zeros)
+    E, p = full_factor_chain(B, cap)
+    got_E, got_p = _factor_chain(B, cap)
+    assert np.array_equal(got_E, E) and np.array_equal(got_p, p)
+    assert np.array_equal(taylor_expand(B, cap).coeffs, B.lam * p)
+    assert all(np.array_equal(e.coeffs, c) for e, c in zip(model_basis(B, cap), E.T))
+    for n in (1, 2, 3, 5, cap // len(zeros) + 1):
+        assert np.array_equal(power_expansion(B, n, cap).coeffs, full_power(B, n, cap))
+
+
+def test_a_monomial_power_past_the_cap_is_zero_at_once():
+    # the full loop would take 10^20 convolutions
+    B = BlaschkeProduct(1.0, [0, 0])
+    assert not power_expansion(B, 10 ** 20, 24).coeffs.any()

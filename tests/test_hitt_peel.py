@@ -6,8 +6,12 @@ membership, then peel f_j = A(j)·E + z^m f_{j+1} with one ``np.vdot`` per
 active kernel entry, the update summed in active-index order, the head
 mass tested and the remainder co-shifted; then rebuild f from the rows,
 with the part of z^(ml) E_i past the cap cut and counted.  The column
-peel must agree with it bit for bit on every frame vector, and raise the
-same error as the first failing vector in frame order.
+peel computes the same quantities as block products on one working
+matrix, so it must agree with the reference on every frame vector up to
+a stated bound (``BOUND``, absolute) on rows, residuals, reconstruction
+errors and Parseval gaps, with identical shapes and iteration counts, and
+raise the same error, with the same message, as the first failing vector
+in frame order.
 """
 
 import math
@@ -24,6 +28,9 @@ from hardyshift.subspaces import SpanSubspace
 
 CAP = 72
 TOL = 1e-8
+# Rounding differs from the reference (block products against one vdot
+# per coordinate); the largest differences seen are about 2e-16.
+BOUND = 1e-13
 
 
 @dataclass
@@ -100,11 +107,11 @@ def ref_decompose(v, M, E, m, max_iter=None, tol=TOL):
 
 def assert_same(dec, ref):
     assert dec.rows.shape == ref.rows.shape
-    assert np.array_equal(dec.rows, ref.rows)
     assert dec.iterations == ref.iterations
-    assert dec.residual == ref.residual
-    assert dec.reconstruction_error == ref.reconstruction_error
-    assert dec.parseval_gap == ref.parseval_gap
+    assert np.max(np.abs(dec.rows - ref.rows), initial=0.0) <= BOUND
+    assert abs(dec.residual - ref.residual) <= BOUND
+    assert abs(dec.reconstruction_error - ref.reconstruction_error) <= BOUND
+    assert abs(dec.parseval_gap - ref.parseval_gap) <= BOUND
 
 
 def ref_error(M, E, m, j, max_iter=None):
@@ -126,7 +133,7 @@ def assert_raises_like(ref_err, call):
         call()
     assert str(got.value) == ref_err.message
     if ref_err.kind is NoConvergence:
-        assert got.value.residual == ref_err.value
+        assert abs(got.value.residual - ref_err.value) <= BOUND
 
 
 def power_span(rng, m, nq, dim, cap=CAP):
@@ -289,3 +296,80 @@ def test_nan_element_or_kernel_fails_closed():
             hitt_decompose(u, M, E, 2)
     with pytest.raises(NoConvergence):
         _peel(np.ascontiguousarray(M.frame_matrix().T), M, E, 2, None, TOL)
+
+
+def ordered_power_span(rng, m, order, cap=CAP):
+    """span{z^(ml) q} with the generators in the given order of l; the
+    supports are disjoint, so frame vector j is z^(m·order[j]) q, scaled."""
+    q = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return orthonormalize([taylor(np.concatenate([np.zeros(m * l), q]), cap) for l in order])
+
+
+@pytest.mark.parametrize("m, order", [
+    (2, list(range(30))[::-1]),                     # reverse degree order
+    (3, [9, 0, 14, 1, 13, 3, 7, 2, 11, 5]),  # converged columns between live ones
+])
+def test_columns_converging_out_of_order_match_the_reference(m, order):
+    rng = np.random.default_rng(len(order))
+    M = ordered_power_span(rng, m, order)
+    res = build_j_map(M, m)
+    # frame vector j needs order[j] + 1 peels, so the live columns are not
+    # a prefix of the frame: the range must not skip one of them
+    assert [d.iterations for d in res.decompositions] == [l + 1 for l in order]
+    for dec, v in zip(res.decompositions, M.frame_matrix().T):
+        assert_same(dec, ref_decompose(np.ascontiguousarray(v), M, res.kernel, m))
+
+
+def test_converged_column_inside_the_live_range_keeps_its_remainder():
+    # z^2 q + 5e-9 z^30 converges at peel 2 and leaves 5e-9 z^28, which
+    # would reach the head at peel 14 if it were peeled on; z^40 q before it
+    # and z^50 q after it are still live then
+    q = [1.0, 0.5j]
+    M = span([0] * 40 + q, q, [0, 0] + q + [0] * 26 + [5e-9], [0] * 50 + q)
+    res = build_j_map(M, 2)
+    assert [d.iterations for d in res.decompositions] == [21, 1, 2, 26]
+    assert 4e-9 < res.decompositions[2].residual < TOL
+    for dec, v in zip(res.decompositions, M.frame_matrix().T):
+        assert_same(dec, ref_decompose(np.ascontiguousarray(v), M, res.kernel, 2))
+
+
+def test_failing_column_between_live_columns_is_reported():
+    # q, z^20 q, z^11, z^30 q, z^2 q: z^11 leaves head mass at peel 5, while
+    # z^20 q before it and z^30 q after it still need peels
+    q = [1.0, 0.5j]
+    M = span(q, [0] * 20 + q, [0] * 11 + [1], [0] * 30 + q, [0, 0] + q)
+    E = extract_kernels(M, 2)
+    outcomes = [ref_error(M, E, 2, j) for j in range(M.dim)]
+    assert [o is None for o in outcomes] == [True, True, False, True, True]
+    assert outcomes[2].message.startswith("peel 5 ")
+    assert_raises_like(first_ref_error(M, E, 2), lambda: build_j_map(M, 2))
+    V = np.ascontiguousarray(M.frame_matrix().T)
+    for j, dec in enumerate(_peel(V[:2], M, E, 2, None, TOL)):
+        assert_same(dec, ref_decompose(V[j], M, E, 2))
+
+
+@pytest.mark.parametrize("m, order", [(2, range(24)), (3, [9, 0, 14, 1, 13, 3, 7, 2, 11, 5])])
+def test_one_column_peels_like_all_columns(m, order):
+    M = ordered_power_span(np.random.default_rng(5), m, order)
+    E = extract_kernels(M, m)
+    V = np.ascontiguousarray(M.frame_matrix().T)
+    whole = _peel(V, M, E, m, None, TOL)
+    for j, u in enumerate(M.frame):
+        assert_same(_peel(V[j:j + 1], M, E, m, None, TOL)[0], whole[j])
+        assert_same(hitt_decompose(u, M, E, m), whole[j])
+
+
+@pytest.mark.parametrize("degree", [CAP - 3, CAP])
+def test_cut_past_the_cap_is_counted_like_the_reference(degree):
+    # a kernel entry with 1e-10 near the cap: z^(ml) E_0 loses it past the
+    # cap from the first peels on, and the cut bound shows in the error
+    M = span(*([0] * (2 * l) + [1, 1] for l in range(CAP // 2)))
+    E = extract_kernels(M, 2)
+    dusty = E.entries[0].padded(CAP + 1)
+    dusty[degree] = 1e-10
+    E = KernelColumn((taylor(dusty, CAP), E.entries[1]), E.degenerate, 2)
+    V = np.ascontiguousarray(M.frame_matrix().T)
+    decomps = _peel(V, M, E, 2, None, TOL)
+    for dec, v in zip(decomps, V):
+        assert_same(dec, ref_decompose(v, M, E, 2))
+    assert max(d.reconstruction_error for d in decomps) > 1e-11

@@ -1,0 +1,77 @@
+"""Operator powers and matrix band offsets past the int64 range act like
+any other value past the cap, instead of overflowing fixed-width arrays."""
+
+import json
+
+import numpy as np
+import pytest
+
+from hardyshift import BudgetExceeded, NotAnalytic, taylor
+from hardyshift.cli import main
+from hardyshift.laurent import apply_matrix, from_poly_grid, toeplitz_adjoint_apply
+from hardyshift.veclift import VectorPoly
+
+CAP = 16
+HUGE = 10 ** 20
+
+PROBLEM = {
+    "workspace": {"cap": CAP},
+    "objects": {
+        "polys": {"g": [[1, 0], [1, 0]]},
+        "blaschke": {"B": {"zeros": [[0, 0], [0.5, 0]]}, "Z": {"zeros": [[0, 0]]}},
+    },
+    "subspaces": {"S": {"kind": "span", "generators": ["g"]}},
+}
+
+
+def run_task(tmp_path, capsys, task, op):
+    data = dict(PROBLEM, tasks=[{"task": task, "subspace": "S", "operators": [op]}])
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    rc = main(["run", str(path)])
+    return rc, json.loads(capsys.readouterr().out)["tasks"][0]
+
+
+@pytest.mark.parametrize("task, past_cap, huge", [
+    # S^n and T_B^n leave no testable frame vector under the cap
+    ("check-invariance", "shift:17", f"shift:{HUGE}"),
+    ("check-invariance", "toeplitz:B:9", f"toeplitz:B:{HUGE}"),
+    ("check-invariance", "toeplitz:Z:17", f"toeplitz:Z:{HUGE}"),
+    # M ∩ B^n H^2 needs n·deg B <= cap
+    ("check-near-invariance", "toeplitz:B:9", f"toeplitz:B:{HUGE}"),
+    # the adjoint of a monomial power past the cap maps everything to 0
+    ("check-invariance", "toeplitz_adjoint:Z:17", f"toeplitz_adjoint:Z:{HUGE}"),
+])
+def test_a_huge_power_is_reported_like_a_power_past_the_cap(tmp_path, capsys, task,
+                                                            past_cap, huge):
+    rc, ref = run_task(tmp_path, capsys, task, past_cap)
+    got_rc, got = run_task(tmp_path, capsys, task, huge)
+    assert got_rc == rc
+    assert got["verdict"] == ref["verdict"]
+    assert ref["verdict"] == "PASS" or ref["error"]["type"] == "BudgetExceeded"
+    assert normalized(got, huge) == normalized(ref, past_cap)
+
+
+def normalized(task, op):
+    """The task report with the power n and the degree n·deg B as 'N'."""
+    n, deg = int(op.rsplit(":", 1)[1]), 2 if ":B:" in op else 1
+    return json.dumps(task).replace(str(n * deg), "N").replace(str(n), "N")
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("min_pow", [CAP + 1, CAP + 7, 2 ** 62, HUGE])
+def test_matrix_band_offsets_of_any_size_act_past_the_cap(min_pow, sign):
+    # the entry z^min_pow (1 + z/2), or z^-min_pow (1 + z^-1/2)
+    A = from_poly_grid([[[1, 0.5] if sign > 0 else [0.5, 1]]], sign * min_pow - (sign < 0))
+    f = taylor([1, 2, 0, 3], CAP)
+    X = f.padded(CAP + 1)[:, None]
+    # both powers of the entry exceed the cap in size, so A* moves every
+    # coefficient below degree 0 or past the cap
+    assert np.array_equal(toeplitz_adjoint_apply(A, X), np.zeros_like(X))
+    if sign > 0:
+        with pytest.raises(BudgetExceeded) as exc:
+            apply_matrix(A, VectorPoly((f,)))
+        assert str(exc.value) == f"matrix action needs degree {min_pow + 4} > cap {CAP}"
+    else:
+        with pytest.raises(NotAnalytic):
+            apply_matrix(A, VectorPoly((f,)))
