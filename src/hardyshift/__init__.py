@@ -2,10 +2,11 @@
 invariance for subspaces of the Hardy space on the disc.
 
 The package models Hardy-space elements by degree-capped Taylor
-coefficients and provides, on top of that arithmetic:
+coefficients: columns of coefficient matrices inside, ``TaylorPoly`` and
+``VectorPoly`` in the Python API, witnesses and reports.  It provides:
 
-* the interleaving lift between vector-valued and scalar elements and its
-  commuting-diagram contracts (``veclift``),
+* the interleaving lift between vector-valued and scalar elements, one
+  row permutation of column matrices (``veclift``),
 * finite-band Laurent matrix algebra with inner-ness and analyticity
   verdicts, including the block shift matrices that realise higher shift
   powers under the lift (``laurent``),
@@ -31,22 +32,21 @@ from .errors import (BudgetExceeded, DepthExhausted, DimensionMismatch,
                      ZeroOnCircle)
 from .series import (TaylorPoly, coshift_pow, inner_product, monomial, mul,
                      shift_pow, taylor, zero)
-from .veclift import VectorPoly, check_shift_diagram, t_m_apply, t_m_invert, vector
-from .laurent import (LaurentMatrix, adjoint_on_circle, apply_matrix,
-                      build_sigma, diag_polys, from_poly_grid, identity,
-                      is_analytic, is_inner, matmul, toeplitz_adjoint_apply)
+from .veclift import VectorPoly, lift, t_m_apply, vector
+from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, diag_polys,
+                      from_poly_grid, identity, is_analytic, is_inner, matmul,
+                      toeplitz_adjoint_apply)
 from .subspaces import (MonomialSubspace, SpanSubspace, intersect,
                         intersect_shifted, monomial_membership,
                         ortho_complement_within, orthonormalize, project)
 from .invariance import (CheckReport, OperatorSpec, PipelineReport,
                          build_model_space, build_theta_range,
                          check_invariance, check_near_invariance,
-                         verify_theorem_multi, verify_theorem_pipeline)
+                         verify_theorem_multi)
 from .hitt import (CertifyReport, HittDecomposition, JMapResult, KernelColumn,
                    build_j_map, certify_theta, extract_kernels, hitt_decompose)
 from .blaschke import (BlaschkeProduct, WoldFrame, build_wold_frame,
-                       check_conjugation, model_basis, power_expansion,
-                       tail_bound, taylor_expand, toeplitz_apply,
-                       transfer_subspace, u_apply, u_invert)
+                       power_expansion, tail_bound, taylor_expand,
+                       toeplitz_apply, transfer_subspace, u_apply)
 
 __version__ = "0.1.0"

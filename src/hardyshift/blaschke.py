@@ -7,10 +7,11 @@ discarded tail, whose coefficients decay like cap^(d-1)·max_j |z_j|^cap
 for d zeros (``tail_bound``).  Zeros on (or within 1e-12 of) the unit
 circle are rejected.
 
-The forward coordinate map ``u_apply`` is scalar-to-vector: the i-th power
-of the product times the j-th model basis vector is sent to z^i in
-component j.  That is the direction in which the conjugation identity
-S^m (lift ∘ U) = (lift ∘ U) T_B composes; the reverse map is ``u_invert``.
+The coordinate map U is scalar-to-vector: the i-th power of the product
+times the j-th model basis vector is sent to z^i in component j.  Read
+through the lift, the layer-major coordinates W^H X of ``build_wold_frame``
+are lift ∘ U, and the conjugation identity S^m (lift ∘ U) = (lift ∘ U) T_B
+holds on the covered band.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import numpy as np
 
 from .errors import BudgetExceeded, DepthExhausted, ParamOutOfRange, ZeroOnCircle
 from .invariance import OperatorSpec
-from .series import TaylorPoly, sub as poly_sub, toeplitz_product
+from .series import TaylorPoly, toeplitz_product
 from .subspaces import SpanSubspace, orthonormalize
 from .tolerances import MEMBERSHIP_TOL
-from .veclift import VectorPoly, t_m_apply
+from .veclift import VectorPoly, fit_cap
 
 __all__ = [
     "BlaschkeProduct",
@@ -37,11 +38,8 @@ __all__ = [
     "power_expansion",
     "toeplitz_columns",
     "toeplitz_apply",
-    "model_basis",
     "build_wold_frame",
     "u_apply",
-    "u_invert",
-    "check_conjugation",
     "transfer_subspace",
 ]
 
@@ -56,6 +54,8 @@ class BlaschkeProduct:
     zeros: tuple
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, (bool, np.bool_)) for v in (self.lam, *self.zeros)):
+            raise ParamOutOfRange("lambda and zeros must be numbers, not booleans")
         lam = complex(self.lam)
         zeros = tuple(complex(z) for z in self.zeros)
         if not zeros:
@@ -125,15 +125,26 @@ def taylor_expand(B: BlaschkeProduct, cap: int) -> TaylorPoly:
 
 
 def power_expansion(B: BlaschkeProduct, n: int, cap: int) -> TaylorPoly:
-    """Degree-cap expansion of the n-th power (truncating convolution)."""
+    """Degree-cap expansion of the n-th power, by cut products: one per
+    power up to cap // deg B + 1, and past it binary powering, about
+    log2 n of them.  Coefficients up to the cap of a product depend only
+    on those of its factors, so every cut is exact."""
     if n < 1:
         raise ParamOutOfRange("power must be >= 1")
     acc = taylor_expand(B, cap).coeffs
     base = acc[: np.flatnonzero(acc)[-1] + 1]  # trailing zeros add nothing
+    bits = []  # the low bits of n, handled by squaring
+    while n > cap // B.degree + 1:
+        bits.append(n & 1)
+        n >>= 1
     for _ in range(n - 1):
         if not acc.any():  # a zero power stays zero
             break
         acc = np.convolve(acc, base)[: cap + 1]
+    for bit in reversed(bits):
+        acc = np.convolve(acc, acc)[: cap + 1]
+        if bit:
+            acc = np.convolve(acc, base)[: cap + 1]
     return TaylorPoly(acc, cap)
 
 
@@ -162,16 +173,6 @@ def toeplitz_apply(B: BlaschkeProduct, n: int, adjoint: bool,
     """``toeplitz_columns`` on one element."""
     return TaylorPoly(toeplitz_columns(B, n, adjoint, f.padded(f.cap + 1)[:, None])[:, 0],
                       f.cap)
-
-
-def model_basis(B: BlaschkeProduct, cap: int) -> tuple:
-    """Orthonormal basis of the model space built from the zero list in
-    the given order; valid for repeated zeros.
-
-    Basis vector k is the normalized reproducing kernel at zero k times
-    the partial product of the earlier factors.
-    """
-    return tuple(TaylorPoly(e, cap) for e in _factor_chain(B, cap)[0].T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,17 +250,6 @@ def _layer_coords(X: np.ndarray, W: WoldFrame, tol: float) -> tuple:
     return C, residuals
 
 
-def _from_layers(C: np.ndarray, W: WoldFrame) -> np.ndarray:
-    """Reassemble scalar columns from layer-major coordinate columns."""
-    k = W.depth * W.m
-    past = np.flatnonzero(np.any(C[k:], axis=1))
-    if past.size:
-        layer = (k + int(past[-1])) // W.m
-        raise DepthExhausted(f"coordinates reach layer {layer} but the frame has depth "
-                             f"{W.depth}", float("nan"))
-    return W.matrix[:, : C.shape[0]] @ C[:k]
-
-
 def u_apply(f: TaylorPoly, W: WoldFrame,
             tol: float = MEMBERSHIP_TOL) -> tuple:
     """Layer coordinates of f, as a vector element, with the uncovered
@@ -279,63 +269,22 @@ def u_apply(f: TaylorPoly, W: WoldFrame,
     return VectorPoly(comps), float(residuals[0])
 
 
-def u_invert(F: VectorPoly, W: WoldFrame) -> TaylorPoly:
-    """Reassemble a scalar element from layer coordinates."""
-    if F.m != W.m:
-        raise ValueError("vector arity must match the model dimension")
-    size = max(c.coeffs.size for c in F.components)
-    coords = np.stack([c.padded(size) for c in F.components], axis=1)  # row i, column j
-    return TaylorPoly(_from_layers(coords.reshape(-1, 1), W)[:, 0], W.cap)
-
-
-def check_conjugation(B: BlaschkeProduct, n: int, f: TaylorPoly, W: WoldFrame,
-                      tol: float = MEMBERSHIP_TOL) -> float:
-    """Residual of the conjugation identity on f:
-    shift by m*n after lifting the coordinates of f, versus lifting the
-    coordinates of the Toeplitz image.  Small on the covered band."""
-    from .series import shift_pow
-
-    m = W.m
-    F, _ = u_apply(f, W, tol)
-    lhs = shift_pow(t_m_apply(F), m * n)
-    g = toeplitz_apply(B, n, False, f)
-    G, _ = u_apply(g, W, tol)
-    rhs = t_m_apply(G)
-    return poly_sub(lhs, rhs).norm()
-
-
 def transfer_subspace(M: SpanSubspace, B: BlaschkeProduct, W: WoldFrame,
-                      direction: str, tol: float = MEMBERSHIP_TOL) -> SpanSubspace:
-    """Unitary transport of a capped scalar subspace between the Toeplitz
-    picture and the power-shift picture.
-
-    to_shift:    frame matrix X  ->  W^H X, the layer coordinates, read
-                 as lifted scalars (lift ∘ u_apply on every column)
-    to_toeplitz: frame matrix X  ->  W X[:depth*m] (u_invert ∘
-                 de-interleave on every column)
+                      tol: float = MEMBERSHIP_TOL) -> SpanSubspace:
+    """Unitary transport of a capped scalar subspace from the Toeplitz
+    picture to the power-shift picture: frame matrix X -> W^H X, the layer
+    coordinates, read as lifted scalars (lift ∘ u_apply on every column).
     Invariance verdicts transfer along this map on the covered band.
     """
-    if direction not in ("to_shift", "to_toeplitz"):
-        raise ParamOutOfRange(f"unknown direction {direction!r}")
     if M.arity != 1:
         raise ValueError("transfer acts on scalar subspaces")
     if M.cap != W.cap:
         raise ValueError("subspace cap must match the frame cap")
     if B != W.blaschke:
         raise ValueError("frame was built for a different product")
-    label = f"{direction}({M.label or 'M'})"
+    label = f"to_shift({M.label or 'M'})"
     if not M.dim:
         return SpanSubspace((), M.cap, 1, M.rank_tol, label=label)
-    X = M.frame_matrix()
-    if direction == "to_toeplitz":
-        return orthonormalize(_from_layers(X, W), M.rank_tol, label=label)
     # the lift of layer coordinates is the identity on the layer-major index
-    C, _ = _layer_coords(X, W, tol)
-    past = np.flatnonzero(np.any(C[M.cap + 1:], axis=1))
-    if past.size:
-        r = M.cap + 1 + int(past[-1])
-        raise BudgetExceeded(f"lift of component {r % W.m} (degree {r // W.m}) "
-                             f"needs index {r} > cap {M.cap}")
-    images = np.zeros_like(X)
-    images[: C.shape[0]] = C[: M.cap + 1]
-    return orthonormalize(images, M.rank_tol, label=label)
+    C, _ = _layer_coords(M.frame_matrix(), W, tol)
+    return orthonormalize(fit_cap(C, W.m, M.cap), M.rank_tol, label=label)

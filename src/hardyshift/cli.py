@@ -24,6 +24,7 @@ from .problem import (ParseError, Problem, Task, ValidationError, _parse_task,
                       load_problem, parse_problem)
 from .report import (check_payload, floored, floored12, matrix_payload, matrix_text,
                      poly_pairs, round12, stage_payload)
+from .series import TaylorPoly
 
 __all__ = ["main", "run_problem"]
 
@@ -96,8 +97,9 @@ def _run_hitt(problem: Problem, task: Task) -> dict:
 
 
 def _kernel_payload(E) -> dict:
+    cap = E.entries.shape[0] - 1
     return {
-        "entries": [poly_pairs(floored(e)) for e in E.entries],
+        "entries": [poly_pairs(floored(TaylorPoly(e, cap))) for e in E.entries.T],
         "degenerate": list(E.degenerate),
     }
 
@@ -120,7 +122,7 @@ def _run_transfer(problem: Problem, task: Task) -> dict:
     depth = task.params.get("depth")
     near = task.params["near"]
     W = build_wold_frame(B, problem.cap, depth)
-    shifted = transfer_subspace(sub, B, W, "to_shift", problem.membership_tol)
+    shifted = transfer_subspace(sub, B, W, problem.membership_tol)
     order = B.degree * n
     if near:
         direct = check_near_invariance(sub, OperatorSpec.toeplitz_adjoint(B, n),

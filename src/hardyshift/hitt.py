@@ -17,7 +17,7 @@ absorb, the peeled remainder is not divisible by z^m and the space is not
 nearly co-invariant at this cap; the loop stops immediately and reports
 that mass rather than silently dropping it.
 
-Degenerate kernel entries are kept as exact zeros in place so the column
+Degenerate kernel entries are kept as exact zero columns so the column
 always has arity m; decomposition rows carry 0 at those positions.  The
 members of a frame are peeled at once, as the columns of one working
 matrix in which the co-shift is a row offset (see ``_peel``).
@@ -37,11 +37,10 @@ from .invariance import (CheckReport, OperatorSpec, PipelineReport, Stage,
                          check_invariance, range_generators)
 from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, is_analytic,
                       is_inner, matmul, toeplitz_adjoint_apply)
-from .series import TaylorPoly, toeplitz_view, zero
-from .subspaces import (SpanSubspace, _cgs2, flatten_element, intersect_shifted,
-                        ortho_complement_within, orthonormalize)
+from .series import TaylorPoly, toeplitz_view
+from .subspaces import (SpanSubspace, _cgs2, intersect_shifted, ortho_complement_within,
+                        orthonormalize)
 from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL
-from .veclift import VectorPoly
 
 __all__ = [
     "KernelColumn",
@@ -57,10 +56,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class KernelColumn:
-    """m-entry column; zero entries flagged degenerate, the rest orthonormal
-    with the first nonzero coefficient made real positive."""
+    """m-entry column: ``entries`` is (cap+1) x m, column i the
+    coefficients of entry i; zero columns are flagged degenerate, the rest
+    are orthonormal with the first nonzero coefficient made real positive."""
 
-    entries: tuple
+    entries: np.ndarray
     degenerate: tuple
     m: int
 
@@ -90,17 +90,16 @@ def extract_kernels(M: SpanSubspace, m: int) -> KernelColumn:
     Q, dropped = _cgs2(F[:m].conj() @ F.T, max(M.rank_tol, EXACT_TOL))
     # phase: the first coefficient above 1e-13 of each entry real positive
     first = Q[np.argmax(np.abs(Q) > 1e-13, axis=0), np.arange(Q.shape[1])]
-    kept = iter((Q * (first.conj() / np.abs(first))).T)
-    entries = tuple(zero(M.cap) if i in dropped else TaylorPoly(next(kept), M.cap)
-                    for i in range(m))
-    return KernelColumn(entries, tuple(i in dropped for i in range(m)), m)
+    degenerate = tuple(i in dropped for i in range(m))
+    entries = np.zeros((M.cap + 1, m), dtype=np.complex128)
+    entries[:, np.flatnonzero(~np.array(degenerate))] = Q * (first.conj() / np.abs(first))
+    return KernelColumn(entries, degenerate, m)
 
 
 @dataclass(frozen=True, eq=False)
 class HittDecomposition:
-    """Peeling output: the coordinate element and its accounting."""
+    """Peeling output: the coordinate rows A(l) and their accounting."""
 
-    phi: VectorPoly          # component i holds column i of the rows A(l)
     rows: np.ndarray         # shape (iterations, m)
     iterations: int
     residual: float          # norm of the final peeled remainder
@@ -123,7 +122,7 @@ def hitt_decompose(f: TaylorPoly, M: SpanSubspace, E: KernelColumn, m: int,
         raise ParamOutOfRange("kernel column arity does not match m")
     if not isinstance(f, TaylorPoly) or M.arity != 1 or f.cap != M.cap:
         raise ValueError("element arity/cap does not match the subspace")
-    return _peel(flatten_element(f, M.cap)[None, :], M, E, m, max_iter, tol)[0]
+    return _peel(f.padded(M.cap + 1)[None, :], M, E, m, max_iter, tol)[0][0]
 
 
 def _col_sq(X: np.ndarray) -> np.ndarray:
@@ -134,10 +133,12 @@ def _col_sq(X: np.ndarray) -> np.ndarray:
 
 
 def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn, m: int,
-          max_iter: Optional[int], tol: float) -> list:
+          max_iter: Optional[int], tol: float) -> tuple:
     """The peeling recursion on every row of V, each the cap+1 coefficients
-    of one element of M, at once: one HittDecomposition per row, or the
-    error that decomposing the rows one by one, in order, would raise first.
+    of one element of M, at once: one HittDecomposition per row, and the
+    coordinates as the columns of one m*(cap+1) x rows matrix (block i
+    holds column i of the rows A(l)); or the error that decomposing the
+    rows one by one, in order, would raise first.
 
     The rows are the columns of one working matrix W whose rows m·s ..
     m·s+cap hold each remainder f_s.  The zero rows past the cap take the
@@ -159,7 +160,7 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn, m: int,
         for j in np.flatnonzero(~(off <= tol))[:1]}
     k = min(errors, default=len(V))
     active = list(E.active_indices)
-    Ea = np.column_stack([E.entries[i].padded(n) for i in active] or [np.zeros((n, 0))])
+    Ea = E.entries[:, active]
     d = int(np.flatnonzero(Ea.any(axis=1)).max(initial=-1)) + 1  # rows past d are 0
     W = np.zeros((n + m * (max_iter + 1), k), dtype=np.complex128)
     W[:n] = V[:k].T
@@ -220,13 +221,16 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn, m: int,
             raise NoConvergence(
                 f"reconstruction residual {recon_err:.3e} exceeds {tol:g}", recon_err)
         rows = A[:iterations[j], :, j].copy()
-        comps = tuple(TaylorPoly(rows[:, i], M.cap) for i in range(E.m))
         parseval_gap = abs(float(norm2[j]) - float(np.sum(np.abs(rows) ** 2)))
-        decomps.append(HittDecomposition(VectorPoly(comps), rows, rows.shape[0],
-                                         float(residuals[j]), recon_err, parseval_gap))
+        decomps.append(HittDecomposition(rows, rows.shape[0], float(residuals[j]),
+                                         recon_err, parseval_gap))
     if errors:
         raise errors[good]
-    return decomps
+    # a column's rows past its iterations are zero: it was not live there.
+    # Only a max_iter past the cap can take more than cap+1 peels.
+    P = np.zeros((E.m, max(n, L), k), dtype=np.complex128)
+    P[:, :L] = A[:L].transpose(1, 0, 2)
+    return decomps, P.reshape(E.m * P.shape[1], k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +240,7 @@ class JMapResult:
     space: SpanSubspace          # arity-m span of the frame coordinates
     kernel: KernelColumn
     decompositions: tuple
-    coords: np.ndarray           # the coordinates phi as arity-stacked columns
+    coords: np.ndarray           # the coordinates as arity-stacked columns
     isometry_gap: float          # max |Gram(coords) - Gram(frame)|
     costable: CheckReport        # co-shift invariance check of the space
 
@@ -252,20 +256,17 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL) -> JMapRes
     space are verified and reported, never assumed.
     """
     E = extract_kernels(M, m)
-    decomps = tuple(_peel(M.frame_matrix().T, M, E, m, None, tol))
-    phis = [d.phi for d in decomps]
+    decomps, P = _peel(M.frame_matrix().T, M, E, m, None, tol)
     label = f"J_{m}({M.label or 'M'})"
-    if phis:
-        P = np.column_stack([flatten_element(p, M.cap) for p in phis])
+    if decomps:
         # the frame is orthonormal, so its Gram matrix is the identity
-        gap = float(np.max(np.abs(P.conj().T @ P - np.eye(len(phis)))))
-        K = orthonormalize(phis, M.rank_tol, label=label)
+        gap = float(np.max(np.abs(P.conj().T @ P - np.eye(len(decomps)))))
+        K = orthonormalize(P, M.rank_tol, label=label, arity=m)
     else:
-        P = np.zeros((m * (M.cap + 1), 0), dtype=np.complex128)
         gap = 0.0
         K = SpanSubspace((), M.cap, m, M.rank_tol, label=label)
     costable = check_invariance(K, OperatorSpec.coshift(1), tol)
-    return JMapResult(K, E, decomps, P, gap, costable)
+    return JMapResult(K, E, tuple(decomps), P, gap, costable)
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,6 +29,7 @@ from .subspaces import (MonomialSubspace, SpanSubspace, _from_coord_matrix,
                         _null_combos, intersect_shifted,
                         orthonormalize, unflatten_element)
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
+from .veclift import fit_cap, lift
 
 __all__ = [
     "OperatorSpec",
@@ -41,7 +42,6 @@ __all__ = [
     "range_generators",
     "build_theta_range",
     "build_model_space",
-    "verify_theorem_pipeline",
     "verify_theorem_multi",
 ]
 
@@ -389,10 +389,10 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     if ladder < 0:
         raise BudgetExceeded(f"cap {cap} cannot host a single column lift")
     # every shift j <= ladder keeps each component within degree cap // m,
-    # so no generator is cut; the lift interleaves the component blocks
+    # so no generator is cut
     n = cap // m + 1
-    gens = range_generators(theta, n - 1).reshape(m, n, -1, n)[..., : ladder + 1]
-    lifted = gens.transpose(1, 0, 2, 3).reshape(m * n, -1)[: cap + 1]
+    gens = range_generators(theta, n - 1).reshape(m * n, -1, n)[..., : ladder + 1]
+    lifted = fit_cap(lift(gens.reshape(m * n, -1), m), m, cap)
     return orthonormalize(lifted, rank_tol, label=label, band=m * ladder)
 
 
@@ -417,9 +417,7 @@ def build_model_space(theta: LaurentMatrix, m: int, cap: int,
     band = m * comp_cap + m - 1
     if not combos.shape[0]:
         return SpanSubspace((), cap, 1, rank_tol, label=label, band=band)
-    # lift: coefficient j of component l moves to index m*j + l
-    lifted = np.zeros((cap + 1, combos.shape[0]), dtype=np.complex128)
-    lifted[: m * n_sub] = combos.reshape(-1, m, n_sub).transpose(2, 1, 0).reshape(m * n_sub, -1)
+    lifted = fit_cap(lift(combos.T, m), m, cap)
     return orthonormalize(lifted, rank_tol, label=label, band=band)
 
 
@@ -453,27 +451,16 @@ class PipelineReport:
         raise KeyError(name)
 
 
-def verify_theorem_pipeline(theta: LaurentMatrix, m: int, gamma: int, k: int,
-                            cap: int, tol: float = MEMBERSHIP_TOL,
-                            analytic_tol: float = ANALYTICITY_TOL,
-                            rank_tol: float = RANK_TOL) -> PipelineReport:
-    """Simultaneous-invariance pipeline for one (gamma, k) condition.
-
-    Stages: the matrix is inner; the conjugated block-shift product is
-    analytic; the lifted range is invariant under S^m and S^(km+gamma);
-    the lifted model space is invariant under both adjoints.
-    """
-    return verify_theorem_multi(theta, m, [(gamma, k)], cap, tol,
-                                analytic_tol, rank_tol)
-
-
 def verify_theorem_multi(theta: LaurentMatrix, m: int,
                          conditions: Sequence[tuple], cap: int,
                          tol: float = MEMBERSHIP_TOL,
                          analytic_tol: float = ANALYTICITY_TOL,
                          rank_tol: float = RANK_TOL) -> PipelineReport:
-    """Pipeline over several (gamma, k) conditions at once; covers
-    semigroups generated by three or more shift powers."""
+    """Simultaneous-invariance pipeline over one or more (gamma, k)
+    conditions (several cover semigroups with three or more generators).
+    Stages: the matrix is inner; each conjugated block-shift product is
+    analytic; the lifted range is invariant under S^m and every
+    S^(km+gamma), and the lifted model space under their adjoints."""
     conds = [(int(g), int(kk)) for g, kk in conditions]
     if not conds:
         raise ParamOutOfRange("at least one (gamma, k) condition is required")

@@ -19,10 +19,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange
-from .series import TaylorPoly, toeplitz_product
+from .errors import DimensionMismatch, NotAnalytic, ParamOutOfRange
+from .series import _numbers, toeplitz_product
 from .tolerances import ANALYTICITY_TOL
-from .veclift import VectorPoly
 
 __all__ = [
     "LaurentMatrix",
@@ -32,19 +31,17 @@ __all__ = [
     "matmul",
     "is_analytic",
     "is_inner",
-    "apply_matrix",
     "toeplitz_adjoint_apply",
     "allclose",
     "identity",
     "from_poly_grid",
     "diag_polys",
-    "eval_at",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class LaurentMatrix:
-    """rows x cols matrix; table[i, j, t] is the coefficient of z^(min_pow+t)."""
+    """rows x cols matrix; table[i, j, t], finite, is the coefficient of z^(min_pow+t)."""
 
     rows: int
     cols: int
@@ -52,7 +49,7 @@ class LaurentMatrix:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        tab = np.asarray(self.table, dtype=np.complex128)
+        tab = _numbers(self.table)
         if tab.shape[:2] != (self.rows, self.cols) or tab.ndim != 3:
             raise DimensionMismatch("table shape does not match declared rows/cols")
         # Trim all-zero slices at both band ends so min_pow/max_pow are tight.
@@ -69,22 +66,6 @@ class LaurentMatrix:
     @property
     def max_pow(self) -> int:
         return self.min_pow + self.table.shape[2] - 1
-
-    def entry(self, i: int, j: int) -> tuple[int, np.ndarray]:
-        """(min_pow, coefficient slice) of a single entry."""
-        return self.min_pow, self.table[i, j]
-
-    def entry_poly(self, i: int, j: int, cap: int) -> TaylorPoly:
-        """Analytic entry as a TaylorPoly; raises if it has negative mass."""
-        lo, coefs = self.entry(i, j)
-        if lo < 0:
-            if np.any(coefs[: -lo] != 0):
-                raise NotAnalytic(f"entry ({i},{j}) has negative-index coefficients")
-            coefs = coefs[-lo:]
-            lo = 0
-        arr = np.zeros(lo + coefs.size, dtype=np.complex128)
-        arr[lo:] = coefs
-        return TaylorPoly(arr, cap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -265,29 +246,6 @@ def _column_action(A: LaurentMatrix, X: np.ndarray) -> np.ndarray:
     return out.reshape(-1, X.shape[1])
 
 
-def apply_matrix(A: LaurentMatrix, F: VectorPoly,
-                 tol: float = ANALYTICITY_TOL) -> VectorPoly:
-    """Componentwise convolution action of an analytic matrix on a vector
-    element; isometric whenever A is inner.  Negative powers within tol
-    are dropped; a term of degree past the cap raises BudgetExceeded."""
-    _require_analytic(A, tol, "matrix operand")
-    if A.cols != F.m:
-        raise DimensionMismatch(
-            f"matrix has {A.cols} columns but the vector has arity {F.m}"
-        )
-    cap = F.cap
-    last = _last_analytic_index(A)
-    degs = np.array([f.deg() for f in F.components])
-    over = (last >= 0) & (degs >= 0) & (last + degs > cap - A.min_pow)
-    if over.any():
-        top = A.min_pow + int((last + degs)[over][0])
-        raise BudgetExceeded(f"matrix action needs degree {top} > cap {cap}")
-    tab = np.where(np.arange(A.table.shape[2]) >= -A.min_pow, A.table, 0)
-    X = np.concatenate([f.padded(cap + 1) for f in F.components])[:, None]
-    Y = _column_action(LaurentMatrix(A.rows, A.cols, A.min_pow, tab), X)
-    return VectorPoly(tuple(TaylorPoly(y, cap) for y in Y.reshape(A.rows, cap + 1)))
-
-
 def toeplitz_adjoint_apply(A: LaurentMatrix, X: np.ndarray) -> np.ndarray:
     """Analytic part of A* F for every column F of X, which stacks A.rows
     component blocks of cap+1 coefficients: the Hilbert-space adjoint of
@@ -297,9 +255,3 @@ def toeplitz_adjoint_apply(A: LaurentMatrix, X: np.ndarray) -> np.ndarray:
     pattern used in the co-invariance conclusions.
     """
     return _column_action(adjoint_on_circle(A), X)
-
-
-def eval_at(A: LaurentMatrix, z: complex) -> np.ndarray:
-    """Pointwise value on (or off) the circle; used by sampling oracles."""
-    pows = z ** np.arange(A.min_pow, A.max_pow + 1, dtype=float)
-    return A.table @ pows

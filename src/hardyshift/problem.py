@@ -23,7 +23,6 @@ from .blaschke import BlaschkeProduct
 from .errors import HardyShiftError
 from .invariance import OperatorSpec
 from .laurent import from_poly_grid
-from .series import taylor
 from .subspaces import MonomialSubspace, SpanSubspace, orthonormalize
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
 
@@ -106,7 +105,7 @@ class Task:
 class Problem:
     cap: int
     tolerances: dict
-    polys: dict
+    polys: dict  # name -> the cap+1 coefficients
     matrices: dict
     blaschke: dict
     subspaces: dict
@@ -199,11 +198,12 @@ def parse_problem(data: Any, cap: Optional[int] = None,
     objects = _object_at(data, "objects", "objects")
 
     for name, coeffs in _object_at(objects, "polys", "objects.polys").items():
-        vals = _coeff_list_at(f"objects.polys.{name}", coeffs)
-        try:
-            problem.polys[name] = taylor(vals, file_cap)
-        except HardyShiftError as exc:
-            raise ValidationError(f"objects.polys.{name}", str(exc)) from exc
+        vals = np.asarray(_coeff_list_at(f"objects.polys.{name}", coeffs), dtype=np.complex128)
+        if vals[file_cap + 1:].any():
+            raise ValidationError(f"objects.polys.{name}", f"coefficients up to degree "
+                                  f"{vals.size - 1} exceed cap {file_cap}")
+        problem.polys[name] = np.zeros(file_cap + 1, dtype=np.complex128)
+        problem.polys[name][: vals.size] = vals[: file_cap + 1]
 
     for name, spec in _object_at(objects, "matrices", "objects.matrices").items():
         path = f"objects.matrices.{name}"
@@ -266,7 +266,8 @@ def parse_problem(data: Any, cap: Optional[int] = None,
                 raise ValidationError(f"{path}.generators", "expected a nonempty name list")
             gens = [_ref(problem.polys, "polynomial", g, f"{path}.generators")
                     for g in gen_names]
-            problem.subspaces[name] = orthonormalize(gens, tols["rank"], label=name)
+            problem.subspaces[name] = orthonormalize(np.column_stack(gens), tols["rank"],
+                                                     label=name)
         else:
             raise ValidationError(f"{path}.kind", f"unknown subspace kind {kind!r}")
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ParamOutOfRange
 
 __all__ = [
     "TaylorPoly",
@@ -45,9 +45,20 @@ __all__ = [
 Scalar = Union[int, float, complex]
 
 
+def _numbers(values) -> np.ndarray:
+    """values as a complex array, checked at once: a bool, object or other
+    non-numeric dtype, or a non-finite entry, raises ParamOutOfRange."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "iufc":
+        raise ParamOutOfRange(f"coefficients must be numbers, got dtype {raw.dtype}")
+    arr = raw.astype(np.complex128)
+    if not np.isfinite(arr).all():
+        raise ParamOutOfRange("coefficients must be finite")
+    return arr
+
+
 def _coeff_array(coeffs: Iterable[Scalar]) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs,
-                                   dtype=np.complex128))
+    arr = np.atleast_1d(_numbers(coeffs if isinstance(coeffs, np.ndarray) else list(coeffs)))
     if arr.ndim != 1:
         raise ValueError("coefficients must form a one-dimensional sequence")
     if arr.size == 0:
@@ -57,7 +68,7 @@ def _coeff_array(coeffs: Iterable[Scalar]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TaylorPoly:
-    """Truncated analytic element: coefficients indexed 0..deg, hard cap."""
+    """Truncated analytic element: finite coefficients 0..deg, hard cap."""
 
     coeffs: np.ndarray
     cap: int

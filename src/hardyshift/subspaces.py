@@ -116,10 +116,6 @@ class SpanSubspace:
         """The stored frame matrix; shape (arity*(cap+1), dim)."""
         return self.matrix
 
-    def member_from_coords(self, coords: Sequence[complex]) -> Element:
-        vec = self.frame_matrix() @ np.asarray(coords, dtype=np.complex128)
-        return unflatten_element(vec, self.arity, self.cap)
-
     def relabel(self, label: str) -> "SpanSubspace":
         return replace(self, label=label)
 
@@ -157,13 +153,13 @@ def _cgs2(rows: np.ndarray, threshold: float) -> tuple:
 
 def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
                    rank_tol: float = RANK_TOL, label: str = "",
-                   band=None) -> SpanSubspace:
+                   band=None, arity: int = 1) -> SpanSubspace:
     """Orthonormal frame of the generators by ``_cgs2``, in input order.
 
     The generators are elements, flattened once, or the columns of a
-    matrix of scalar coefficients (cap+1 rows), copied once; the span's
-    generators are then its columns.  Non-finite coefficients raise
-    ParamOutOfRange.
+    matrix of arity stacked component blocks of cap+1 coefficients, copied
+    once; the span's generators are then its columns.  Non-finite
+    coefficients raise ParamOutOfRange.
 
     Generators whose residual norm falls below rank_tol times the largest
     generator norm are dropped and their indices recorded.
@@ -176,7 +172,7 @@ def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
     frame vectors visibly short of unit length.
     """
     if isinstance(generators, np.ndarray):
-        gens, arity, cap = tuple(generators.T), 1, generators.shape[0] - 1
+        gens, cap = tuple(generators.T), generators.shape[0] // arity - 1
         rows = np.array(generators.T, dtype=np.complex128, order="C")
     else:
         gens = tuple(generators)

@@ -1,9 +1,10 @@
 """The interleaving lift between C^m-valued and scalar truncated elements.
 
-``t_m_apply`` sends an m-tuple (f_0, ..., f_{m-1}) to the scalar function
-whose coefficient at index m*j + l is coefficient j of component l, i.e.
-sum_l z^l f_l(z^m).  It is a pure index permutation: exact, isometric and
-invertible, never polynomial composition.
+``lift`` sends every column of a matrix of m stacked component blocks
+(f_0, ..., f_{m-1}) to the scalar column whose coefficient at index
+m*j + l is coefficient j of component l, i.e. sum_l z^l f_l(z^m).  It is
+a pure row permutation: exact, isometric and invertible, never
+polynomial composition.  ``t_m_apply`` is the lift of one vector element.
 
 Component order is l = 0..m-1 and is load-bearing: the multiplication
 correspondence with the block shift matrices depends on it.
@@ -18,14 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceeded
-from .series import TaylorPoly, zero
+from .series import TaylorPoly
 
 __all__ = [
     "VectorPoly",
     "vector",
+    "lift",
+    "fit_cap",
     "t_m_apply",
-    "t_m_invert",
-    "check_shift_diagram",
     "vec_inner",
 ]
 
@@ -81,52 +82,28 @@ def vec_inner(F: VectorPoly, G: VectorPoly) -> complex:
     return sum((inner_product(f, g) for f, g in zip(F.components, G.components)), 0j)
 
 
+def lift(X: np.ndarray, m: int) -> np.ndarray:
+    """Interleave the m component blocks of every column of X: row
+    m*j + l of the result is row l*n + j of X, for blocks of n rows."""
+    if m < 1 or X.shape[0] % m:
+        raise ValueError(f"{X.shape[0]} rows do not stack {m} components")
+    return X.reshape(m, -1, X.shape[1]).transpose(1, 0, 2).reshape(X.shape)
+
+
+def fit_cap(Y: np.ndarray, m: int, cap: int) -> np.ndarray:
+    """Rows 0..cap of the lifted columns Y, zero-padded below; raises
+    BudgetExceeded when a nonzero row of Y lies past the cap."""
+    past = np.flatnonzero(np.any(Y[cap + 1:], axis=1))
+    if past.size:
+        r = cap + 1 + int(past[-1])
+        raise BudgetExceeded(f"lift of component {r % m} (degree {r // m}) "
+                             f"needs index {r} > cap {cap}")
+    out = np.zeros((cap + 1, Y.shape[1]), dtype=np.complex128)
+    out[: Y.shape[0]] = Y[: cap + 1]
+    return out
+
+
 def t_m_apply(F: VectorPoly) -> TaylorPoly:
     """Interleave components into a scalar element; exact isometry."""
-    m = F.m
-    cap = F.cap
-    top = -1
-    for l, comp in enumerate(F.components):
-        d = comp.deg()
-        if d < 0:
-            continue
-        idx = m * d + l
-        if idx > cap:
-            raise BudgetExceeded(
-                f"lift of component {l} (degree {d}) needs index {idx} > cap {cap}"
-            )
-        top = max(top, idx)
-    if top < 0:
-        return zero(cap)
-    out = np.zeros(top + 1, dtype=np.complex128)
-    for l, comp in enumerate(F.components):
-        d = comp.deg()
-        if d < 0:
-            continue
-        out[l: m * d + l + 1: m] = comp.coeffs[: d + 1]
-    return TaylorPoly(out, cap)
-
-
-def t_m_invert(f: TaylorPoly, m: int) -> VectorPoly:
-    """De-interleave a scalar element into its m residue components."""
-    if m < 1:
-        raise ValueError("arity m must be at least 1")
-    comps = []
-    for l in range(m):
-        sl = f.coeffs[l::m]
-        comps.append(TaylorPoly(sl if sl.size else np.zeros(1), f.cap))
-    return VectorPoly(tuple(comps))
-
-
-def check_shift_diagram(F: VectorPoly, m: int) -> float:
-    """Residual of the intertwining law: lift(S F) vs S^m lift(F).
-
-    Zero up to floating rounding for every F within budget.
-    """
-    from .series import shift_pow, sub
-
-    if m != F.m:
-        raise ValueError("arity m must match the vector element")
-    lhs = t_m_apply(VectorPoly(tuple(shift_pow(c, 1) for c in F.components)))
-    rhs = shift_pow(t_m_apply(F), m)
-    return sub(lhs, rhs).norm()
+    X = np.concatenate([c.padded(F.cap + 1) for c in F.components])[:, None]
+    return TaylorPoly(fit_cap(lift(X, F.m), F.m, F.cap)[:, 0], F.cap)

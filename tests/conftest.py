@@ -1,7 +1,10 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
-from hardyshift import taylor, vector
+from hardyshift import adjoint_on_circle, taylor, toeplitz_adjoint_apply, vector
 
 
 def pytest_runtest_logreport(report):
@@ -30,3 +33,38 @@ def random_taylor(rng, deg, cap, scale=1.0):
 
 def random_vector(rng, m, deg, cap, scale=1.0):
     return vector([random_taylor(rng, deg, cap, scale) for _ in range(m)])
+
+
+def random_columns(rng, m, deg, cap, count):
+    """count columns of m stacked blocks of cap+1 coefficients, each block
+    of degree deg."""
+    X = np.zeros((m, cap + 1, count), dtype=complex)
+    X[:, : deg + 1] = rng.standard_normal((m, deg + 1, count)) \
+        + 1j * rng.standard_normal((m, deg + 1, count))
+    return X.reshape(m * (cap + 1), count)
+
+
+def stacked(F):
+    """The column of a vector element: its components stacked."""
+    return np.concatenate([c.padded(F.cap + 1) for c in F.components])[:, None]
+
+
+def matrix_action(A, X):
+    """Analytic part of A F for every column F of X, cut at the cap: the
+    action that ``toeplitz_adjoint_apply`` runs, taken with A* (A** = A)."""
+    return toeplitz_adjoint_apply(adjoint_on_circle(A), X)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once the wall time runs out."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from hardyshift import (HardyShiftError, KernelColumn, NoConvergence, NotAMember,
-                        build_j_map, extract_kernels, hitt_decompose, orthonormalize,
-                        taylor, zero)
+                        ParamOutOfRange, build_j_map, extract_kernels, hitt_decompose,
+                        orthonormalize, taylor, zero)
 from hardyshift.hitt import _peel
 from hardyshift.subspaces import SpanSubspace
 
@@ -69,7 +69,7 @@ def ref_decompose(v, M, E, m, max_iter=None, tol=TOL):
         row = np.zeros(m, dtype=complex)
         x = np.zeros(n, dtype=complex)
         for i in active:
-            e = E.entries[i].padded(n)
+            e = E.entries[:n, i]
             c = complex(np.vdot(e, fj))
             row[i] = c
             x = x + e * c
@@ -92,9 +92,9 @@ def ref_decompose(v, M, E, m, max_iter=None, tol=TOL):
         keep = max(0, n - m * l)
         for i in active:
             if A[l, i] != 0:
-                cut += abs(A[l, i]) * float(np.linalg.norm(E.entries[i].coeffs[keep:]))
+                cut += abs(A[l, i]) * float(np.linalg.norm(E.entries[keep:, i]))
                 shifted = np.zeros(n, dtype=complex)
-                shifted[m * l:] = E.entries[i].padded(n)[:keep]
+                shifted[m * l:] = E.entries[:keep, i]
                 recon = recon + shifted * complex(A[l, i])
     gap = math.sqrt(float(np.sum(np.abs(v + recon * complex(-1.0)) ** 2)))
     recon_err = math.hypot(gap, cut)
@@ -179,11 +179,11 @@ def test_column_peel_matches_reference_on_small_spans(gens):
 def test_column_peel_matches_reference_with_dust_past_the_cap():
     M = span(*([0] * (2 * l) + [1, 1] for l in range(CAP // 2)))
     E = extract_kernels(M, 2)
-    dusty = E.entries[0].padded(CAP + 1)
-    dusty[CAP] = 1e-37
-    E = KernelColumn((taylor(dusty, CAP), E.entries[1]), E.degenerate, 2)
+    dusty = E.entries.copy()
+    dusty[CAP, 0] = 1e-37
+    E = KernelColumn(dusty, E.degenerate, 2)
     V = np.ascontiguousarray(M.frame_matrix().T)
-    decomps = _peel(V, M, E, 2, None, TOL)
+    decomps, _ = _peel(V, M, E, 2, None, TOL)
     assert len(decomps) == M.dim
     for dec, v, u in zip(decomps, V, M.frame):
         ref = ref_decompose(v, M, E, 2)
@@ -286,11 +286,13 @@ def test_nan_element_or_kernel_fails_closed():
     E = extract_kernels(M, 2)
     f = M.frame_matrix()[:, 2].copy()
     f[9] = np.nan
+    with pytest.raises(ParamOutOfRange):  # refused before it reaches the peel
+        taylor(f, CAP)
     with pytest.raises(NotAMember):
-        hitt_decompose(taylor(f, CAP), M, E, 2)
-    bad = E.entries[0].padded(CAP + 1)
-    bad[1] = np.nan
-    E = KernelColumn((taylor(bad, CAP), E.entries[1]), E.degenerate, 2)
+        _peel(f[None, :], M, E, 2, None, TOL)
+    bad = E.entries.copy()
+    bad[1, 0] = np.nan
+    E = KernelColumn(bad, E.degenerate, 2)
     for u in M.frame:
         with pytest.raises(NoConvergence):
             hitt_decompose(u, M, E, 2)
@@ -344,7 +346,7 @@ def test_failing_column_between_live_columns_is_reported():
     assert outcomes[2].message.startswith("peel 5 ")
     assert_raises_like(first_ref_error(M, E, 2), lambda: build_j_map(M, 2))
     V = np.ascontiguousarray(M.frame_matrix().T)
-    for j, dec in enumerate(_peel(V[:2], M, E, 2, None, TOL)):
+    for j, dec in enumerate(_peel(V[:2], M, E, 2, None, TOL)[0]):
         assert_same(dec, ref_decompose(V[j], M, E, 2))
 
 
@@ -353,9 +355,9 @@ def test_one_column_peels_like_all_columns(m, order):
     M = ordered_power_span(np.random.default_rng(5), m, order)
     E = extract_kernels(M, m)
     V = np.ascontiguousarray(M.frame_matrix().T)
-    whole = _peel(V, M, E, m, None, TOL)
+    whole, _ = _peel(V, M, E, m, None, TOL)
     for j, u in enumerate(M.frame):
-        assert_same(_peel(V[j:j + 1], M, E, m, None, TOL)[0], whole[j])
+        assert_same(_peel(V[j:j + 1], M, E, m, None, TOL)[0][0], whole[j])
         assert_same(hitt_decompose(u, M, E, m), whole[j])
 
 
@@ -365,11 +367,11 @@ def test_cut_past_the_cap_is_counted_like_the_reference(degree):
     # cap from the first peels on, and the cut bound shows in the error
     M = span(*([0] * (2 * l) + [1, 1] for l in range(CAP // 2)))
     E = extract_kernels(M, 2)
-    dusty = E.entries[0].padded(CAP + 1)
-    dusty[degree] = 1e-10
-    E = KernelColumn((taylor(dusty, CAP), E.entries[1]), E.degenerate, 2)
+    dusty = E.entries.copy()
+    dusty[degree, 0] = 1e-10
+    E = KernelColumn(dusty, E.degenerate, 2)
     V = np.ascontiguousarray(M.frame_matrix().T)
-    decomps = _peel(V, M, E, 2, None, TOL)
+    decomps, _ = _peel(V, M, E, 2, None, TOL)
     for dec, v in zip(decomps, V):
         assert_same(dec, ref_decompose(v, M, E, 2))
     assert max(d.reconstruction_error for d in decomps) > 1e-11

@@ -6,10 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from hardyshift import BudgetExceeded, NotAnalytic, taylor
+from hardyshift import taylor
 from hardyshift.cli import main
-from hardyshift.laurent import apply_matrix, from_poly_grid, toeplitz_adjoint_apply
-from hardyshift.veclift import VectorPoly
+from hardyshift.laurent import from_poly_grid, toeplitz_adjoint_apply
+
+from conftest import matrix_action, time_limit
 
 CAP = 16
 HUGE = 10 ** 20
@@ -65,13 +66,26 @@ def test_matrix_band_offsets_of_any_size_act_past_the_cap(min_pow, sign):
     A = from_poly_grid([[[1, 0.5] if sign > 0 else [0.5, 1]]], sign * min_pow - (sign < 0))
     f = taylor([1, 2, 0, 3], CAP)
     X = f.padded(CAP + 1)[:, None]
-    # both powers of the entry exceed the cap in size, so A* moves every
-    # coefficient below degree 0 or past the cap
+    # both powers of the entry exceed the cap in size, so A and A* move
+    # every coefficient below degree 0 or past the cap
     assert np.array_equal(toeplitz_adjoint_apply(A, X), np.zeros_like(X))
-    if sign > 0:
-        with pytest.raises(BudgetExceeded) as exc:
-            apply_matrix(A, VectorPoly((f,)))
-        assert str(exc.value) == f"matrix action needs degree {min_pow + 4} > cap {CAP}"
-    else:
-        with pytest.raises(NotAnalytic):
-            apply_matrix(A, VectorPoly((f,)))
+    assert np.array_equal(matrix_action(A, X), np.zeros_like(X))
+
+
+def test_a_huge_adjoint_power_near_the_circle_finishes(tmp_path, capsys):
+    # T_B^n* for a zero at 0.99 and n = 10^20: B^n is expanded by binary
+    # powering instead of n - 1 convolutions.  Its cut expansion is 0 in
+    # double precision, so the image 0 lies in the span.
+    data = {"workspace": {"cap": 64},
+            "objects": {"polys": {"g": [[1, 0], [1, 0]]},
+                        "blaschke": {"B": {"zeros": [[0.99, 0]]}}},
+            "subspaces": {"S": {"kind": "span", "generators": ["g"]}},
+            "tasks": [{"task": "check-invariance", "subspace": "S",
+                       "operators": [f"toeplitz_adjoint:B:{HUGE}"]}]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    with time_limit(10.0):
+        rc = main(["run", str(path)])
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert rc == 0 and task["verdict"] == "PASS"
+    assert task["checks"][0]["tested"] == 1

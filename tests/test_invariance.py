@@ -5,7 +5,7 @@ from hardyshift import (BudgetExceeded, MonomialSubspace, OperatorSpec,
                         build_model_space, build_theta_range, check_invariance,
                         check_near_invariance, diag_polys, from_poly_grid,
                         identity, monomial, orthonormalize, project, taylor,
-                        verify_theorem_multi, verify_theorem_pipeline)
+                        verify_theorem_multi)
 CAP = 48
 
 M1 = MonomialSubspace((2, 3), CAP, label="M1")
@@ -148,14 +148,14 @@ def test_build_model_space_examples():
 def test_pipeline_family_passes():
     # diag(z^(k+1), z^k) with k = 1
     theta = diag_polys([[0, 0, 1], [0, 1]])
-    rep = verify_theorem_pipeline(theta, 2, 1, 1, CAP)
+    rep = verify_theorem_multi(theta, 2, [(1, 1)], CAP)
     assert rep.passed, [(s.name, s.verdict) for s in rep.stages]
 
 
 def test_pipeline_analyticity_failure():
     # diag(z^(k+3), z^k) with k = 1: outside the analyticity window
     theta = diag_polys([[0, 0, 0, 0, 1], [0, 1]])
-    rep = verify_theorem_pipeline(theta, 2, 1, 1, CAP)
+    rep = verify_theorem_multi(theta, 2, [(1, 1)], CAP)
     assert not rep.passed
     assert rep.stage("product_analytic_gamma1_k1").verdict == "FAIL"
     assert rep.stage("theta_inner").verdict == "PASS"
@@ -175,8 +175,8 @@ def test_pipeline_verdict_unitary_stability(rng):
     qmat = from_poly_grid([[[q[0, 0]], [q[0, 1]]], [[q[1, 0]], [q[1, 1]]]])
     from hardyshift import matmul
 
-    rep1 = verify_theorem_pipeline(theta, 2, 1, 1, CAP)
-    rep2 = verify_theorem_pipeline(matmul(theta, qmat), 2, 1, 1, CAP)
+    rep1 = verify_theorem_multi(theta, 2, [(1, 1)], CAP)
+    rep2 = verify_theorem_multi(matmul(theta, qmat), 2, [(1, 1)], CAP)
     assert [(s.name, s.verdict) for s in rep1.stages] == \
         [(s.name, s.verdict) for s in rep2.stages]
 
@@ -210,7 +210,9 @@ def _range_generators_by_shift(theta, cap):
     out = np.zeros((theta.rows, n, len(live), n), dtype=np.complex128)
     for c, col in enumerate(live):
         for i in range(theta.rows):
-            coefs = theta.entry_poly(i, col, wide).padded(n)
+            coefs = np.zeros(wide + 1, dtype=np.complex128)  # the analytic entry
+            coefs[theta.min_pow: theta.max_pow + 1] = theta.table[i, col]
+            coefs = coefs[:n]
             for j in range(n):
                 out[i, j:, c, j] = coefs[: n - j]
     return out.reshape(theta.rows * n, len(live) * n)

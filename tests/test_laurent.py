@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from hardyshift import (BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange,
-                        adjoint_on_circle, apply_matrix, build_sigma,
+from hardyshift import (DimensionMismatch, NotAnalytic, ParamOutOfRange,
+                        adjoint_on_circle, build_sigma,
                         diag_polys, from_poly_grid, identity, is_analytic,
                         is_inner, matmul, taylor, toeplitz_adjoint_apply, vector)
-from hardyshift.laurent import LaurentMatrix, allclose, eval_at
-from hardyshift.series import allclose as poly_close
+from hardyshift.laurent import LaurentMatrix, allclose
+
+from conftest import matrix_action, random_columns, stacked
+
+
+def eval_at(A, z):
+    """Pointwise value of every entry at z."""
+    return A.table @ z ** np.arange(A.min_pow, A.max_pow + 1, dtype=float)
 
 
 def sampled_fourier(A, n_points=256):
@@ -147,34 +153,23 @@ def test_analyticity_agrees_with_sampling_oracle():
 
 
 def test_apply_matrix_examples():
+    # the matrix action on stacked component blocks of 17 coefficients
     sigma = build_sigma(2, 1, 1)
-    F = vector([taylor([1], 16), taylor([0], 16)])
-    out = apply_matrix(sigma, F)
-    assert out.components[0].is_zero()
-    assert poly_close(out.components[1], taylor([0, 1], 16))
+    out = matrix_action(sigma, stacked(vector([taylor([1], 16), taylor([0], 16)])))[:, 0]
+    assert not out[:17].any()
+    assert np.array_equal(out[17:], taylor([0, 1], 16).padded(17))
 
     F = vector([taylor([1], 16), taylor([1], 16), taylor([1], 16)])
-    out = apply_matrix(build_sigma(3, 1, 1), F)
-    assert poly_close(out.components[0], taylor([0, 0, 1], 16))
-    assert poly_close(out.components[1], taylor([0, 1], 16))
-    assert poly_close(out.components[2], taylor([0, 1], 16))
+    out = matrix_action(build_sigma(3, 1, 1), stacked(F))[:, 0]
+    for block, want in zip(out.reshape(3, 17), ([0, 0, 1], [0, 1], [0, 1])):
+        assert np.array_equal(block, taylor(want, 16).padded(17))
 
 
 def test_apply_matrix_identity_and_isometry(rng):
-    from conftest import random_vector
-
-    F = random_vector(rng, 2, 6, 32)
-    out = apply_matrix(identity(2), F)
-    for a, b in zip(out.components, F.components):
-        assert poly_close(a, b)
-    out = apply_matrix(build_sigma(2, 1, 2), F)
-    assert out.norm() == pytest.approx(F.norm(), rel=1e-14)
-
-
-def test_apply_matrix_rejects_nonanalytic():
-    bad = LaurentMatrix(1, 1, -1, np.array([[[1.0, 0.0]]], dtype=complex))
-    with pytest.raises(NotAnalytic):
-        apply_matrix(bad, vector([taylor([1], 8)]))
+    X = random_columns(rng, 2, 6, 32, 3)
+    assert np.array_equal(matrix_action(identity(2), X), X)
+    out = matrix_action(build_sigma(2, 1, 2), X)
+    assert np.linalg.norm(out, axis=0) == pytest.approx(np.linalg.norm(X, axis=0), rel=1e-14)
 
 
 def test_sigma_is_inner_for_all_small_parameters():
@@ -185,20 +180,17 @@ def test_sigma_is_inner_for_all_small_parameters():
 
 
 def _apply_matrix_by_convolution(A, F):
-    """Reference: one convolution per entry, negative slices dropped, and
-    the exact top degree of each term checked against the cap."""
-    cap, drop = F.cap, max(0, -A.min_pow)
-    lo = A.min_pow + drop
+    """Reference: one convolution per entry, then the coefficients of
+    powers 0..cap kept."""
+    cap, lo = F.cap, A.min_pow
     comps = []
     for i in range(A.rows):
         acc = np.zeros(cap + 1, dtype=complex)
         for j, f in enumerate(F.components):
-            seg = np.convolve(A.table[i, j, drop:], f.coeffs)
-            nz = np.flatnonzero(seg)
-            if nz.size and lo + nz[-1] > cap:
-                raise BudgetExceeded(f"matrix action needs degree {lo + nz[-1]} > cap {cap}")
-            seg = seg[: max(0, cap + 1 - lo)]
-            acc[lo: lo + seg.size] += seg
+            seg = np.convolve(A.table[i, j], f.padded(cap + 1))
+            keep = np.arange(seg.size) + lo
+            inside = (keep >= 0) & (keep <= cap)
+            acc[keep[inside]] += seg[inside]
         comps.append(acc)
     return np.concatenate(comps)
 
@@ -253,20 +245,20 @@ def test_apply_matrix_matches_convolution_loop(rng):
     from conftest import random_vector
 
     cap = 24
-    cases = [A for A in _matrix_cases(rng) if A.min_pow >= 0]
-    # negative slices below the analyticity tolerance are dropped
-    tiny = _random_laurent(rng, 2, 3, -2, 7)
-    table = tiny.table.copy()
-    table[:, :, :2] *= 1e-12
-    cases.append(LaurentMatrix(2, 3, -2, table))
-    for A in cases:
-        for deg in (0, 3, cap - A.max_pow):
-            F = random_vector(rng, A.cols, deg, cap)
-            got = np.concatenate([c.padded(cap + 1) for c in apply_matrix(A, F).components])
-            assert np.max(np.abs(got - _apply_matrix_by_convolution(A, F))) <= 1e-13
-        # one degree more fails closed, with the reference's message
-        F = random_vector(rng, A.cols, cap - A.max_pow + 1, cap)
-        with pytest.raises(BudgetExceeded) as ref:
-            _apply_matrix_by_convolution(A, F)
-        with pytest.raises(BudgetExceeded, match=str(ref.value)):
-            apply_matrix(A, F)
+    for A in _matrix_cases(rng):
+        # up to the cap, and past it, where the action cuts like the reference
+        Fs = [random_vector(rng, A.cols, deg, cap) for deg in (0, 3, max(0, cap - A.max_pow), cap)]
+        got = matrix_action(A, np.column_stack([stacked(F) for F in Fs]))
+        assert got.shape == (A.rows * (cap + 1), len(Fs))
+        for col, F in zip(got.T, Fs):
+            assert np.max(np.abs(col - _apply_matrix_by_convolution(A, F))) <= 1e-13
+
+
+@pytest.mark.parametrize("table", [
+    np.array([[[1, np.inf]], [[0, 1]]]), np.array([[[np.nan, 1]], [[0, 1]]]),
+    np.array([[[1, complex(0, -np.inf)]], [[0, 1]]]),
+    np.array([[[True, False]], [[False, True]]]), np.array([[[1, None]], [[0, 1]]], dtype=object),
+])
+def test_constructor_rejects_non_finite_and_non_numeric_tables(table):
+    with pytest.raises(ParamOutOfRange):
+        LaurentMatrix(2, 1, 0, table)

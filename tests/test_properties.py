@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from hardyshift import (NoConvergence, build_j_map, coshift_pow, diag_polys,
                         from_poly_grid, inner_product, matmul, mul,
                         orthonormalize, project, shift_pow, taylor,
-                        verify_theorem_pipeline)
+                        verify_theorem_multi)
 from hardyshift.series import sub
 
 CAP = 64
@@ -134,7 +134,7 @@ def test_pipeline_verdicts_stable_under_unitary_factor(idx, re_parts, im_parts):
     a = a + 0.1 * np.eye(2)  # keep the QR factor well defined
     q, _ = np.linalg.qr(a)
     qmat = from_poly_grid([[[q[0, 0]], [q[0, 1]]], [[q[1, 0]], [q[1, 1]]]])
-    base = verify_theorem_pipeline(theta, 2, 1, 1, 24)
-    turned = verify_theorem_pipeline(matmul(theta, qmat), 2, 1, 1, 24)
+    base = verify_theorem_multi(theta, 2, [(1, 1)], 24)
+    turned = verify_theorem_multi(matmul(theta, qmat), 2, [(1, 1)], 24)
     assert [(s.name, s.verdict) for s in base.stages] == \
         [(s.name, s.verdict) for s in turned.stages]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hardyshift import (BudgetExceeded, coshift_pow, inner_product, monomial,
-                        mul, shift_pow, taylor, zero)
+from hardyshift import (BudgetExceeded, ParamOutOfRange, TaylorPoly, coshift_pow,
+                        inner_product, monomial, mul, shift_pow, taylor, zero)
 from hardyshift.series import add, allclose, scale, sub
 
 from conftest import random_taylor
@@ -120,3 +120,14 @@ def test_mul_commutative_associative(rng):
     h = random_taylor(rng, 5, CAP)
     assert allclose(mul(f, g), mul(g, f), 1e-12)
     assert allclose(mul(mul(f, g), h), mul(f, mul(g, h)), 1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [np.nan], [1, np.inf], [0, complex(0, -np.inf)], np.array([1.0, np.nan]),
+    np.array([True]), [True, False], np.array([1, None], dtype=object), ["1"],
+])
+def test_constructor_rejects_non_finite_and_non_numeric_coefficients(coeffs):
+    with pytest.raises(ParamOutOfRange):
+        taylor(coeffs, 8)
+    with pytest.raises(ParamOutOfRange):
+        TaylorPoly(coeffs, 8)

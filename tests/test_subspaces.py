@@ -76,7 +76,7 @@ def test_project_gram_solve_example():
 
 def test_project_member_is_fixed(rng):
     M = orthonormalize([random_taylor(rng, 6, CAP) for _ in range(3)])
-    f = M.member_from_coords([1.0, -2.0j, 0.5])
+    f = taylor(M.frame_matrix() @ np.array([1.0, -2.0j, 0.5]), CAP)
     proj, residual, _ = project(f, M)
     assert residual < 1e-12
     assert allclose(proj, f, 1e-12)

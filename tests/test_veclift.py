@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from hardyshift import (BudgetExceeded, build_sigma, apply_matrix, shift_pow,
-                        t_m_apply, t_m_invert, taylor, vector,
-                        check_shift_diagram)
-from hardyshift.series import allclose, sub, zero
+from hardyshift import (BudgetExceeded, OperatorSpec, build_sigma, diag_polys,
+                        from_poly_grid, lift, t_m_apply, taylor, vector)
+from hardyshift.invariance import (build_model_space, build_theta_range,
+                                   _check_builder_input, _last_analytic_index,
+                                   range_generators)
+from hardyshift.laurent import LaurentMatrix
+from hardyshift.series import allclose
+from hardyshift.subspaces import SpanSubspace, _null_combos, orthonormalize
+from hardyshift.tolerances import ANALYTICITY_TOL, RANK_TOL
+from hardyshift.veclift import fit_cap
 
-from conftest import random_vector
+from conftest import matrix_action, random_columns, random_vector, stacked
 
 CAP = 128
 
@@ -33,28 +39,26 @@ def test_lift_m3_monomials():
 
 
 def test_invert_examples():
-    back = t_m_invert(taylor([1, 1], CAP), 2)
-    assert allclose(back.components[0], taylor([1], CAP))
-    assert allclose(back.components[1], taylor([1], CAP))
+    # the inverse of the lift is the residue slicing: component l = f[l::m]
+    f = lift(stacked(vector([taylor([1, 4], CAP), taylor([7], CAP)])), 2)[:, 0]
+    assert np.array_equal(f[:4], [1, 7, 4, 0])
+    assert np.array_equal(f[0::2][:2], [1, 4]) and np.array_equal(f[1::2][:2], [7, 0])
 
-    back = t_m_invert(taylor([1, 7, 4], CAP), 2)
-    assert allclose(back.components[0], taylor([1, 4], CAP))
-    assert allclose(back.components[1], taylor([7], CAP))
-
-    back = t_m_invert(taylor([0, 0, 0, 0, 0, 1], CAP), 3)
-    assert back.components[0].is_zero()
-    assert back.components[1].is_zero()
-    assert allclose(back.components[2], taylor([0, 1], CAP))
+    f = np.zeros(6 * (CAP + 1), dtype=complex)
+    f[5] = 1
+    back = [f[l::3] for l in range(3)]
+    assert not back[0].any() and not back[1].any()
+    assert np.array_equal(np.flatnonzero(back[2]), [1])
+    assert np.array_equal(lift(np.concatenate(back)[:, None], 3)[:, 0], f)
 
 
 def test_roundtrip_exact(rng):
     for m in (2, 3, 5):
-        F = random_vector(rng, m, 17, CAP)
-        G = t_m_invert(t_m_apply(F), m)
-        for a, b in zip(F.components, G.components):
-            assert allclose(a, b)
-        f = t_m_apply(F)
-        assert allclose(t_m_apply(t_m_invert(f, m)), f)
+        X = random_columns(rng, m, 17, CAP, 4)
+        Y = lift(X, m)
+        back = np.concatenate([Y[l::m] for l in range(m)])
+        assert np.array_equal(back, X)
+        assert np.array_equal(lift(back, m), Y)
 
 
 def test_isometry(rng):
@@ -63,12 +67,37 @@ def test_isometry(rng):
         assert t_m_apply(F).norm() == pytest.approx(F.norm(), rel=1e-14)
 
 
+def test_lift_is_a_row_permutation(rng):
+    for m in (2, 3, 5):
+        n = CAP + 1
+        P = lift(np.eye(m * n), m)
+        assert np.array_equal(P @ P.T, np.eye(m * n))  # a permutation matrix
+        assert np.array_equal(np.flatnonzero(P[m * 7 + 1]), [n + 7])  # j = 7, l = 1
+        X = random_columns(rng, m, CAP, CAP, 3)
+        Y = lift(X, m)
+        assert np.array_equal(Y, P @ X)  # exact: no arithmetic touches a value
+        assert np.array_equal(np.sort_complex(Y.ravel()), np.sort_complex(X.ravel()))
+        # isometric: the same values, summed in another order
+        assert np.linalg.norm(Y, axis=0) == pytest.approx(np.linalg.norm(X, axis=0), rel=1e-14)
+    with pytest.raises(ValueError):
+        lift(np.zeros((7, 1)), 2)
+
+
+def test_lift_equals_t_m_apply_column_by_column(rng):
+    for m in (2, 3, 5):
+        Fs = [random_vector(rng, m, CAP // m - 1, CAP) for _ in range(4)]
+        Y = fit_cap(lift(np.column_stack([stacked(F) for F in Fs]), m), m, CAP)
+        for y, F in zip(Y.T, Fs):
+            assert np.array_equal(y, t_m_apply(F).padded(CAP + 1))
+
+
 def test_shift_diagram_residual_zero(rng):
-    assert check_shift_diagram(vector([taylor([1], CAP), taylor([1], CAP)]), 2) == 0.0
-    F = random_vector(rng, 3, 15, CAP)
-    assert check_shift_diagram(F, 3) < 1e-14
-    F = vector([taylor([0, 1], CAP), zero(CAP), taylor([1], CAP)])
-    assert check_shift_diagram(F, 3) == 0.0
+    # lift(S X) = S^m lift(X), exactly, on whole column matrices
+    for m in (2, 3, 5):
+        X = random_columns(rng, m, 15, CAP, 5)
+        lhs = lift(OperatorSpec.shift(1).apply(X, m), m)
+        rhs = OperatorSpec.shift(m).apply(lift(X, m))
+        assert np.array_equal(lhs, rhs)
 
 
 def test_budget_guard():
@@ -82,10 +111,60 @@ def test_budget_guard():
 
 
 def test_multiplication_correspondence(rng):
-    # lift(Sigma F) equals the (k*m + gamma)-fold shift of lift(F)
-    for m, gamma, k in ((2, 1, 1), (3, 2, 1), (5, 3, 2)):
-        F = random_vector(rng, m, 10, CAP)
-        sigma = build_sigma(m, gamma, k)
-        lhs = t_m_apply(apply_matrix(sigma, F))
-        rhs = shift_pow(t_m_apply(F), k * m + gamma)
-        assert sub(lhs, rhs).norm() < 1e-12
+    # lift(Sigma X) equals the (k*m + gamma)-fold shift of lift(X)
+    for m, gamma, k in ((2, 1, 1), (3, 2, 1), (5, 3, 2), (2, 1, 3), (3, 1, 2), (5, 1, 1)):
+        X = random_columns(rng, m, 10, CAP, 4)
+        lhs = lift(matrix_action(build_sigma(m, gamma, k), X), m)
+        rhs = OperatorSpec.shift(k * m + gamma).apply(lift(X, m))
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+# -- the builders' frames against the index expressions written out -----------
+
+def theta_range_inline(theta, m, cap):
+    """build_theta_range with the lift written out as an index expression."""
+    _check_builder_input(theta, m, ANALYTICITY_TOL, "range builder")
+    last = _last_analytic_index(theta)
+    label = f"T_{m}(Θ·H2) at cap {cap}"
+    lifts = np.where(last >= 0, m * last + np.arange(m)[:, None], -1)
+    ladder = (cap - m * theta.min_pow - int(lifts.max())) // m
+    n = cap // m + 1
+    gens = range_generators(theta, n - 1).reshape(m, n, -1, n)[..., : ladder + 1]
+    lifted = gens.transpose(1, 0, 2, 3).reshape(m * n, -1)[: cap + 1]
+    return orthonormalize(lifted, RANK_TOL, label=label, band=m * ladder)
+
+
+def model_space_inline(theta, m, cap):
+    """build_model_space with the lift written out as an index expression."""
+    _check_builder_input(theta, m, ANALYTICITY_TOL, "model-space builder")
+    comp_cap = (cap + 1) // m - 1
+    n_sub = comp_cap + 1
+    combos = _null_combos(np.conj(range_generators(theta, comp_cap).T), m * n_sub, RANK_TOL)
+    label, band = f"T_{m}(K_Θ) at cap {cap}", m * comp_cap + m - 1
+    if not combos.shape[0]:
+        return SpanSubspace((), cap, 1, RANK_TOL, label=label, band=band)
+    # coefficient j of component l moves to index m*j + l
+    lifted = np.zeros((cap + 1, combos.shape[0]), dtype=np.complex128)
+    lifted[: m * n_sub] = combos.reshape(-1, m, n_sub).transpose(2, 1, 0).reshape(m * n_sub, -1)
+    return orthonormalize(lifted, RANK_TOL, label=label, band=band)
+
+
+def _unitary_column_theta(rng, m):
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    table = np.zeros((m, 1, 3), dtype=complex)
+    table[:, 0, 2] = q[:, 0]
+    return LaurentMatrix(m, 1, 0, table)
+
+
+@pytest.mark.parametrize("cap", [16, 48, 97])
+def test_builder_frames_equal_the_inline_index_maps(rng, cap):
+    thetas = [(diag_polys([[1], [0, 1], [0, 1]]), 3),
+              (diag_polys([[0, 0, 1], [0, 1]]), 2),
+              (from_poly_grid([[[5 ** -0.5]], [[2 * 5 ** -0.5]]]), 2),
+              (_unitary_column_theta(rng, 5), 5)]
+    for theta, m in thetas:
+        for build, inline in ((build_theta_range, theta_range_inline),
+                              (build_model_space, model_space_inline)):
+            got, want = build(theta, m, cap), inline(theta, m, cap)
+            assert np.array_equal(got.matrix, want.matrix)
+            assert (got.band, got.label, got.dropped) == (want.band, want.label, want.dropped)
