@@ -2,8 +2,8 @@
 invariance for subspaces of the Hardy space on the disc.
 
 The package models Hardy-space elements by degree-capped Taylor
-coefficients: columns of coefficient matrices inside, ``TaylorPoly`` and
-``VectorPoly`` in the Python API, witnesses and reports.  It provides:
+coefficients: coefficient arrays from parse to report, and ``TaylorPoly``
+and ``VectorPoly`` as the Python API's input elements.  It provides:
 
 * the interleaving lift between vector-valued and scalar elements, one
   row permutation of column matrices (``veclift``),
@@ -18,8 +18,8 @@ coefficients: columns of coefficient matrices inside, ``TaylorPoly`` and
   certification pipeline (``hitt``),
 * finite products of disc automorphisms, their Toeplitz operators, model
   space bases, layer coordinates and subspace transfer (``blaschke``),
-* a batch CLI over JSON problem files with deterministic reports
-  (``cli``).
+* deterministic report payloads from coefficient arrays (``report``) and a
+  batch CLI over JSON problem files (``cli``).
 
 Every verdict is computed from the definitions at an explicit tolerance
 and carries a machine-checkable witness on FAIL; claimed results from the

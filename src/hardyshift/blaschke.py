@@ -24,9 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded, DepthExhausted, ParamOutOfRange, ZeroOnCircle
-from .invariance import OperatorSpec
-from .series import TaylorPoly, toeplitz_product
-from .subspaces import SpanSubspace, orthonormalize
+from .series import TaylorPoly, shift_product, toeplitz_product
+from .subspaces import SpanSubspace, frame_distance, orthonormalize
 from .tolerances import MEMBERSHIP_TOL
 from .veclift import VectorPoly, fit_cap
 
@@ -119,19 +118,19 @@ def _factor_chain(B: BlaschkeProduct, cap: int) -> tuple:
     return E, p
 
 
-def taylor_expand(B: BlaschkeProduct, cap: int) -> TaylorPoly:
+def taylor_expand(B: BlaschkeProduct, cap: int) -> np.ndarray:
     """Coefficients 0..cap of the product; exact when all zeros sit at 0."""
-    return TaylorPoly(B.lam * _factor_chain(B, cap)[1], cap)
+    return B.lam * _factor_chain(B, cap)[1]
 
 
-def power_expansion(B: BlaschkeProduct, n: int, cap: int) -> TaylorPoly:
-    """Degree-cap expansion of the n-th power, by cut products: one per
+def power_expansion(B: BlaschkeProduct, n: int, cap: int) -> np.ndarray:
+    """Coefficients 0..cap of the n-th power, by cut products: one per
     power up to cap // deg B + 1, and past it binary powering, about
     log2 n of them.  Coefficients up to the cap of a product depend only
     on those of its factors, so every cut is exact."""
     if n < 1:
         raise ParamOutOfRange("power must be >= 1")
-    acc = taylor_expand(B, cap).coeffs
+    acc = taylor_expand(B, cap)
     base = acc[: np.flatnonzero(acc)[-1] + 1]  # trailing zeros add nothing
     bits = []  # the low bits of n, handled by squaring
     while n > cap // B.degree + 1:
@@ -145,7 +144,7 @@ def power_expansion(B: BlaschkeProduct, n: int, cap: int) -> TaylorPoly:
         acc = np.convolve(acc, acc)[: cap + 1]
         if bit:
             acc = np.convolve(acc, base)[: cap + 1]
-    return TaylorPoly(acc, cap)
+    return acc
 
 
 def toeplitz_columns(B: BlaschkeProduct, n: int, adjoint: bool,
@@ -163,9 +162,8 @@ def toeplitz_columns(B: BlaschkeProduct, n: int, adjoint: bool,
     coefficients, or its conjugate transpose, which never needs extra budget.
     """
     if not adjoint and all(z == 0 for z in B.zeros):
-        return B.lam ** n * OperatorSpec.shift(n * B.degree).apply(X)
-    cap = X.shape[0] - 1
-    return toeplitz_product(power_expansion(B, n, cap).padded(cap + 1), adjoint, X)
+        return B.lam ** n * shift_product(n * B.degree, False, X)
+    return toeplitz_product(power_expansion(B, n, X.shape[0] - 1), adjoint, X)
 
 
 def toeplitz_apply(B: BlaschkeProduct, n: int, adjoint: bool,
@@ -180,19 +178,19 @@ class WoldFrame:
     """Layer frame: powers of the product times the model basis, truncated.
 
     ``matrix`` holds the layer vectors as read-only columns, layer-major:
-    column i*m + j models B^i e_j up to the cap.  Entries whose support
-    lies entirely above the cap are zero and skipped in diagnostics.
+    column i*m + j models B^i e_j up to the cap, so the model basis is
+    ``matrix[:, :m]``.  Entries whose support lies entirely above the cap
+    are zero and skipped in diagnostics.
     """
 
     blaschke: BlaschkeProduct
-    basis: tuple
     matrix: np.ndarray
     depth: int
     cap: int
 
     @property
     def m(self) -> int:
-        return len(self.basis)
+        return self.blaschke.degree
 
     def gram_defect(self) -> float:
         """Max deviation of the nonzero layer vectors' Gram matrix from I."""
@@ -234,15 +232,14 @@ def build_wold_frame(B: BlaschkeProduct, cap: int,
         if s < depth:
             b = toeplitz_product(b, False, b[:, None])[:, 0]
     matrix.flags.writeable = False
-    return WoldFrame(B, tuple(TaylorPoly(e, cap) for e in E.T), matrix, depth, cap)
+    return WoldFrame(B, matrix, depth, cap)
 
 
 def _layer_coords(X: np.ndarray, W: WoldFrame, tol: float) -> tuple:
     """Layer coordinates W^H X of every column of X, with the uncovered
     residuals.  Raises DepthExhausted at the first column whose residual
     is not within tol (a NaN residual fails too)."""
-    C = W.matrix.conj().T @ X
-    residuals = np.linalg.norm(X - W.matrix @ C, axis=0)
+    C, residuals = frame_distance(W.matrix, X)
     bad = np.flatnonzero(~(residuals <= tol))
     if bad.size:
         r = float(residuals[bad[0]])

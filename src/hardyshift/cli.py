@@ -24,7 +24,6 @@ from .problem import (ParseError, Problem, Task, ValidationError, _parse_task,
                       load_problem, parse_problem)
 from .report import (check_payload, floored, floored12, matrix_payload, matrix_text,
                      poly_pairs, round12, stage_payload)
-from .series import TaylorPoly
 
 __all__ = ["main", "run_problem"]
 
@@ -97,9 +96,8 @@ def _run_hitt(problem: Problem, task: Task) -> dict:
 
 
 def _kernel_payload(E) -> dict:
-    cap = E.entries.shape[0] - 1
     return {
-        "entries": [poly_pairs(floored(TaylorPoly(e, cap))) for e in E.entries.T],
+        "entries": [poly_pairs(floored(e)) for e in E.entries.T],
         "degenerate": list(E.degenerate),
     }
 

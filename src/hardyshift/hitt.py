@@ -38,8 +38,8 @@ from .invariance import (CheckReport, OperatorSpec, PipelineReport, Stage,
 from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, is_analytic,
                       is_inner, matmul, toeplitz_adjoint_apply)
 from .series import TaylorPoly, toeplitz_view
-from .subspaces import (SpanSubspace, _cgs2, intersect_shifted, ortho_complement_within,
-                        orthonormalize)
+from .subspaces import (SpanSubspace, _cgs2, frame_distance, intersect_shifted,
+                        ortho_complement_within, orthonormalize)
 from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL
 
 __all__ = [
@@ -151,10 +151,7 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn, m: int,
     n = M.cap + 1
     if max_iter is None:
         max_iter = M.cap // m + 2
-    F = M.frame_matrix()
-    R = F @ (F.conj().T @ V.T)
-    R -= V.T
-    off = np.sqrt(_col_sq(R))
+    off = frame_distance(M.frame_matrix(), V.T)[1]
     errors = {int(j): NotAMember(  # column -> its first error
         f"element lies outside the span (residual {off[j]:.3e} > {tol:g})")
         for j in np.flatnonzero(~(off <= tol))[:1]}

@@ -21,13 +21,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .blaschke import BlaschkeProduct, _factor_chain, toeplitz_columns
 from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange
 from .laurent import (LaurentMatrix, _last_analytic_index, _lower_symbols,
                       adjoint_on_circle, build_sigma, is_analytic, is_inner, matmul)
-from .series import toeplitz_view
-from .subspaces import (MonomialSubspace, SpanSubspace, _from_coord_matrix,
-                        _null_combos, intersect_shifted,
-                        orthonormalize, unflatten_element)
+from .series import shift_product, toeplitz_view
+from .subspaces import (MonomialSubspace, SpanSubspace, _null_combos, _null_span,
+                        frame_distance, intersect_shifted, orthonormalize)
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
 from .veclift import fit_cap, lift
 
@@ -118,30 +118,15 @@ class OperatorSpec:
         """Image of every column of X, each a flattened element: arity
         component blocks of cap+1 coefficients, stacked.
 
-        A shift moves the rows of each block down and raises
-        BudgetExceeded when a nonzero row would pass the cap; a co-shift
-        is a row slice.  Toeplitz symbols act on scalar columns only.
+        Shifts act by ``series.shift_product``; Toeplitz symbols act on
+        scalar columns only.
         """
-        if self.kind.startswith("toeplitz"):
-            if arity != 1:
-                raise DimensionMismatch("toeplitz symbols act on scalar elements only")
-            from .blaschke import toeplitz_columns
-
-            return toeplitz_columns(self.blaschke, self.power,
-                                    self.kind == "toeplitz_adjoint", X)
-        k = self.power
-        blocks = X.reshape(arity, -1, X.shape[1])
-        n = blocks.shape[1]
-        kept = max(n - k, 0)  # rows that stay under the cap
-        out = np.zeros(blocks.shape, dtype=np.complex128)
-        if self.kind == "coshift":
-            out[:, :kept] = blocks[:, k:]
-        elif blocks[:, kept:].any():
-            top = kept + int(np.flatnonzero(blocks[:, kept:].any(axis=(0, 2)))[-1])
-            raise BudgetExceeded(f"shift by {k} moves degree {top} past cap {n - 1}")
-        else:
-            out[:, k:] = blocks[:, :kept]
-        return out.reshape(X.shape)
+        if not self.kind.startswith("toeplitz"):
+            return shift_product(self.power, self.kind == "coshift", X, arity)
+        if arity != 1:
+            raise DimensionMismatch("toeplitz symbols act on scalar elements only")
+        return toeplitz_columns(self.blaschke, self.power,
+                                self.kind == "toeplitz_adjoint", X)
 
     def monomial_shift_order(self) -> Optional[int]:
         """Total shift order when the symbol is a pure monomial, else None."""
@@ -155,7 +140,9 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class Witness:
-    """FAIL evidence: the offending element, its image, and the residual."""
+    """FAIL evidence: the offending element, its image, and the residual.
+    On a span, element and image are (arity, cap+1) coefficient blocks;
+    on a monomial model they are exponents."""
 
     element: object
     image: object
@@ -215,15 +202,12 @@ def _first_failure(M: SpanSubspace, op: OperatorSpec, X: np.ndarray,
     if not X.shape[1]:
         return None
     Y = op.apply(X, M.arity)
-    F = M.frame_matrix()
-    R = F @ (F.conj().T @ Y)
-    R -= Y
-    res = np.sqrt(np.sum(np.abs(R) ** 2, axis=0))
+    res = frame_distance(M.frame_matrix(), Y)[1]
     bad = np.flatnonzero(~(res <= tol))
     if not bad.size:
         return None
     i = int(bad[0])
-    return i, unflatten_element(Y[:, i], M.arity, M.cap), float(res[i])
+    return i, Y[:, i].reshape(M.arity, -1), float(res[i])
 
 
 def check_invariance(M: SubspaceModel, op: OperatorSpec,
@@ -272,7 +256,7 @@ def check_invariance(M: SubspaceModel, op: OperatorSpec,
     if M.dim and tested == 0 and untested:
         raise BudgetExceeded("no testable band remains under the cap")
     witness = None if fail is None else Witness(
-        unflatten_element(M.matrix[:, stop], M.arity, M.cap), *fail[1:],
+        M.matrix[:, stop].reshape(M.arity, -1), *fail[1:],
         f"frame[{stop}] image leaves the span")
     verdict = "FAIL" if witness else "PASS"
     return CheckReport("invariance", op.describe(), name, verdict, witness,
@@ -291,16 +275,13 @@ def _toeplitz_range_meet(M: SpanSubspace, T: OperatorSpec) -> SpanSubspace:
     C = K^H F with an orthonormal basis K of K_{B^n} (each zero of B
     repeated n times).  K pairs exactly with elements under the cap, so
     ||C x|| is the distance of F x from B^n H^2."""
-    from .blaschke import BlaschkeProduct, _factor_chain
-
     if M.arity != 1:
         raise DimensionMismatch("toeplitz symbols act on scalar elements only")
     label = f"{M.label or 'M'} ∩ range({T.describe()})"
     if T.formal_degree_gain() > M.cap:  # refused before the zeros are repeated
         raise BudgetExceeded(f"cap {M.cap} is below the product degree {T.formal_degree_gain()}")
     K = _factor_chain(BlaschkeProduct(1.0, T.blaschke.zeros * T.power), M.cap)[0].T
-    combos = _null_combos(K.conj() @ M.frame_matrix(), M.dim, M.rank_tol)
-    return _from_coord_matrix(M, combos, label)
+    return _null_span(M, K.conj() @ M.frame_matrix(), label)
 
 
 def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
@@ -325,7 +306,7 @@ def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
     X = inside.frame_matrix()
     fail = _first_failure(M, Tstar, X, tol)
     witness = None if fail is None else Witness(
-        unflatten_element(X[:, fail[0]], M.arity, M.cap), *fail[1:],
+        X[:, fail[0]].reshape(M.arity, -1), *fail[1:],
         f"intersection frame[{fail[0]}] maps outside the span")
     verdict = "FAIL" if witness else "PASS"
     tested = inside.dim if fail is None else fail[0] + 1

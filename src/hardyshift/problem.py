@@ -179,6 +179,8 @@ def parse_problem(data: Any, cap: Optional[int] = None,
     if not _is_int(file_cap) or file_cap < 1:
         raise ValidationError("workspace.cap", "must be a positive integer")
     if cap is not None:
+        if not _is_int(cap) or cap < 1:
+            raise ValidationError("--cap", "must be a positive integer")
         file_cap = cap
     tols = {"membership": MEMBERSHIP_TOL, "rank": RANK_TOL,
             "analyticity": ANALYTICITY_TOL}

@@ -16,9 +16,7 @@ import numpy as np
 
 from .invariance import CheckReport, Witness
 from .laurent import LaurentMatrix
-from .series import TaylorPoly
 from .tolerances import PRINT_FLOOR
-from .veclift import VectorPoly
 
 __all__ = [
     "round12",
@@ -44,16 +42,17 @@ def floored12(x: float) -> float:
     return 0.0 if abs(x) <= PRINT_FLOOR else round12(x)
 
 
-def floored(f: TaylorPoly, scale: Optional[float] = None) -> TaylorPoly:
-    """f with every real or imaginary part within PRINT_FLOOR·scale set to
-    0.0, so poly_pairs stops at its last coefficient above the floor.  The
-    scale defaults to the norm of f (``math.hypot`` cannot overflow)."""
+def floored(c: np.ndarray, scale: Optional[float] = None) -> np.ndarray:
+    """A copy of the coefficients c with every real or imaginary part
+    within PRINT_FLOOR·scale set to 0.0, so poly_pairs stops at the last
+    coefficient above the floor.  The scale defaults to the norm of c
+    (``math.hypot`` cannot overflow)."""
     if scale is None:
-        scale = math.hypot(*np.abs(f.coeffs))
-    c = f.coeffs.copy()
+        scale = math.hypot(*np.abs(c))
+    c = np.array(c, dtype=np.complex128)
     for part in (c.real, c.imag):
         part[np.abs(part) <= PRINT_FLOOR * scale] = 0.0
-    return TaylorPoly(c, f.cap)
+    return c
 
 
 def complex_pair(z: complex) -> list:
@@ -61,24 +60,27 @@ def complex_pair(z: complex) -> list:
     return [round12(z.real), round12(z.imag)]
 
 
-def poly_pairs(f: TaylorPoly) -> list:
-    """complex_pair of every coefficient up to the degree, formatted in one
-    pass with round12's format spec."""
-    c = f.coeffs[: max(f.deg(), 0) + 1]
+def poly_pairs(c: np.ndarray) -> list:
+    """complex_pair of every coefficient up to the last nonzero one (of the
+    first, when all are zero), formatted in one pass with round12's format
+    spec."""
+    c = c[: np.flatnonzero(c).max(initial=0) + 1]
     flat = np.column_stack((c.real, c.imag)).ravel().tolist()
     vals = [float(t) for t in ("%.12g " * len(flat) % tuple(flat)).split()]
     return [vals[i: i + 2] for i in range(0, len(vals), 2)]
 
 
 def element_payload(el: Any) -> Any:
-    """Coefficient pairs under the print floor of the element's norm."""
-    if isinstance(el, VectorPoly):
-        scale = math.hypot(*np.abs(np.concatenate([c.coeffs for c in el.components])))
-        return {"kind": "vector",
-                "components": [poly_pairs(floored(c, scale)) for c in el.components]}
-    if isinstance(el, TaylorPoly):
-        return {"kind": "scalar", "coeffs": poly_pairs(floored(el))}
-    return el  # already plain (monomial exponent)
+    """Coefficient pairs of the (arity, cap+1) blocks of a span element,
+    under the print floor of the norm over all blocks: one block prints
+    as a scalar, more as a vector."""
+    if not isinstance(el, np.ndarray):
+        return el  # already plain (monomial exponent)
+    scale = math.hypot(*np.abs(el.ravel()))
+    pairs = [poly_pairs(floored(c, scale)) for c in el]
+    if len(pairs) == 1:
+        return {"kind": "scalar", "coeffs": pairs[0]}
+    return {"kind": "vector", "components": pairs}
 
 
 def witness_payload(w: Witness | None) -> Any:

@@ -5,10 +5,11 @@ degree cap.  Within the cap all operations are exact (up to double
 rounding); any operation that would need coefficients beyond the cap
 raises :class:`~hardyshift.errors.BudgetExceeded` instead of silently
 dropping the tail, because dropped tails would corrupt invariance
-verdicts downstream.  The one Toeplitz kernel (``toeplitz_view``,
-``toeplitz_product``) is the documented exception: it cuts a product at
-the cap, which leaves every kept coefficient exact, and callers that must
-not lose mass check degrees first.
+verdicts downstream; the shift kernel ``shift_product`` keeps that rule.
+The one Toeplitz kernel (``toeplitz_view``, ``toeplitz_product``) is the
+documented exception: it cuts a product at the cap, which leaves every
+kept coefficient exact, and callers that must not lose mass check
+degrees first.
 
 Everything here is a pure function over immutable values.
 """
@@ -40,6 +41,7 @@ __all__ = [
     "allclose",
     "toeplitz_view",
     "toeplitz_product",
+    "shift_product",
 ]
 
 Scalar = Union[int, float, complex]
@@ -174,14 +176,12 @@ def norm(f: TaylorPoly) -> float:
 
 
 def _column_op(kind: str, f: TaylorPoly, k: int) -> TaylorPoly:
-    """``OperatorSpec.apply`` on the single column f."""
+    """``shift_product`` on the single column f."""
     if k < 0:
         raise ValueError(f"{kind} power must be nonnegative")
     if k == 0:
         return f
-    from .invariance import OperatorSpec
-
-    col = OperatorSpec(kind, k).apply(f.padded(f.cap + 1)[:, None])
+    col = shift_product(k, kind == "coshift", f.padded(f.cap + 1)[:, None])
     return TaylorPoly(col[:, 0], f.cap)
 
 
@@ -249,3 +249,22 @@ def toeplitz_product(b: np.ndarray, adjoint: bool, X: np.ndarray) -> np.ndarray:
     nz = np.flatnonzero(X.any(axis=1))
     d = int(nz[-1]) + 1 if nz.size else 0  # the rows of X from d on are zero
     return toeplitz_view(b, adjoint)[:, :d] @ X[:d]
+
+
+def shift_product(k: int, adjoint: bool, X: np.ndarray, arity: int = 1) -> np.ndarray:
+    """Multiplication by z^k, or its adjoint, on every column of X: arity
+    stacked component blocks of cap+1 coefficients.  The shift moves the
+    rows of each block down and raises BudgetExceeded when a nonzero row
+    would pass the cap; the co-shift is a row slice."""
+    blocks = X.reshape(arity, -1, X.shape[1])
+    n = blocks.shape[1]
+    kept = max(n - k, 0)  # rows that stay under the cap
+    out = np.zeros(blocks.shape, dtype=np.complex128)
+    if adjoint:
+        out[:, :kept] = blocks[:, k:]
+    elif blocks[:, kept:].any():
+        top = kept + int(np.flatnonzero(blocks[:, kept:].any(axis=(0, 2)))[-1])
+        raise BudgetExceeded(f"shift by {k} moves degree {top} past cap {n - 1}")
+    else:
+        out[:, k:] = blocks[:, :kept]
+    return out.reshape(X.shape)

@@ -31,6 +31,7 @@ __all__ = [
     "orthonormalize",
     "project",
     "Projection",
+    "frame_distance",
     "intersect_shifted",
     "intersect",
     "ortho_complement_within",
@@ -124,13 +125,6 @@ class SpanSubspace:
         return f"SpanSubspace(dim={self.dim}, arity={self.arity}, cap={self.cap}{tag})"
 
 
-def _from_coord_matrix(M: SpanSubspace, combos: np.ndarray, label: str) -> SpanSubspace:
-    """Subspace spanned by frame combinations; combos rows are orthonormal
-    coordinate vectors, so the new frame is orthonormal as well."""
-    return SpanSubspace(M.frame_matrix() @ combos.T, M.cap, M.arity, M.rank_tol,
-                        label=label, band=M.band)
-
-
 def _cgs2(rows: np.ndarray, threshold: float) -> tuple:
     """CGS2 ("twice is enough") over the rows, in order: each row is
     projected off the vectors kept so far twice, w -= Q (Qᴴ w), and is
@@ -202,16 +196,23 @@ class Projection(NamedTuple):
     coords: np.ndarray
 
 
+def frame_distance(F: np.ndarray, Y: np.ndarray) -> tuple:
+    """(Fᴴ Y, distances): the coordinates of the columns of Y against the
+    orthonormal columns of F, and the norm of each column of F Fᴴ Y - Y,
+    the distance of that column from the span of F."""
+    C = F.conj().T @ Y
+    R = F @ C
+    R -= Y
+    return C, np.sqrt(np.sum(np.abs(R) ** 2, axis=0))
+
+
 def project(f: Element, M: SpanSubspace) -> Projection:
     """Orthogonal projection onto the frame span, with residual norm."""
     if _arity(f) != M.arity or f.cap != M.cap:
         raise ValueError("element arity/cap does not match the subspace")
-    v = flatten_element(f, M.cap)
-    fm = M.frame_matrix()
-    coords = fm.conj().T @ v
-    proj = fm @ coords
-    residual = float(np.linalg.norm(v - proj))
-    return Projection(unflatten_element(proj, M.arity, M.cap), residual, coords)
+    coords, residual = frame_distance(M.frame_matrix(), flatten_element(f, M.cap)[:, None])
+    proj = M.frame_matrix() @ coords[:, 0]
+    return Projection(unflatten_element(proj, M.arity, M.cap), float(residual[0]), coords[:, 0])
 
 
 def _null_combos(C: np.ndarray, dim: int, rank_tol: float) -> np.ndarray:
@@ -222,6 +223,14 @@ def _null_combos(C: np.ndarray, dim: int, rank_tol: float) -> np.ndarray:
     thresh = rank_tol * max(1.0, float(s[0]) if s.size else 1.0)
     rank = int(np.sum(s > thresh))
     return np.conj(vh[rank:])
+
+
+def _null_span(M: SpanSubspace, C: np.ndarray, label: str) -> SpanSubspace:
+    """The frame combinations F x of M with C x ~ 0.  The coordinate
+    vectors are orthonormal, so the new frame is orthonormal as well."""
+    combos = _null_combos(C, M.dim, M.rank_tol)
+    return SpanSubspace(M.frame_matrix() @ combos.T, M.cap, M.arity, M.rank_tol,
+                        label=label, band=M.band)
 
 
 def intersect_shifted(M: SpanSubspace, k: int) -> SpanSubspace:
@@ -236,9 +245,7 @@ def intersect_shifted(M: SpanSubspace, k: int) -> SpanSubspace:
     if M.dim == 0:
         return M.relabel(label)
     blocks = M.frame_matrix().reshape(M.arity, M.cap + 1, M.dim)
-    C = blocks[:, :k].reshape(-1, M.dim)
-    combos = _null_combos(C, M.dim, M.rank_tol)
-    return _from_coord_matrix(M, combos, label)
+    return _null_span(M, blocks[:, :k].reshape(-1, M.dim), label)
 
 
 def intersect(M: SpanSubspace, N: SpanSubspace) -> SpanSubspace:
@@ -253,9 +260,7 @@ def intersect(M: SpanSubspace, N: SpanSubspace) -> SpanSubspace:
         return SpanSubspace((), M.cap, M.arity, M.rank_tol, label=label, band=M.band)
     fm = M.frame_matrix()
     fn = N.frame_matrix()
-    resid = fm - fn @ (fn.conj().T @ fm)
-    combos = _null_combos(resid, M.dim, M.rank_tol)
-    return _from_coord_matrix(M, combos, label)
+    return _null_span(M, fm - fn @ (fn.conj().T @ fm), label)
 
 
 def ortho_complement_within(M: SpanSubspace, N: SpanSubspace) -> SpanSubspace:
@@ -265,18 +270,15 @@ def ortho_complement_within(M: SpanSubspace, N: SpanSubspace) -> SpanSubspace:
     label = f"{M.label or 'M'} ⊖ {N.label or 'N'}"
     if N.dim == 0:
         return M.relabel(label)
-    fm = M.frame_matrix()
     fn = N.frame_matrix()
-    coords = fm.conj().T @ fn
-    outside = np.linalg.norm(fn - fm @ coords, axis=0)
+    coords, outside = frame_distance(M.frame_matrix(), fn)
     limit = M.rank_tol * np.maximum(1.0, np.linalg.norm(fn, axis=0))
     bad = np.flatnonzero(~(outside <= limit))
     if bad.size:
         raise NotASubspaceOf(f"frame vector {bad[0]} has residual "
                              f"{outside[bad[0]]:.3e} outside the ambient span")
     # a combination x is orthogonal to N iff sum_i x_i conj(coords_i) = 0
-    combos = _null_combos(coords.conj().T, M.dim, M.rank_tol)
-    return _from_coord_matrix(M, combos, label)
+    return _null_span(M, coords.conj().T, label)
 
 
 @dataclass(frozen=True, eq=False)

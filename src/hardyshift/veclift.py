@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetExceeded
-from .series import TaylorPoly
+from .series import TaylorPoly, inner_product
 
 __all__ = [
     "VectorPoly",
@@ -77,8 +77,6 @@ def vector(components: Sequence[TaylorPoly]) -> VectorPoly:
 def vec_inner(F: VectorPoly, G: VectorPoly) -> complex:
     if F.m != G.m:
         raise ValueError("vector arities differ")
-    from .series import inner_product
-
     return sum((inner_product(f, g) for f, g in zip(F.components, G.components)), 0j)
 
 

@@ -446,3 +446,15 @@ def test_shipped_problem_files(capsys):
     # near-invariance claims fail under the definition-based check
     checks = {c["operator"]: c["verdict"] for c in out["tasks"][0]["checks"]}
     assert checks == {"S^1": "FAIL", "S^2": "PASS", "S^3": "PASS"}
+
+
+@pytest.mark.parametrize("cap", ["-3", "0"])
+@pytest.mark.parametrize("args", [
+    ["run", "problems/audit.json"],
+    ["verify-theta", "problems/demo.json", "--theta", "diag_1zz", "--m", "3", "--cond", "1:1"],
+])
+def test_cap_override_must_be_positive(cap, args, capsys):
+    # the override obeys the rule of workspace.cap
+    assert main([args[0], str(ROOT / args[1]), *args[2:], "--cap", cap]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "input error: --cap: must be a positive integer\n"
