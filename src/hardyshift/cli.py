@@ -3,7 +3,7 @@
 The structured report goes to stdout (or --out) and is byte-identical for
 identical inputs; the human summary, including wall time, goes to stderr.
 Exit status: 0 when every task PASSes, 1 when any task FAILs or ERRORs,
-2 on input errors.
+2 on input errors and when --out cannot be written.
 """
 
 from __future__ import annotations
@@ -343,8 +343,13 @@ def main(argv=None) -> int:
     payload = (json.dumps(report, indent=2, ensure_ascii=False) + "\n"
                if args.format == "json" else _render_text(report))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"output error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     elapsed = time.monotonic() - started

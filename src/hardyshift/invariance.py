@@ -380,12 +380,13 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
 def build_model_space(theta: LaurentMatrix, m: int, cap: int,
                       rank_tol: float = RANK_TOL,
                       analytic_tol: float = ANALYTICITY_TOL) -> SpanSubspace:
-    """Capped model of the lifted model space: the vectors of component
-    degree <= c that are orthogonal to the full matrix range, lifted.
+    """Capped model of the lifted model space K_Θ = H² ⊖ ΘH²: the vectors
+    of component degree <= c orthogonal to the full matrix range, lifted.
 
     The constraints are every range generator cut to component degree c
     (``range_generators``), so the complement carries no spurious edge
-    directions; the result is exact for the band it declares.
+    directions; the result is exact for the band it declares.  The SVD's
+    null basis is orthonormal and the lift permutes rows, so it is the frame.
     """
     _check_builder_input(theta, m, analytic_tol, "model-space builder")
     comp_cap = (cap + 1) // m - 1
@@ -394,12 +395,8 @@ def build_model_space(theta: LaurentMatrix, m: int, cap: int,
     n_sub = comp_cap + 1
     C = np.conj(range_generators(theta, comp_cap).T)
     combos = _null_combos(C, m * n_sub, rank_tol)
-    label = f"T_{m}(K_Θ) at cap {cap}"
-    band = m * comp_cap + m - 1
-    if not combos.shape[0]:
-        return SpanSubspace((), cap, 1, rank_tol, label=label, band=band)
-    lifted = fit_cap(lift(combos.T, m), m, cap)
-    return orthonormalize(lifted, rank_tol, label=label, band=band)
+    return SpanSubspace(fit_cap(lift(combos.T, m), m, cap), cap, 1, rank_tol,
+                        label=f"T_{m}(K_Θ) at cap {cap}", band=m * comp_cap + m - 1)
 
 
 @dataclass(frozen=True)

@@ -158,15 +158,29 @@ def _ref(objects: dict, what: str, name: Any, path: str) -> Any:
     return objects[name]
 
 
+def _finite(token: str) -> float:
+    """A JSON number token as a float; NaN, Infinity, -Infinity and a
+    literal past the float range such as 1e400 raise ValueError."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def load_problem(path: str, cap: Optional[int] = None,
                  tol: Optional[float] = None) -> Problem:
+    """Parse a problem file.  Unreadable or undecodable bytes, bad JSON,
+    nesting too deep to parse and non-finite numbers, anywhere in the
+    file, raise ParseError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ParseError(f"{path}: {exc}") from exc
     return parse_problem(data, cap, tol)
 
 

@@ -116,10 +116,6 @@ class TaylorPoly:
             raise ValueError("coefficient index must be nonnegative")
         return complex(self.coeffs[j]) if j < self.coeffs.size else 0j
 
-    def eval(self, z):
-        """Evaluate the stored polynomial at scalar or array argument."""
-        return np.polynomial.polynomial.polyval(z, self.coeffs)
-
     # -- operator sugar (thin wrappers over the module functions) ---------
 
     def __add__(self, other: "TaylorPoly") -> "TaylorPoly":

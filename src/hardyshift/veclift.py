@@ -85,7 +85,7 @@ def lift(X: np.ndarray, m: int) -> np.ndarray:
     m*j + l of the result is row l*n + j of X, for blocks of n rows."""
     if m < 1 or X.shape[0] % m:
         raise ValueError(f"{X.shape[0]} rows do not stack {m} components")
-    return X.reshape(m, -1, X.shape[1]).transpose(1, 0, 2).reshape(X.shape)
+    return X.reshape(m, X.shape[0] // m, X.shape[1]).transpose(1, 0, 2).reshape(X.shape)
 
 
 def fit_cap(Y: np.ndarray, m: int, cap: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -324,6 +325,17 @@ def test_non_finite_input_rejected(tmp_path, capsys, case):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_number_in_an_unread_key_rejected(tmp_path, capsys, token):
+    # no field reads workspace.note, so only the JSON parser can see it
+    path = tmp_path / "problem.json"
+    path.write_text('{"workspace": {"cap": 8, "note": %s}, "tasks": %s}'
+                    % (token, json.dumps(SIGMA_ONLY)))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and str(path) in err
+
+
 def test_non_finite_tol_flag_rejected(tmp_path, capsys):
     path = write_problem(tmp_path)
     for value in ("nan", "inf"):
@@ -458,3 +470,24 @@ def test_cap_override_must_be_positive(cap, args, capsys):
     assert main([args[0], str(ROOT / args[1]), *args[2:], "--cap", cap]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err == "input error: --cap: must be a positive integer\n"
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert main(["run", str(ROOT / "problems" / "demo.json"), "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot write {target}: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("content", [
+    b'{"workspace": {"cap": 8}, "tasks": [], "note": "\xff"}',
+    b"[" * 100_000,  # deeper than the parser's recursion limit
+], ids=["non_utf8_byte", "deep_nesting"])
+def test_undecodable_file_is_a_parse_error(tmp_path, capsys, content):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match=re.escape(str(path))):
+        load_problem(str(path))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {path}: ")

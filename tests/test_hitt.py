@@ -1,14 +1,20 @@
+import pathlib
+
 import numpy as np
 import pytest
 
-from hardyshift import (KernelColumn, NoConvergence, NotAMember, build_j_map,
-                        certify_theta, extract_kernels, from_poly_grid,
-                        hitt_decompose, identity, monomial, orthonormalize,
-                        taylor)
+from hardyshift import (KernelColumn, LaurentMatrix, NoConvergence, NotAMember,
+                        build_j_map, build_sigma, certify_theta, diag_polys,
+                        extract_kernels, from_poly_grid, hitt_decompose, identity,
+                        matmul, monomial, orthonormalize, taylor,
+                        toeplitz_adjoint_apply)
+from hardyshift.invariance import range_generators
+from hardyshift.problem import load_problem
 from hardyshift.series import allclose, shift_pow, sub
 from hardyshift.veclift import vec_inner, vector
 
 CAP = 48
+DEMO = pathlib.Path(__file__).resolve().parent.parent / "problems" / "demo.json"
 
 SQRT2 = np.sqrt(2.0)
 SQRT5 = np.sqrt(5.0)
@@ -231,3 +237,56 @@ def test_certify_theta_fails_for_full_identity():
     assert not rep.passed
     assert rep.stage("coords_in_model_space").verdict == "FAIL"
     assert rep.stage("theta_inner").verdict == "PASS"
+
+
+def _udv(rng, exponents):
+    """U · diag(z^a) · V for seeded constant unitaries U and V."""
+    m = len(exponents)
+
+    def unitary():
+        q = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+        return from_poly_grid([[[x] for x in row] for row in q])
+
+    diag = diag_polys([[0] * a + [1] for a in exponents])
+    return matmul(matmul(unitary(), diag), unitary())
+
+
+def _with_dust(theta, dust):
+    """theta plus a coefficient `dust` at power -1 of entry (0, 0)."""
+    table = np.zeros((theta.rows, theta.cols, theta.table.shape[2] + theta.min_pow + 1),
+                     dtype=complex)
+    table[:, :, theta.min_pow + 1:] = theta.table
+    table[0, 0, 0] = dust
+    return LaurentMatrix(theta.rows, theta.cols, -1, table)
+
+
+def certify_cases(rng):
+    demo = load_problem(str(DEMO))
+    two_dim = span([1, 1, 1], [0, 1, 2])
+    cases = [(demo.subspaces["two_dim"], demo.matrices["col_zz"]),
+             (two_dim, identity(2)),
+             (two_dim, _with_dust(demo.matrices["col_zz"], 1e-11))]
+    # span{z^(2l) q_i}: its coordinates pair with the range at both stages
+    ladder = span(*([0] * (2 * l) + q for l in range(3) for q in ([1, 1], [0, 1, 2])))
+    cases += [(ladder, _udv(rng, a)) for a in ((1, 1), (2, 1), (1, 3), (3, 3))]
+    return cases
+
+
+def test_certify_stages_equal_the_dense_range_pairing(rng):
+    # P₊Θ*x by the column action against the dense pairing of x with every
+    # cut range generator Θ z^j δ_i; the dust case pins that the
+    # negative-power dust the inner test lets pass is dropped, not applied
+    verdicts, worst = [], []
+    for M, theta in certify_cases(rng):
+        rep = certify_theta(M, 2, 1, 1, theta)
+        assert rep.stage("theta_inner").passed
+        gens = range_generators(theta, rep.jmap.space.cap)
+        images = toeplitz_adjoint_apply(build_sigma(2, 1, 1), rep.jmap.coords)
+        for name, X in (("coords_in_model_space", rep.jmap.space.frame_matrix()),
+                        ("conclusion_orthogonal", images)):
+            dense = float(np.max(np.abs(X.conj().T @ gens), initial=0.0))
+            assert abs(rep.stage(name).data - dense) <= 1e-14, (name, theta)
+            worst.append(rep.stage(name).data)
+        verdicts.append(rep.passed)
+    assert verdicts == [True, False, True, False, False, False, False]
+    assert min(worst[6:]) > 0.01  # U·diag(z^a)·V: both stages pair with the range

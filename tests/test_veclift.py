@@ -146,7 +146,7 @@ def model_space_inline(theta, m, cap):
     # coefficient j of component l moves to index m*j + l
     lifted = np.zeros((cap + 1, combos.shape[0]), dtype=np.complex128)
     lifted[: m * n_sub] = combos.reshape(-1, m, n_sub).transpose(2, 1, 0).reshape(m * n_sub, -1)
-    return orthonormalize(lifted, RANK_TOL, label=label, band=band)
+    return SpanSubspace(lifted, cap, 1, RANK_TOL, label=label, band=band)
 
 
 def _unitary_column_theta(rng, m):
@@ -156,15 +156,31 @@ def _unitary_column_theta(rng, m):
     return LaurentMatrix(m, 1, 0, table)
 
 
+def _builder_thetas(rng):
+    return [(diag_polys([[1], [0, 1], [0, 1]]), 3),
+            (diag_polys([[0, 0, 1], [0, 1]]), 2),
+            (from_poly_grid([[[5 ** -0.5]], [[2 * 5 ** -0.5]]]), 2),
+            (_unitary_column_theta(rng, 5), 5)]
+
+
 @pytest.mark.parametrize("cap", [16, 48, 97])
 def test_builder_frames_equal_the_inline_index_maps(rng, cap):
-    thetas = [(diag_polys([[1], [0, 1], [0, 1]]), 3),
-              (diag_polys([[0, 0, 1], [0, 1]]), 2),
-              (from_poly_grid([[[5 ** -0.5]], [[2 * 5 ** -0.5]]]), 2),
-              (_unitary_column_theta(rng, 5), 5)]
-    for theta, m in thetas:
+    for theta, m in _builder_thetas(rng):
         for build, inline in ((build_theta_range, theta_range_inline),
                               (build_model_space, model_space_inline)):
             got, want = build(theta, m, cap), inline(theta, m, cap)
             assert np.array_equal(got.matrix, want.matrix)
             assert (got.band, got.label, got.dropped) == (want.band, want.label, want.dropped)
+
+
+@pytest.mark.parametrize("cap", [16, 48, 97])
+def test_model_space_frame_is_the_lifted_svd_null_basis(rng, cap):
+    # K_Θ's frame is the SVD null basis of the cut range generators, lifted
+    # as it is: no Gram-Schmidt pass moves a bit, and it is orthonormal
+    for theta, m in _builder_thetas(rng):
+        comp_cap = (cap + 1) // m - 1
+        combos = _null_combos(np.conj(range_generators(theta, comp_cap).T),
+                              m * (comp_cap + 1), RANK_TOL)
+        F = build_model_space(theta, m, cap).matrix
+        assert np.array_equal(F, fit_cap(lift(combos.T, m), m, cap))
+        assert np.max(np.abs(F.conj().T @ F - np.eye(F.shape[1])), initial=0.0) <= 1e-14
