@@ -63,17 +63,15 @@ class BlaschkeProduct:
             raise ParamOutOfRange(f"|lambda| must be 1, got {abs(lam)!r}")
         if not all(cmath.isfinite(z) for z in zeros):
             raise ParamOutOfRange(f"zeros must be finite, got {zeros!r}")
+        for z in zeros:
+            if abs(z) >= 1.0 - _CIRCLE_MARGIN:
+                raise ZeroOnCircle(f"factor zero {z!r} is not strictly inside the disc")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "zeros", zeros)
 
     @property
     def degree(self) -> int:
         return len(self.zeros)
-
-    def check_zeros(self) -> None:
-        for z in self.zeros:
-            if abs(z) >= 1.0 - _CIRCLE_MARGIN:
-                raise ZeroOnCircle(f"factor zero {z!r} is not strictly inside the disc")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BlaschkeProduct(degree={self.degree})"
@@ -88,7 +86,6 @@ def tail_bound(B: BlaschkeProduct, cap: int) -> float:
     coefficient of B is at most C(k+d-1, d-1)·rho^(k-d).  The bound is the
     largest of these over k > cap, and never above 1 (B is inner).
     """
-    B.check_zeros()
     rho = max(abs(z) for z in B.zeros)
     if rho == 0:
         return 0.0
@@ -104,7 +101,6 @@ def _factor_chain(B: BlaschkeProduct, cap: int) -> tuple:
     with P the product of the earlier factors, g = P·sum conj(a)^k z^k is
     one cut product; sqrt(1 - |a|^2)·g is the normalized reproducing
     kernel at a times P, and the next P is z·g - a·g."""
-    B.check_zeros()
     if cap < B.degree:
         raise BudgetExceeded(f"cap {cap} is below the product degree {B.degree}")
     E = np.empty((cap + 1, B.degree), dtype=np.complex128)
@@ -266,22 +262,19 @@ def u_apply(f: TaylorPoly, W: WoldFrame,
     return VectorPoly(comps), float(residuals[0])
 
 
-def transfer_subspace(M: SpanSubspace, B: BlaschkeProduct, W: WoldFrame,
+def transfer_subspace(M: SpanSubspace, W: WoldFrame,
                       tol: float = MEMBERSHIP_TOL) -> SpanSubspace:
     """Unitary transport of a capped scalar subspace from the Toeplitz
-    picture to the power-shift picture: frame matrix X -> W^H X, the layer
-    coordinates, read as lifted scalars (lift ∘ u_apply on every column).
-    Invariance verdicts transfer along this map on the covered band.
+    picture of the frame's product to the power-shift picture: frame
+    matrix X -> W^H X, the layer coordinates, read as lifted scalars
+    (lift ∘ u_apply on every column).  Invariance verdicts transfer along
+    this map on the covered band.
     """
     if M.arity != 1:
         raise ValueError("transfer acts on scalar subspaces")
     if M.cap != W.cap:
         raise ValueError("subspace cap must match the frame cap")
-    if B != W.blaschke:
-        raise ValueError("frame was built for a different product")
     label = f"to_shift({M.label or 'M'})"
-    if not M.dim:
-        return SpanSubspace((), M.cap, 1, M.rank_tol, label=label)
     # the lift of layer coordinates is the identity on the layer-major index
     C, _ = _layer_coords(M.frame_matrix(), W, tol)
     return orthonormalize(fit_cap(C, W.m, M.cap), M.rank_tol, label=label)

@@ -20,8 +20,8 @@ from .hitt import build_j_map, certify_theta
 from .invariance import (OperatorSpec, check_invariance, check_near_invariance,
                          verify_theorem_multi)
 from .laurent import build_sigma
-from .problem import (ParseError, Problem, Task, ValidationError, _parse_task,
-                      load_problem, parse_problem)
+from .problem import (ParseError, Problem, Task, ValidationError, parse_problem,
+                      read_problem_file)
 from .report import (check_payload, floored, floored12, matrix_payload, matrix_text,
                      poly_pairs, round12, stage_payload)
 
@@ -120,7 +120,7 @@ def _run_transfer(problem: Problem, task: Task) -> dict:
     depth = task.params.get("depth")
     near = task.params["near"]
     W = build_wold_frame(B, problem.cap, depth)
-    shifted = transfer_subspace(sub, B, W, problem.membership_tol)
+    shifted = transfer_subspace(sub, W, problem.membership_tol)
     order = B.degree * n
     if near:
         direct = check_near_invariance(sub, OperatorSpec.toeplitz_adjoint(B, n),
@@ -323,35 +323,38 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _output_error(path: str, exc: OSError) -> int:
+    print(f"output error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        if args.command == "run":
-            problem = load_problem(args.problem, args.cap, args.tol)
-        elif args.command == "build-sigma":
-            problem = parse_problem({"workspace": {}, "tasks": [_single_task_raw(args)]},
-                                    args.cap, args.tol)
-        else:
-            problem = load_problem(args.problem, args.cap, args.tol)
-            problem.tasks = [_parse_task(problem, 0, _single_task_raw(args))]
+        data = {} if args.command == "build-sigma" else read_problem_file(args.problem)
+        if args.command != "run" and isinstance(data, dict):  # the file's objects, one task
+            data = {**data, "tasks": [_single_task_raw(args)]}
+        problem = parse_problem(data, args.cap, args.tol)
     except (ParseError, ValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    try:  # before any task runs
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        return _output_error(args.out, exc)
 
     report = run_problem(problem)
     payload = (json.dumps(report, indent=2, ensure_ascii=False) + "\n"
                if args.format == "json" else _render_text(report))
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"output error: cannot write {args.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 2
-    else:
+    if out is None:
         sys.stdout.write(payload)
+    else:
+        try:
+            with out:
+                out.write(payload)
+        except OSError as exc:
+            return _output_error(args.out, exc)
     elapsed = time.monotonic() - started
     s = report["summary"]
     print(f"{s['pass']} pass, {s['fail']} fail, {s['error']} error "

@@ -75,14 +75,11 @@ class KernelColumn:
 def extract_kernels(M: SpanSubspace, m: int) -> KernelColumn:
     """Project z^i (i < m) onto M ⊖ (M ∩ z^m H^2), orthonormalize in index
     order (a norm left below max(M.rank_tol, EXACT_TOL) gives a degenerate
-    entry).  All-zero columns are legal (M inside z^m H^2).  A non-finite
-    frame raises ParamOutOfRange."""
+    entry).  All-zero columns are legal (M inside z^m H^2)."""
     if m < 2:
         raise ParamOutOfRange(f"arity m must be >= 2, got {m}")
     if M.arity != 1:
         raise ValueError("kernel extraction acts on scalar subspaces")
-    if not np.all(np.isfinite(M.frame_matrix())):
-        raise ParamOutOfRange("frame matrix has non-finite coefficients")
     if m > M.cap + 1:
         raise BudgetExceeded(f"monomial degree {M.cap + 1} exceeds cap {M.cap}")
     F = ortho_complement_within(M, intersect_shifted(M, m)).frame_matrix()
@@ -107,22 +104,20 @@ class HittDecomposition:
     parseval_gap: float
 
 
-def hitt_decompose(f: TaylorPoly, M: SpanSubspace, E: KernelColumn, m: int,
+def hitt_decompose(f: TaylorPoly, M: SpanSubspace, E: KernelColumn,
                    max_iter: Optional[int] = None,
                    tol: float = MEMBERSHIP_TOL) -> HittDecomposition:
     """Run the peeling recursion on f ∈ M: the one-column call of the peel
     that ``build_j_map`` runs on every frame vector at once.  f is taken
-    as its cap+1 coefficients.
+    as its cap+1 coefficients; the arity is the kernel column's.
 
     Raises NotAMember when f is outside M at tol, and NoConvergence when
     the recursion stalls, hits max_iter, or leaves uncaptured mass - the
     computational signal that M is not nearly co-invariant at this cap.
     """
-    if m != E.m:
-        raise ParamOutOfRange("kernel column arity does not match m")
     if not isinstance(f, TaylorPoly) or M.arity != 1 or f.cap != M.cap:
         raise ValueError("element arity/cap does not match the subspace")
-    return _peel(f.padded(M.cap + 1)[None, :], M, E, m, max_iter, tol)[0][0]
+    return _peel(f.padded(M.cap + 1)[None, :], M, E, max_iter, tol)[0][0]
 
 
 def _col_sq(X: np.ndarray) -> np.ndarray:
@@ -132,7 +127,7 @@ def _col_sq(X: np.ndarray) -> np.ndarray:
     return sq[0::2] + sq[1::2]
 
 
-def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn, m: int,
+def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn,
           max_iter: Optional[int], tol: float) -> tuple:
     """The peeling recursion on every row of V, each the cap+1 coefficients
     of one element of M, at once: one HittDecomposition per row, and the
@@ -148,7 +143,7 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn, m: int,
     as two products, and the head test on the first m rows.  Results agree
     with the one-element recursion up to rounding.
     """
-    n = M.cap + 1
+    n, m = M.cap + 1, E.m
     if max_iter is None:
         max_iter = M.cap // m + 2
     off = frame_distance(M.frame_matrix(), V.T)[1]
@@ -162,7 +157,7 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn, m: int,
     W = np.zeros((n + m * (max_iter + 1), k), dtype=np.complex128)
     W[:n] = V[:k].T
     norm2 = _col_sq(W[:n])
-    A = np.zeros((max_iter + 1, E.m, k), dtype=np.complex128)
+    A = np.zeros((max_iter + 1, m, k), dtype=np.complex128)
     iterations, residuals = np.zeros(k, dtype=int), np.zeros(k)
     live, lo, hi = np.ones(k, dtype=bool), 0, k
     # Termination: each peel drops the remaining degree by m, uncaptured
@@ -225,9 +220,9 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn, m: int,
         raise errors[good]
     # a column's rows past its iterations are zero: it was not live there.
     # Only a max_iter past the cap can take more than cap+1 peels.
-    P = np.zeros((E.m, max(n, L), k), dtype=np.complex128)
+    P = np.zeros((m, max(n, L), k), dtype=np.complex128)
     P[:, :L] = A[:L].transpose(1, 0, 2)
-    return decomps, P.reshape(E.m * P.shape[1], k)
+    return decomps, P.reshape(m * P.shape[1], k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,15 +248,10 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL) -> JMapRes
     space are verified and reported, never assumed.
     """
     E = extract_kernels(M, m)
-    decomps, P = _peel(M.frame_matrix().T, M, E, m, None, tol)
-    label = f"J_{m}({M.label or 'M'})"
-    if decomps:
-        # the frame is orthonormal, so its Gram matrix is the identity
-        gap = float(np.max(np.abs(P.conj().T @ P - np.eye(len(decomps)))))
-        K = orthonormalize(P, M.rank_tol, label=label, arity=m)
-    else:
-        gap = 0.0
-        K = SpanSubspace((), M.cap, m, M.rank_tol, label=label)
+    decomps, P = _peel(M.frame_matrix().T, M, E, None, tol)
+    # the frame is orthonormal, so its Gram matrix is the identity
+    gap = float(np.max(np.abs(P.conj().T @ P - np.eye(len(decomps))), initial=0.0))
+    K = orthonormalize(P, M.rank_tol, label=f"J_{m}({M.label or 'M'})", arity=m)
     costable = check_invariance(K, OperatorSpec.coshift(1), tol)
     return JMapResult(K, E, tuple(decomps), P, gap, costable)
 

@@ -442,11 +442,7 @@ def verify_theorem_multi(theta: LaurentMatrix, m: int,
     conds = [(int(g), int(kk)) for g, kk in conditions]
     if not conds:
         raise ParamOutOfRange("at least one (gamma, k) condition is required")
-    for g, kk in conds:
-        if not 1 <= g <= m - 1:
-            raise ParamOutOfRange(f"gamma {g} outside 1..{m - 1}")
-        if kk < 1:
-            raise ParamOutOfRange(f"k must be >= 1, got {kk}")
+    sigmas = [build_sigma(m, g, kk) for g, kk in conds]  # refuses a bad gamma or k
     stages: list[Stage] = []
     products: list[tuple] = []
 
@@ -462,9 +458,8 @@ def verify_theorem_multi(theta: LaurentMatrix, m: int,
     rep = check_invariance(smodel, OperatorSpec.coshift(m), tol)
     stages.append(Stage(f"model_invariant_(S^{m})*", rep.verdict, "", rep))
 
-    for g, kk in conds:
+    for (g, kk), sigma in zip(conds, sigmas):
         order = kk * m + g
-        sigma = build_sigma(m, g, kk)
         product = matmul(matmul(adjoint_on_circle(theta), sigma), theta)
         chk = is_analytic(product, analytic_tol)
         products.append(((g, kk), product))

@@ -27,7 +27,7 @@ from .subspaces import MonomialSubspace, SpanSubspace, orthonormalize
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
 
 __all__ = ["ParseError", "ValidationError", "Problem", "Task",
-           "load_problem", "parse_problem", "parse_operator_token"]
+           "read_problem_file", "load_problem", "parse_problem", "parse_operator_token"]
 
 TASK_KINDS = ("check-invariance", "check-near-invariance", "verify-theta",
               "hitt", "blaschke-transfer", "build-sigma")
@@ -167,21 +167,25 @@ def _finite(token: str) -> float:
     return value
 
 
-def load_problem(path: str, cap: Optional[int] = None,
-                 tol: Optional[float] = None) -> Problem:
-    """Parse a problem file.  Unreadable or undecodable bytes, bad JSON,
-    nesting too deep to parse and non-finite numbers, anywhere in the
-    file, raise ParseError naming the path."""
+def read_problem_file(path: str) -> Any:
+    """The JSON value of a problem file.  Unreadable or undecodable bytes,
+    bad JSON, nesting too deep to parse and non-finite numbers, anywhere
+    in the file, raise ParseError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ParseError(f"{path}: {exc}") from exc
-    return parse_problem(data, cap, tol)
+
+
+def load_problem(path: str, cap: Optional[int] = None,
+                 tol: Optional[float] = None) -> Problem:
+    """Parse a problem file: ``read_problem_file``, then ``parse_problem``."""
+    return parse_problem(read_problem_file(path), cap, tol)
 
 
 def parse_problem(data: Any, cap: Optional[int] = None,

@@ -70,8 +70,9 @@ class SpanSubspace:
     (arity*(cap+1), dim) whose columns are the flattened frame vectors.  It
     may be passed as that array, which the span then owns and makes
     read-only instead of copying, or as a sequence of elements, which are
-    flattened once here.  ``frame`` builds the elements from the columns
-    on each access; nothing else is kept.
+    flattened once here.  A non-finite entry raises ParamOutOfRange.
+    ``frame`` builds the elements from the columns on each access; nothing
+    else is kept.
 
     ``band`` is the highest degree the model actually represents: None for
     an exact finite-dimensional space, a value below the cap for truncated
@@ -97,6 +98,8 @@ class SpanSubspace:
             mat = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != n:
             raise ValueError(f"frame matrix must have {n} rows, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ParamOutOfRange("frame matrix has non-finite coefficients")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
@@ -116,9 +119,6 @@ class SpanSubspace:
     def frame_matrix(self) -> np.ndarray:
         """The stored frame matrix; shape (arity*(cap+1), dim)."""
         return self.matrix
-
-    def relabel(self, label: str) -> "SpanSubspace":
-        return replace(self, label=label)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = f" {self.label!r}" if self.label else ""
@@ -152,8 +152,9 @@ def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
 
     The generators are elements, flattened once, or the columns of a
     matrix of arity stacked component blocks of cap+1 coefficients, copied
-    once; the span's generators are then its columns.  Non-finite
-    coefficients raise ParamOutOfRange.
+    once; the span's generators are then its columns.  A matrix with no
+    columns gives the empty span; an empty sequence has no cap and raises
+    EmptyInput.  Non-finite coefficients raise ParamOutOfRange.
 
     Generators whose residual norm falls below rank_tol times the largest
     generator norm are dropped and their indices recorded.
@@ -170,15 +171,15 @@ def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
         rows = np.array(generators.T, dtype=np.complex128, order="C")
     else:
         gens = tuple(generators)
-        arity, cap = (_arity(gens[0]), gens[0].cap) if gens else (1, 0)
+        if not gens:
+            raise EmptyInput("orthonormalize needs at least one generator")
+        arity, cap = _arity(gens[0]), gens[0].cap
         if any(_arity(g) != arity or g.cap != cap for g in gens):
             raise ValueError("generators must share arity and cap")
         rows = np.array([flatten_element(g, cap) for g in gens], dtype=np.complex128)
-    if not gens:
-        raise EmptyInput("orthonormalize needs at least one generator")
     if not np.all(np.isfinite(rows)):
         raise ParamOutOfRange("generators must have finite coefficients")
-    top = max(np.max(np.abs(rows.real)), np.max(np.abs(rows.imag)))
+    top = max(np.max(np.abs(rows.real), initial=0.0), np.max(np.abs(rows.imag), initial=0.0))
     if top == 0.0:
         return SpanSubspace((), cap, arity, rank_tol, gens,
                             tuple(range(len(gens))), label, band)
@@ -242,8 +243,8 @@ def intersect_shifted(M: SpanSubspace, k: int) -> SpanSubspace:
     if k < 1:
         raise ParamOutOfRange(f"shift order k must be >= 1, got {k}")
     label = f"{M.label or 'M'} ∩ S^{k}H2"
-    if M.dim == 0:
-        return M.relabel(label)
+    if M.dim == 0:  # a reshape to (-1, 0) rows is ambiguous
+        return replace(M, label=label)
     blocks = M.frame_matrix().reshape(M.arity, M.cap + 1, M.dim)
     return _null_span(M, blocks[:, :k].reshape(-1, M.dim), label)
 
@@ -254,10 +255,6 @@ def intersect(M: SpanSubspace, N: SpanSubspace) -> SpanSubspace:
     if (M.arity, M.cap) != (N.arity, N.cap):
         raise ValueError("subspaces must share arity and cap")
     label = f"({M.label or 'M'}) ∩ ({N.label or 'N'})"
-    if M.dim == 0:
-        return M.relabel(label)
-    if N.dim == 0:
-        return SpanSubspace((), M.cap, M.arity, M.rank_tol, label=label, band=M.band)
     fm = M.frame_matrix()
     fn = N.frame_matrix()
     return _null_span(M, fm - fn @ (fn.conj().T @ fm), label)
@@ -268,8 +265,6 @@ def ortho_complement_within(M: SpanSubspace, N: SpanSubspace) -> SpanSubspace:
     if (M.arity, M.cap) != (N.arity, N.cap):
         raise ValueError("subspaces must share arity and cap")
     label = f"{M.label or 'M'} ⊖ {N.label or 'N'}"
-    if N.dim == 0:
-        return M.relabel(label)
     fn = N.frame_matrix()
     coords, outside = frame_distance(M.frame_matrix(), fn)
     limit = M.rank_tol * np.maximum(1.0, np.linalg.norm(fn, axis=0))

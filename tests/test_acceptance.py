@@ -376,7 +376,7 @@ def test_blaschke_suite(rng):
     for case in range(20):
         gens = [random_taylor(rng, 10, cap) for _ in range(2 + case % 2)]
         M = orthonormalize(gens, label=f"R{case}")
-        N = transfer_subspace(M, B, W)
+        N = transfer_subspace(M, W)
         for n in (1, 2):
             direct = check_invariance(M, OperatorSpec.toeplitz(B, n))
             moved = check_invariance(N, OperatorSpec.shift(2 * n))

@@ -72,6 +72,13 @@ def test_constructor_validation():
         taylor_expand(B_MIX, 1)
 
 
+@pytest.mark.parametrize("zeros", [[1.0], [0.5, -1j], [1 - 1e-13], [0, 2.0], [0.6 + 0.8j]])
+def test_zero_on_or_outside_the_circle_refused_at_construction(zeros):
+    with pytest.raises(ZeroOnCircle, match="strictly inside the disc"):
+        BlaschkeProduct(1, zeros)
+    assert BlaschkeProduct(1, [0.999]).degree == 1  # inside the margin
+
+
 @pytest.mark.parametrize("lam, zeros, match", [
     (1.0, [], "at least one zero"),
     (complex(np.nan, 0), [0.5], "lambda"),
@@ -274,13 +281,12 @@ def test_u_apply_depth_exhausted():
 
 
 def test_u_apply_and_transfer_fail_closed_on_nan():
-    W = build_wold_frame(B_Z2, CAP)
     with pytest.raises(ParamOutOfRange):  # refused before it reaches u_apply
         taylor([1, np.nan], CAP)
     frame = np.zeros((CAP + 1, 1), dtype=np.complex128)
     frame[:2, 0] = [1, np.nan]
-    with pytest.raises(DepthExhausted):
-        transfer_subspace(SpanSubspace(frame, CAP, 1), B_Z2, W)
+    with pytest.raises(ParamOutOfRange):  # refused before it reaches the transfer
+        SpanSubspace(frame, CAP, 1)
 
 
 def conjugation_residuals(B, n, X, W):
@@ -323,7 +329,7 @@ def test_conjugation_semigroup_law(rng):
 def test_transfer_roundtrip_and_verdicts(rng):
     W = build_wold_frame(B_MIX, CAP, depth=28)
     M = orthonormalize([random_taylor(rng, 10, CAP) for _ in range(3)], label="M")
-    N = transfer_subspace(M, B_MIX, W)
+    N = transfer_subspace(M, W)
     # N is spanned by the layer coordinates C = W^H X, and W C = X again
     X = M.frame_matrix()
     C = W.matrix.conj().T @ X
@@ -353,7 +359,7 @@ def test_transfer_monomial_case_exact_pass_agreement():
     gens = [monomial(4 + j, CAP) for j in range(CAP - 4 + 1)]
     M = orthonormalize(gens, label="z4H2")
     direct = check_invariance(M, OperatorSpec.toeplitz(B_Z2, 2))
-    N = transfer_subspace(M, B_Z2, W)
+    N = transfer_subspace(M, W)
     moved = check_invariance(N, OperatorSpec.shift(4))
     assert direct.passed and moved.passed
     assert direct.verdict == moved.verdict
@@ -364,7 +370,7 @@ def test_transfer_near_invariance_agreement(rng):
     for _ in range(3):
         M = orthonormalize([random_taylor(rng, 8, CAP) for _ in range(2)], label="M")
         direct = check_near_invariance(M, OperatorSpec.toeplitz_adjoint(B_MIX, 1))
-        moved = check_near_invariance(transfer_subspace(M, B_MIX, W),
+        moved = check_near_invariance(transfer_subspace(M, W),
                                       OperatorSpec.coshift(2))
         assert direct.verdict == moved.verdict
 
@@ -374,7 +380,7 @@ def test_transfer_zero_space():
     from hardyshift.subspaces import SpanSubspace
 
     Z = SpanSubspace((), CAP, 1, label="zero")
-    out = transfer_subspace(Z, B_MIX, W)
+    out = transfer_subspace(Z, W)
     assert out.dim == 0
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from hardyshift import cli
 from hardyshift.cli import main
 from hardyshift.problem import ParseError, ValidationError, load_problem, parse_problem
 
@@ -478,6 +479,50 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"output error: cannot write {target}: ")
     assert not target.exists()
+
+
+def test_unwritable_out_is_refused_before_any_task_runs(tmp_path, capsys, monkeypatch):
+    def no_run(problem):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(cli, "run_problem", no_run)
+    target = tmp_path / "missing" / "report.json"
+    assert main(["run", str(ROOT / "problems" / "demo.json"), "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith(f"output error: cannot write {target}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_to_out_exits_2(capsys):
+    # /dev/full opens but refuses the write
+    assert main(["build-sigma", "--m", "2", "--gamma", "1", "--k", "1",
+                 "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err.startswith("output error: cannot write /dev/full: ")
+
+
+def test_single_task_subcommand_parses_only_its_own_task(tmp_path, capsys):
+    data = json.loads((ROOT / "problems" / "demo.json").read_text())
+    data["tasks"].append({"task": "check-invariance", "subspace": "nowhere",
+                          "operators": ["shift:2"]})
+    path = write_problem(tmp_path, data)
+    assert main(["run", path]) == 2  # run still parses every task
+    assert "tasks[7].subspace: unknown subspace" in capsys.readouterr().err
+    assert main(["check-invariance", path, "--subspace", "semigroup23",
+                 "--op", "shift:2", "--op", "shift:3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [t["task"] for t in report["tasks"]] == ["check-invariance"]
+
+
+@pytest.mark.parametrize("tasks", [
+    [{"task": "blaschke-transfer", "subspace": "S", "blaschke": "B", "n": 1}],
+    [{"task": "check-invariance", "subspace": "S", "operators": ["toeplitz:B:1"]}],
+    SIGMA_ONLY,  # no task reads the product
+], ids=["transfer", "toeplitz_check", "unused"])
+def test_zero_on_the_circle_exits_2(tmp_path, capsys, tasks):
+    data = _patched(["objects", "blaschke", "B", "zeros"], [[0, 0], [1, 0]])
+    data["tasks"] = tasks
+    assert main(["run", write_problem(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert "objects.blaschke.B" in err and "strictly inside the disc" in err
 
 
 @pytest.mark.parametrize("content", [

@@ -112,7 +112,7 @@ def test_hitt_decompose_two_rows():
     M = span([1, 1], [0, 0, 1, 1])
     E = extract_kernels(M, 2)
     f = taylor([1, 1, 1, 1], CAP)  # (1+z)(1+z^2)
-    dec = hitt_decompose(f, M, E, 2)
+    dec = hitt_decompose(f, M, E)
     assert dec.iterations == 2
     assert np.allclose(dec.rows[:, 0], [SQRT2, SQRT2])
     assert np.allclose(dec.rows[:, 1], 0)
@@ -123,7 +123,7 @@ def test_hitt_decompose_two_rows():
 def test_hitt_decompose_kernel_entry_is_one_step():
     M = span([1, 1, 1], [0, 1, 2])
     E = extract_kernels(M, 2)
-    dec = hitt_decompose(taylor(E.entries[:, 0], CAP), M, E, 2)
+    dec = hitt_decompose(taylor(E.entries[:, 0], CAP), M, E)
     assert dec.iterations == 1
     assert np.allclose(dec.rows, [[1, 0]])
 
@@ -132,7 +132,7 @@ def test_hitt_decompose_agrees_with_linear_solve_oracle(rng):
     M = span([1, 1], [0, 0, 1, 1])
     E = extract_kernels(M, 2)
     f = taylor(M.frame_matrix() @ np.array([0.3 - 1j, 2.2 + 0.5j]), CAP)
-    dec = hitt_decompose(f, M, E, 2)
+    dec = hitt_decompose(f, M, E)
     # oracle: least-squares solve of f = sum_l z^(2l) A(l).E in coefficients
     cols = []
     keys = []
@@ -156,7 +156,7 @@ def test_hitt_decompose_rejects_non_members():
     M = span([1, 1])
     E = extract_kernels(M, 2)
     with pytest.raises(NotAMember):
-        hitt_decompose(monomial(5, CAP), M, E, 2)
+        hitt_decompose(monomial(5, CAP), M, E)
 
 
 def test_hitt_decompose_flags_uncaptured_mass():
@@ -165,7 +165,7 @@ def test_hitt_decompose_flags_uncaptured_mass():
     M = span([0, 0, 1, 1])
     E = extract_kernels(M, 2)
     with pytest.raises(NoConvergence):
-        hitt_decompose(M.frame[0], M, E, 2)
+        hitt_decompose(M.frame[0], M, E)
 
 
 def test_hitt_decompose_counts_dust_past_the_cap():
@@ -176,7 +176,7 @@ def test_hitt_decompose_counts_dust_past_the_cap():
     dusty = E.entries.copy()
     dusty[CAP, 0] = 1e-37
     E = KernelColumn(dusty, E.degenerate, 2)
-    dec = hitt_decompose(M.frame[-1], M, E, 2)  # peels down from degree CAP - 1
+    dec = hitt_decompose(M.frame[-1], M, E)  # peels down from degree CAP - 1
     assert dec.reconstruction_error < 1e-12
 
 

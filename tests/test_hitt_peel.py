@@ -173,7 +173,7 @@ def test_column_peel_matches_reference_on_small_spans(gens):
     for j, dec in enumerate(res.decompositions):
         ref = ref_decompose(np.ascontiguousarray(M.frame_matrix()[:, j]), M, res.kernel, 2)
         assert_same(dec, ref)
-        assert_same(hitt_decompose(M.frame[j], M, res.kernel, 2), ref)
+        assert_same(hitt_decompose(M.frame[j], M, res.kernel), ref)
 
 
 def test_column_peel_matches_reference_with_dust_past_the_cap():
@@ -183,12 +183,12 @@ def test_column_peel_matches_reference_with_dust_past_the_cap():
     dusty[CAP, 0] = 1e-37
     E = KernelColumn(dusty, E.degenerate, 2)
     V = np.ascontiguousarray(M.frame_matrix().T)
-    decomps, _ = _peel(V, M, E, 2, None, TOL)
+    decomps, _ = _peel(V, M, E, None, TOL)
     assert len(decomps) == M.dim
     for dec, v, u in zip(decomps, V, M.frame):
         ref = ref_decompose(v, M, E, 2)
         assert_same(dec, ref)
-        assert_same(hitt_decompose(u, M, E, 2), ref)
+        assert_same(hitt_decompose(u, M, E), ref)
     assert decomps[-1].reconstruction_error < 1e-12
 
 
@@ -204,7 +204,7 @@ def test_dimension_zero_span_has_no_decompositions():
 def test_zero_element_takes_no_peel():
     M = span([1, 1], [0, 0, 1, 1])
     E = extract_kernels(M, 2)
-    dec = hitt_decompose(zero(CAP), M, E, 2)
+    dec = hitt_decompose(zero(CAP), M, E)
     assert dec.iterations == 0
     assert_same(dec, ref_decompose(np.zeros(CAP + 1, dtype=complex), M, E, 2))
 
@@ -254,9 +254,9 @@ def test_exhausted_max_iter_gives_the_reference_message():
         err = first_ref_error(M, E, 2, max_iter)
         assert err.message.startswith(f"no convergence after {max_iter} peels")
         V = np.ascontiguousarray(M.frame_matrix().T)
-        assert_raises_like(err, lambda: _peel(V, M, E, 2, max_iter, TOL))
+        assert_raises_like(err, lambda: _peel(V, M, E, max_iter, TOL))
         last = ref_error(M, E, 2, M.dim - 1, max_iter)
-        assert_raises_like(last, lambda: hitt_decompose(M.frame[-1], M, E, 2, max_iter))
+        assert_raises_like(last, lambda: hitt_decompose(M.frame[-1], M, E, max_iter))
 
 
 def test_non_member_gives_the_reference_message():
@@ -266,7 +266,7 @@ def test_non_member_gives_the_reference_message():
     v[5] = 1.0
     with pytest.raises(RefError) as ref:
         ref_decompose(v, M, E, 2)
-    assert_raises_like(ref.value, lambda: hitt_decompose(taylor(v, CAP), M, E, 2))
+    assert_raises_like(ref.value, lambda: hitt_decompose(taylor(v, CAP), M, E))
 
 
 @pytest.mark.parametrize("row", [0, 1, 3, CAP])
@@ -289,15 +289,15 @@ def test_nan_element_or_kernel_fails_closed():
     with pytest.raises(ParamOutOfRange):  # refused before it reaches the peel
         taylor(f, CAP)
     with pytest.raises(NotAMember):
-        _peel(f[None, :], M, E, 2, None, TOL)
+        _peel(f[None, :], M, E, None, TOL)
     bad = E.entries.copy()
     bad[1, 0] = np.nan
     E = KernelColumn(bad, E.degenerate, 2)
     for u in M.frame:
         with pytest.raises(NoConvergence):
-            hitt_decompose(u, M, E, 2)
+            hitt_decompose(u, M, E)
     with pytest.raises(NoConvergence):
-        _peel(np.ascontiguousarray(M.frame_matrix().T), M, E, 2, None, TOL)
+        _peel(np.ascontiguousarray(M.frame_matrix().T), M, E, None, TOL)
 
 
 def ordered_power_span(rng, m, order, cap=CAP):
@@ -346,7 +346,7 @@ def test_failing_column_between_live_columns_is_reported():
     assert outcomes[2].message.startswith("peel 5 ")
     assert_raises_like(first_ref_error(M, E, 2), lambda: build_j_map(M, 2))
     V = np.ascontiguousarray(M.frame_matrix().T)
-    for j, dec in enumerate(_peel(V[:2], M, E, 2, None, TOL)[0]):
+    for j, dec in enumerate(_peel(V[:2], M, E, None, TOL)[0]):
         assert_same(dec, ref_decompose(V[j], M, E, 2))
 
 
@@ -355,10 +355,10 @@ def test_one_column_peels_like_all_columns(m, order):
     M = ordered_power_span(np.random.default_rng(5), m, order)
     E = extract_kernels(M, m)
     V = np.ascontiguousarray(M.frame_matrix().T)
-    whole, _ = _peel(V, M, E, m, None, TOL)
+    whole, _ = _peel(V, M, E, None, TOL)
     for j, u in enumerate(M.frame):
-        assert_same(_peel(V[j:j + 1], M, E, m, None, TOL)[0][0], whole[j])
-        assert_same(hitt_decompose(u, M, E, m), whole[j])
+        assert_same(_peel(V[j:j + 1], M, E, None, TOL)[0][0], whole[j])
+        assert_same(hitt_decompose(u, M, E), whole[j])
 
 
 @pytest.mark.parametrize("degree", [CAP - 3, CAP])
@@ -371,7 +371,7 @@ def test_cut_past_the_cap_is_counted_like_the_reference(degree):
     dusty[degree, 0] = 1e-10
     E = KernelColumn(dusty, E.degenerate, 2)
     V = np.ascontiguousarray(M.frame_matrix().T)
-    decomps, _ = _peel(V, M, E, 2, None, TOL)
+    decomps, _ = _peel(V, M, E, None, TOL)
     for dec, v in zip(decomps, V):
         assert_same(dec, ref_decompose(v, M, E, 2))
     assert max(d.reconstruction_error for d in decomps) > 1e-11

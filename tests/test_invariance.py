@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from hardyshift import (BudgetExceeded, MonomialSubspace, OperatorSpec,
+from hardyshift import invariance
+from hardyshift import (BudgetExceeded, MonomialSubspace, OperatorSpec, ParamOutOfRange,
                         build_model_space, build_theta_range, check_invariance,
                         check_near_invariance, diag_polys, from_poly_grid,
                         identity, monomial, orthonormalize, project, taylor,
@@ -153,6 +156,23 @@ def test_pipeline_family_passes():
     theta = diag_polys([[0, 0, 1], [0, 1]])
     rep = verify_theorem_multi(theta, 2, [(1, 1)], CAP)
     assert rep.passed, [(s.name, s.verdict) for s in rep.stages]
+
+
+@pytest.mark.parametrize("conditions, match", [
+    ([(0, 1)], "gamma must be in 1..1, got 0"),
+    ([(2, 1)], "gamma must be in 1..1, got 2"),
+    ([(1, 1), (1, 0)], "k must be >= 1, got 0"),
+    ([], "at least one"),
+])
+def test_bad_conditions_refused_before_any_frame(monkeypatch, conditions, match):
+    def no_frame(*args, **kwargs):
+        raise AssertionError("a frame was built")
+
+    monkeypatch.setattr(invariance, "build_theta_range", no_frame)
+    monkeypatch.setattr(invariance, "build_model_space", no_frame)
+    theta = diag_polys([[0, 0, 1], [0, 1]])
+    with pytest.raises(ParamOutOfRange, match=re.escape(match)):
+        verify_theorem_multi(theta, 2, conditions, CAP)
 
 
 def test_pipeline_analyticity_failure():

@@ -60,6 +60,39 @@ def test_orthonormalize_empty_input():
         orthonormalize([])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_span_refuses_a_non_finite_frame(bad):
+    F = np.zeros((CAP + 1, 1), dtype=complex)
+    F[[0, 3], 0] = [1.0, bad]
+    with pytest.raises(ParamOutOfRange, match="non-finite"):
+        SpanSubspace(F, CAP, 1)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_orthonormalize_of_no_columns_is_the_empty_span(arity):
+    M = orthonormalize(np.zeros((arity * (CAP + 1), 0)), 1e-7, label="E", band=5,
+                       arity=arity)
+    assert (M.dim, M.cap, M.arity, M.label, M.band, M.rank_tol) == (0, CAP, arity, "E", 5, 1e-7)
+    assert M.frame_matrix().shape == (arity * (CAP + 1), 0)
+    assert M.generators == () and M.dropped == ()
+    with pytest.raises(EmptyInput):  # a sequence with no members has no cap
+        orthonormalize([])
+
+
+def test_empty_spans_take_the_general_path(rng):
+    M = orthonormalize([random_taylor(rng, 6, CAP) for _ in range(3)], label="M", band=9)
+    Z = SpanSubspace((), CAP, 1, label="Z")
+    C = ortho_complement_within(M, Z)  # the identity combination is exact
+    assert np.array_equal(C.frame_matrix(), M.frame_matrix())
+    assert (C.label, C.band) == ("M ⊖ Z", 9)
+    for N, label, band in ((intersect(M, Z), "(M) ∩ (Z)", 9),
+                           (intersect(Z, M), "(Z) ∩ (M)", None),
+                           (ortho_complement_within(Z, Z), "Z ⊖ Z", None),
+                           (intersect_shifted(Z, 2), "Z ∩ S^2H2", None)):
+        assert (N.dim, N.cap, N.arity, N.label, N.band) == (0, CAP, 1, label, band)
+        assert N.frame_matrix().shape == (CAP + 1, 0)
+
+
 def test_orthonormalize_rejects_non_finite_generators():
     with pytest.raises(ParamOutOfRange):
         orthonormalize([taylor([1, 0, 0, np.nan], CAP), taylor([0, 1], CAP)])
