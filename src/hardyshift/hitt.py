@@ -279,8 +279,7 @@ def certify_theta(M: SpanSubspace, m: int, gamma: int, k: int,
     if theta.rows != m:
         raise DimensionMismatch(f"matrix has {theta.rows} rows, expected arity {m}")
     stages: list[Stage] = []
-    inner_ok = is_inner(theta, max(analytic_tol, 1e-14))
-    stages.append(Stage("theta_inner", "PASS" if inner_ok else "FAIL"))
+    stages.append(Stage("theta_inner", "PASS" if is_inner(theta, analytic_tol) else "FAIL"))
 
     sigma = build_sigma(m, gamma, k)
     product = matmul(matmul(adjoint_on_circle(theta), sigma), theta)

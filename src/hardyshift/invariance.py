@@ -28,7 +28,7 @@ from .laurent import (LaurentMatrix, _last_analytic_index, _lower_symbols,
 from .series import shift_product, toeplitz_view
 from .subspaces import (MonomialSubspace, SpanSubspace, _null_combos, _null_span,
                         frame_distance, intersect_shifted, orthonormalize)
-from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
+from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL, RANK_TOL
 from .veclift import fit_cap, lift
 
 __all__ = [
@@ -357,6 +357,9 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     column mixing, and the declared band m*J is one every direction of
     the range is complete up to, so band-aware checkers cannot mistake a
     missing top shell for a genuine invariance failure.
+
+    An inner Θ multiplies isometrically: its normalized generators are the
+    frame when their Gram matrix is I within EXACT_TOL, else CGS2 builds it.
     """
     _check_builder_input(theta, m, analytic_tol, "range builder")
     last = _last_analytic_index(theta)
@@ -374,6 +377,10 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     n = cap // m + 1
     gens = range_generators(theta, n - 1).reshape(m * n, -1, n)[..., : ladder + 1]
     lifted = fit_cap(lift(gens.reshape(m * n, -1), m), m, cap)
+    with np.errstate(all="ignore"):  # a norm that under- or overflows takes CGS2
+        X = lifted / np.linalg.norm(lifted, axis=0)
+        if np.max(np.abs(X.conj().T @ X - np.eye(X.shape[1]))) <= EXACT_TOL:
+            return SpanSubspace(X, cap, 1, rank_tol, label=label, band=m * ladder)
     return orthonormalize(lifted, rank_tol, label=label, band=m * ladder)
 
 
@@ -387,14 +394,17 @@ def build_model_space(theta: LaurentMatrix, m: int, cap: int,
     (``range_generators``), so the complement carries no spurious edge
     directions; the result is exact for the band it declares.  The SVD's
     null basis is orthonormal and the lift permutes rows, so it is the frame.
+    A square inner Θ has K_Θ below degree deg Θ (f = ΘΘ*f, Θ*f antianalytic):
+    the solve runs there, and its frame is zero-padded to the cap.
     """
     _check_builder_input(theta, m, analytic_tol, "model-space builder")
     comp_cap = (cap + 1) // m - 1
     if comp_cap < 0:
         raise BudgetExceeded(f"cap {cap} cannot host arity {m}")
-    n_sub = comp_cap + 1
-    C = np.conj(range_generators(theta, comp_cap).T)
-    combos = _null_combos(C, m * n_sub, rank_tol)
+    d = comp_cap
+    if theta.rows == theta.cols and is_inner(theta, analytic_tol):
+        d = min(d, max(theta.max_pow - 1, 0))
+    combos = _null_combos(np.conj(range_generators(theta, d).T), m * (d + 1), rank_tol)
     return SpanSubspace(fit_cap(lift(combos.T, m), m, cap), cap, 1, rank_tol,
                         label=f"T_{m}(K_Θ) at cap {cap}", band=m * comp_cap + m - 1)
 
@@ -446,8 +456,7 @@ def verify_theorem_multi(theta: LaurentMatrix, m: int,
     stages: list[Stage] = []
     products: list[tuple] = []
 
-    inner_ok = is_inner(theta, max(analytic_tol, 1e-14))
-    stages.append(Stage("theta_inner", "PASS" if inner_ok else "FAIL",
+    stages.append(Stage("theta_inner", "PASS" if is_inner(theta, analytic_tol) else "FAIL",
                         "Θ*Θ = I as a Laurent series"))
 
     srange = build_theta_range(theta, m, cap, rank_tol, analytic_tol)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotAnalytic, ParamOutOfRange
 from .series import _numbers, toeplitz_product
-from .tolerances import ANALYTICITY_TOL
+from .tolerances import ANALYTICITY_TOL, INNER_TOL_FLOOR
 
 __all__ = [
     "LaurentMatrix",
@@ -187,11 +187,10 @@ def _require_analytic(A: LaurentMatrix, tol: float, what: str) -> None:
 
 
 def is_inner(theta: LaurentMatrix, tol: float = ANALYTICITY_TOL) -> bool:
-    """Theta* Theta == identity as a Laurent series, within tol per coefficient."""
+    """Theta* Theta == identity as a Laurent series, within max(tol, INNER_TOL_FLOOR)."""
+    tol = max(tol, INNER_TOL_FLOOR)
     _require_analytic(theta, tol, "inner candidate")
-    prod = matmul(adjoint_on_circle(theta), theta)
-    ident = identity(theta.cols)
-    return allclose(prod, ident, tol)
+    return allclose(matmul(adjoint_on_circle(theta), theta), identity(theta.cols), tol)
 
 
 def allclose(A: LaurentMatrix, B: LaurentMatrix, tol: float = 0.0) -> bool:

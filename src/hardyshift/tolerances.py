@@ -17,6 +17,9 @@ ANALYTICITY_TOL = 1e-10
 # is admissible.
 EXACT_TOL = 1e-12
 
+# is_inner never tests Θ*Θ = I more tightly than the rounding of its products.
+INNER_TOL_FLOOR = 1e-14
+
 # Reports print a value within this fraction of its scale as 0.0 (see
 # report.py); no verdict reads it.
 PRINT_FLOOR = 1e-13

@@ -166,10 +166,32 @@ TRANSFER_PROBLEM = {
                "n": 1, "near": near} for near in (False, True)],
 }
 
+# verify-theta on U·diag(1, z²)·V at cap 192, a FAIL whose model-space
+# witness was one vector of a 2-dimensional null space that the BLAS
+# thread count rotated
+SQUARE_THETA_PROBLEM = {
+    "workspace": {"cap": 192},
+    # entry (i, j) holds the coefficients of 1, z and z²
+    "objects": {"matrices": {"theta": {"entries": [
+        [[[0.4222551048019976, 0.1991154051874635], [0, 0],
+          [0.4287769877955799, 0.2833157824985634]],
+         [[-0.23722736090520632, 0.32437337874993255], [0, 0],
+           [0.4176288740231192, -0.4266466430060683]]],
+        [[[0.5932778034071283, 0.06680331122465943], [0, 0],
+          [-0.3888293602130349, -0.10152161464446044]],
+         [[-0.15332158662010184, 0.4905201616163383], [0, 0],
+           [-0.2014694477373696, 0.4211370082796252]]]]}}},
+    "tasks": [{"task": "verify-theta", "theta": "theta", "m": 2,
+               "conditions": [{"gamma": 1, "k": 1}]}],
+}
 
-@pytest.mark.parametrize("args", [("problems/demo.json", "--cap", "192"),
-                                  ("tests/golden/hitt_problem.json",),
-                                  (TRANSFER_PROBLEM,)])
+
+@pytest.mark.parametrize("args", [
+    ("problems/demo.json", "--cap", "192"),
+    ("tests/golden/hitt_problem.json",),
+    (TRANSFER_PROBLEM,),
+    pytest.param((SQUARE_THETA_PROBLEM,), marks=pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs"))])
 def test_reports_do_not_depend_on_blas_threads(args, tmp_path):
     # the print floor makes report bytes independent of the BLAS
     # reduction order, which changes with the thread count

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hardyshift import (BudgetExceeded, OperatorSpec, build_sigma, diag_polys,
-                        from_poly_grid, lift, t_m_apply, taylor, vector)
+                        from_poly_grid, identity, is_inner, lift, matmul, t_m_apply,
+                        taylor, vector)
 from hardyshift.invariance import (build_model_space, build_theta_range,
                                    _check_builder_input, _last_analytic_index,
                                    range_generators)
@@ -134,12 +135,29 @@ def theta_range_inline(theta, m, cap):
     return orthonormalize(lifted, RANK_TOL, label=label, band=m * ladder)
 
 
+def _solve_degree(theta, comp_cap):
+    """The component degree of the model-space solve: deg Θ - 1 for a
+    square inner Θ, whose K_Θ lies below deg Θ, else the cap's."""
+    if theta.rows == theta.cols and is_inner(theta, ANALYTICITY_TOL):
+        return min(comp_cap, max(theta.max_pow - 1, 0))
+    return comp_cap
+
+
+def full_size_model_space(theta, m, cap):
+    """The lifted SVD null basis of the range generators cut to the cap's
+    component degree, for any Θ."""
+    comp_cap = (cap + 1) // m - 1
+    combos = _null_combos(np.conj(range_generators(theta, comp_cap).T),
+                          m * (comp_cap + 1), RANK_TOL)
+    return fit_cap(lift(combos.T, m), m, cap)
+
+
 def model_space_inline(theta, m, cap):
     """build_model_space with the lift written out as an index expression."""
     _check_builder_input(theta, m, ANALYTICITY_TOL, "model-space builder")
     comp_cap = (cap + 1) // m - 1
-    n_sub = comp_cap + 1
-    combos = _null_combos(np.conj(range_generators(theta, comp_cap).T), m * n_sub, RANK_TOL)
+    n_sub = _solve_degree(theta, comp_cap) + 1
+    combos = _null_combos(np.conj(range_generators(theta, n_sub - 1).T), m * n_sub, RANK_TOL)
     label, band = f"T_{m}(K_Θ) at cap {cap}", m * comp_cap + m - 1
     if not combos.shape[0]:
         return SpanSubspace((), cap, 1, RANK_TOL, label=label, band=band)
@@ -157,10 +175,19 @@ def _unitary_column_theta(rng, m):
 
 
 def _builder_thetas(rng):
+    # square inner, inner columns, then Θ that are not inner: the column
+    # (1 + z, 1), whose lifted generators overlap, so its range takes CGS2;
+    # 2·I and diag(z², 0), square, so their model spaces take the full-size
+    # solve (K_Θ of diag(z², 0) holds all of component 1); the column
+    # (1, 1), whose disjoint generators normalize to CGS2's frame bit for bit
     return [(diag_polys([[1], [0, 1], [0, 1]]), 3),
             (diag_polys([[0, 0, 1], [0, 1]]), 2),
             (from_poly_grid([[[5 ** -0.5]], [[2 * 5 ** -0.5]]]), 2),
-            (_unitary_column_theta(rng, 5), 5)]
+            (_unitary_column_theta(rng, 5), 5),
+            (from_poly_grid([[[1, 1]], [[1]]]), 2),
+            (diag_polys([[2], [2]]), 2),
+            (diag_polys([[0, 0, 1], [0]]), 2),
+            (from_poly_grid([[[1]], [[1]]]), 2)]
 
 
 @pytest.mark.parametrize("cap", [16, 48, 97])
@@ -176,11 +203,48 @@ def test_builder_frames_equal_the_inline_index_maps(rng, cap):
 @pytest.mark.parametrize("cap", [16, 48, 97])
 def test_model_space_frame_is_the_lifted_svd_null_basis(rng, cap):
     # K_Θ's frame is the SVD null basis of the cut range generators, lifted
-    # as it is: no Gram-Schmidt pass moves a bit, and it is orthonormal
+    # as it is: no Gram-Schmidt pass moves a bit, and it is orthonormal.  A
+    # square inner Θ solves below deg Θ: the same subspace, other bits.
     for theta, m in _builder_thetas(rng):
-        comp_cap = (cap + 1) // m - 1
-        combos = _null_combos(np.conj(range_generators(theta, comp_cap).T),
-                              m * (comp_cap + 1), RANK_TOL)
-        F = build_model_space(theta, m, cap).matrix
-        assert np.array_equal(F, fit_cap(lift(combos.T, m), m, cap))
+        F, G = build_model_space(theta, m, cap).matrix, full_size_model_space(theta, m, cap)
+        if theta.rows == theta.cols and is_inner(theta, ANALYTICITY_TOL):
+            assert F.shape == G.shape
+            assert np.max(np.abs(F @ F.conj().T - G @ G.conj().T)) <= 1e-12
+        else:
+            assert np.array_equal(F, G)
         assert np.max(np.abs(F.conj().T @ F - np.eye(F.shape[1])), initial=0.0) <= 1e-14
+
+
+def _product_of_factors(rng, m, count):
+    """A product of count factors U·diag(z^a)·V, a in 0..2, and deg det."""
+    theta, degree = identity(m), 0
+    for _ in range(count):
+        a = rng.integers(0, 3, size=m)
+        unitary = [np.linalg.qr(rng.standard_normal((m, m))
+                                + 1j * rng.standard_normal((m, m)))[0] for _ in range(2)]
+        table = np.zeros((m, m, a.max() + 1), dtype=complex)
+        for l, e in enumerate(a):
+            table[:, :, e] += np.outer(unitary[0][:, l], unitary[1][l])
+        theta, degree = matmul(theta, LaurentMatrix(m, m, 0, table)), degree + int(a.sum())
+    return theta, degree
+
+
+@pytest.mark.parametrize("cap", [48, 96, 192])
+def test_inner_model_space_solves_below_deg_theta(cap):
+    # K_Θ of a square inner Θ has dimension deg det Θ and lies in component
+    # degree < deg Θ: the builder's frame is zero above it and spans what
+    # the full-size solve spans, also for a Θ moved by 1e-13, well within
+    # the inner test's tolerance
+    rng = np.random.default_rng(cap)
+    cases = [_product_of_factors(rng, int(rng.integers(2, 4)), count)
+             for count in (1, 2, 3, 2, 3)]
+    theta, degree = cases[-1]
+    noise = rng.standard_normal(theta.table.shape) + 1j * rng.standard_normal(theta.table.shape)
+    moved = LaurentMatrix(theta.rows, theta.cols, theta.min_pow, theta.table + 1e-13 * noise)
+    assert is_inner(moved, ANALYTICITY_TOL)
+    for theta, degree in cases + [(moved, degree)]:
+        m = theta.rows
+        F, G = build_model_space(theta, m, cap).matrix, full_size_model_space(theta, m, cap)
+        assert F.shape[1] == G.shape[1] == degree
+        assert not F[m * theta.max_pow:].any()
+        assert np.max(np.abs(F @ F.conj().T - G @ G.conj().T)) <= 1e-12
