@@ -84,7 +84,7 @@ def extract_kernels(M: SpanSubspace, m: int) -> KernelColumn:
         raise BudgetExceeded(f"monomial degree {M.cap + 1} exceeds cap {M.cap}")
     F = ortho_complement_within(M, intersect_shifted(M, m)).frame_matrix()
     # row i is the projection F F^H z^i of z^i
-    Q, dropped = _cgs2(F[:m].conj() @ F.T, max(M.rank_tol, EXACT_TOL))
+    Q, dropped, _ = _cgs2(F[:m].conj() @ F.T, max(M.rank_tol, EXACT_TOL))
     # phase: the first coefficient above 1e-13 of each entry real positive
     first = Q[np.argmax(np.abs(Q) > 1e-13, axis=0), np.arange(Q.shape[1])]
     degenerate = tuple(i in dropped for i in range(m))
@@ -140,8 +140,9 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn,
     part of z^(ms)·E past it, which stays in the remainder as in the
     one-element recursion.  A step acts on the columns from the first
     live one to the last: one norm reduction, C = E^H f_s and f_s -= E·C
-    as two products, and the head test on the first m rows.  Results agree
-    with the one-element recursion up to rounding.
+    as two products, and the head test on the first m rows.  A column is
+    peeled until its remainder is below tol, as its reconstruction error
+    must be.  Results agree with the one-element recursion up to rounding.
     """
     n, m = M.cap + 1, E.m
     if max_iter is None:
@@ -166,7 +167,7 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn,
         win, on = W[m * step: m * step + n, lo:hi], live[lo:hi]
         res = np.sqrt(_col_sq(win))
         np.copyto(residuals[lo:hi], res, where=on)
-        on &= ~(res <= tol)
+        on &= ~((res < tol) | (res == 0.0))  # a zero remainder ends even at tol 0
         iterations[lo:hi] += on
         at = np.flatnonzero(on)
         if not at.size:
@@ -209,9 +210,9 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn,
     decomps = []
     for j in range(good):
         recon_err = math.hypot(gaps[j], cut[j])
-        if not recon_err <= tol:
+        if not (recon_err < tol or recon_err == 0.0):
             raise NoConvergence(
-                f"reconstruction residual {recon_err:.3e} exceeds {tol:g}", recon_err)
+                f"reconstruction residual {recon_err:.3e} is not below {tol:g}", recon_err)
         rows = A[:iterations[j], :, j].copy()
         parseval_gap = abs(float(norm2[j]) - float(np.sum(np.abs(rows) ** 2)))
         decomps.append(HittDecomposition(rows, rows.shape[0], float(residuals[j]),

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyInput, NotASubspaceOf, OutOfCap, ParamOutOfRange
 from .series import TaylorPoly
-from .tolerances import RANK_TOL
+from .tolerances import EPS, EXACT_TOL, MEMBERSHIP_TOL, RANK_TOL
 from .veclift import VectorPoly
 
 __all__ = [
@@ -125,24 +125,40 @@ class SpanSubspace:
         return f"SpanSubspace(dim={self.dim}, arity={self.arity}, cap={self.cap}{tag})"
 
 
-def _cgs2(rows: np.ndarray, threshold: float) -> tuple:
+def _cgs2(rows: np.ndarray, threshold) -> tuple:
     """CGS2 ("twice is enough") over the rows, in order: each row is
     projected off the vectors kept so far twice, w -= Q (Qᴴ w), and is
-    dropped when the norm left is below threshold, else normalized and
-    kept.  Returns the frame matrix and the dropped row indices."""
-    Q = np.empty_like(rows)  # kept vectors as rows
-    r, dropped = 0, []
-    for idx, g in enumerate(rows):
-        w = g.copy()
-        for _ in range(2):
-            w -= (Q[:r] @ w.conj()).conj() @ Q[:r]
-        nrm = float(np.linalg.norm(w))
-        if nrm < threshold:
-            dropped.append(idx)
-        else:
-            Q[r] = w / nrm
-            r += 1
-    return np.ascontiguousarray(Q[:r].T), tuple(dropped)
+    dropped when the norm left is below its threshold (one, or one per
+    row), else normalized and kept.  Returns the frame matrix, the dropped
+    row indices and r, the least fraction of its norm a kept row had left.
+    A frame vector is off by about EPS/r, so when r < EPS/EXACT_TOL the
+    pass is done again in extended precision (2⁻⁶⁴/r off on x86-64) and
+    rounded once.  Then r becomes the least singular value of the kept
+    rows scaled to unit norm, if smaller: rounding each row by EPS moves
+    their span by up to EPS over it."""
+    threshold = np.broadcast_to(threshold, len(rows)).tolist()
+    norms = np.linalg.norm(rows, axis=1)
+    for dtype in (np.complex128, np.clongdouble):
+        Q = np.empty(rows.shape, dtype)  # kept vectors as rows
+        r, dropped, least = 0, [], 1.0
+        for idx, g in enumerate(rows.astype(dtype, copy=False)):
+            w = g.copy()
+            for _ in range(2):
+                w -= (Q[:r] @ w.conj()).conj() @ Q[:r]
+            nrm = float(np.linalg.norm(w))
+            if nrm < threshold[idx] or nrm == 0.0:
+                dropped.append(idx)
+            else:
+                Q[r] = w / nrm
+                least = min(least, nrm / norms[idx])
+                r += 1
+        if least >= EPS / EXACT_TOL:
+            break
+    else:
+        kept = np.delete(np.arange(len(rows)), dropped)
+        unit = rows[kept] / norms[kept, None]
+        least = min(least, float(np.linalg.svd(unit, compute_uv=False)[-1]))
+    return np.ascontiguousarray(Q[:r].T, dtype=np.complex128), tuple(dropped), least
 
 
 def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
@@ -156,15 +172,21 @@ def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
     columns gives the empty span; an empty sequence has no cap and raises
     EmptyInput.  Non-finite coefficients raise ParamOutOfRange.
 
-    Generators whose residual norm falls below rank_tol times the largest
-    generator norm are dropped and their indices recorded.
+    The rounding of its own coefficients moves a generator kept with the
+    fraction r of its norm left after the kept ones by about EPS/r, and
+    dropping it moves the span by r.  A generator is dropped, and its
+    index recorded, when r is below rank_tol or when EPS/r would exceed r
+    by more than the ladder's ratio MEMBERSHIP_TOL/rank_tol, that is below
+    (EPS * rank_tol / MEMBERSHIP_TOL) ** 0.5; r is taken against the
+    generator's own norm, whatever its size.  The span's rank_tol is
+    max(rank_tol, EPS/r) for the r that ``_cgs2`` returns.
 
-    Scale policy: before any norm is taken, all generators are multiplied
-    by one exact power of two that brings the largest real or imaginary
-    coefficient magnitude into [0.5, 1).  The factor is exact for normal
-    inputs, so it changes no frame bit there; for tiny inputs it keeps the
-    norms clear of subnormal underflow, which would otherwise leave the
-    frame vectors visibly short of unit length.
+    Scale policy: before any norm is taken, each generator is multiplied
+    by the exact power of two that brings its largest real or imaginary
+    coefficient magnitude into [0.5, 1).  The factors are exact for normal
+    inputs, so they change no frame bit there; for tiny inputs they keep
+    the norms clear of subnormal underflow, which would otherwise leave
+    the frame vectors visibly short of unit length.
     """
     if isinstance(generators, np.ndarray):
         gens, cap = tuple(generators.T), generators.shape[0] // arity - 1
@@ -179,16 +201,18 @@ def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
         rows = np.array([flatten_element(g, cap) for g in gens], dtype=np.complex128)
     if not np.all(np.isfinite(rows)):
         raise ParamOutOfRange("generators must have finite coefficients")
-    top = max(np.max(np.abs(rows.real), initial=0.0), np.max(np.abs(rows.imag), initial=0.0))
-    if top == 0.0:
+    top = np.maximum(np.max(np.abs(rows.real), axis=1, initial=0.0),
+                     np.max(np.abs(rows.imag), axis=1, initial=0.0))
+    if not np.any(top):
         return SpanSubspace((), cap, arity, rank_tol, gens,
                             tuple(range(len(gens))), label, band)
-    exponent = -int(np.frexp(top)[1])
+    exponent = -np.frexp(top)[1][:, None]  # 0 for a zero row
     rows.real = np.ldexp(rows.real, exponent)
     rows.imag = np.ldexp(rows.imag, exponent)
-    scale = float(np.max(np.linalg.norm(rows, axis=1)))
-    matrix, dropped = _cgs2(rows, rank_tol * scale)
-    return SpanSubspace(matrix, cap, arity, rank_tol, gens, dropped, label, band)
+    drop = max(rank_tol, (EPS * rank_tol / MEMBERSHIP_TOL) ** 0.5)
+    matrix, dropped, r = _cgs2(rows, drop * np.linalg.norm(rows, axis=1))
+    return SpanSubspace(matrix, cap, arity, max(rank_tol, EPS / r), gens, dropped,
+                        label, band)
 
 
 class Projection(NamedTuple):

@@ -13,6 +13,10 @@ MEMBERSHIP_TOL = 1e-8
 RANK_TOL = 1e-9
 ANALYTICITY_TOL = 1e-10
 
+# Spacing of doubles at 1: rounding moves a direction kept with the fraction
+# r of a generator's norm by about EPS / r (Higham, ch. 19; see subspaces).
+EPS = 2.0 ** -52
+
 # Used where a quantity is zero in exact arithmetic and only rounding noise
 # is admissible.
 EXACT_TOL = 1e-12

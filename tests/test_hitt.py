@@ -290,3 +290,13 @@ def test_certify_stages_equal_the_dense_range_pairing(rng):
         verdicts.append(rep.passed)
     assert verdicts == [True, False, True, False, False, False, False]
     assert min(worst[6:]) > 0.01  # U·diag(z^a)·V: both stages pair with the range
+
+
+def test_peel_stops_below_tol_and_at_an_exact_zero():
+    # a remainder of norm exactly tol is peeled once more; a zero remainder
+    # ends the peel even at tol 0
+    M = span([1e-8, 0, 1], [1])
+    res = build_j_map(M, 2)
+    assert max(d.reconstruction_error for d in res.decompositions) < 1e-8
+    exact = build_j_map(span([1], [0, 0, 1]), 2, tol=0.0)
+    assert [d.reconstruction_error for d in exact.decompositions] == [0.0, 0.0]

@@ -64,7 +64,7 @@ def ref_decompose(v, M, E, m, max_iter=None, tol=TOL):
     for _ in range(max_iter + 1):
         nrm = math.sqrt(float(np.sum(np.abs(fj) ** 2)))
         norms.append(nrm)
-        if nrm <= tol:
+        if nrm < tol or nrm == 0.0:
             break
         row = np.zeros(m, dtype=complex)
         x = np.zeros(n, dtype=complex)
@@ -98,9 +98,9 @@ def ref_decompose(v, M, E, m, max_iter=None, tol=TOL):
                 recon = recon + shifted * complex(A[l, i])
     gap = math.sqrt(float(np.sum(np.abs(v + recon * complex(-1.0)) ** 2)))
     recon_err = math.hypot(gap, cut)
-    if not recon_err <= tol:
+    if not (recon_err < tol or recon_err == 0.0):
         raise RefError(NoConvergence,
-                       f"reconstruction residual {recon_err:.3e} exceeds {tol:g}", recon_err)
+                       f"reconstruction residual {recon_err:.3e} is not below {tol:g}", recon_err)
     parseval = abs(float(np.sum(np.abs(v) ** 2)) - float(np.sum(np.abs(A) ** 2)))
     return Ref(A, A.shape[0], norms[-1], recon_err, parseval)
 

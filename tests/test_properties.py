@@ -72,6 +72,58 @@ def _compose_zm(coeffs, m):
        complexes(2),
        st.lists(complexes(5), min_size=1, max_size=3))
 @example(m=2, head=np.array([1.67559365e-80j]), g_lists=[np.array([1.67559365e-80j])])
+# a generator small beside the largest still spans its own direction
+@example(m=2, head=np.array([0j]), g_lists=[np.array([1j, 0, 2.0 ** -24 * 1j])])
+@example(m=2, head=np.array([0j]),
+         g_lists=[np.array([1j]), np.array([0, 1j, 0, 2.0 ** -24 * 1j])])
+@example(m=2, head=np.array([0j]), g_lists=[np.array([1j, 0, 1e-8j, 3.32506008e-11j])])
+@example(m=2, head=np.array([0j]), g_lists=[np.array([1j, 0.125j, 1.35519516e-04j])])
+# ... and is normalized at its own scale, clear of subnormal underflow
+@example(m=2, head=np.array([0j]),
+         g_lists=[np.array([1.12175858e-160j]), np.array([1j])])
+@example(m=2, head=np.array([0j]),
+         g_lists=[np.array([2.22507386e-313j]), np.array([2.97986513e-154j])])
+# a direction kept with little of its norm left: its frame vector is made in
+# extended precision, and the span decides rank no finer than the rounding
+# of its generators moves that direction
+@example(m=2, head=np.array([1j, 0.65625 + 0.25j]),
+         g_lists=[np.array([0, 4j, 1e-8j]), np.array([1j, 1j])])
+@example(m=2, head=np.array([1j, 1.65625j]),
+         g_lists=[np.array([0, 1j]), np.array([0, 3j, 1e-8j])])
+@example(m=2, head=np.array([1j, 0.75j]),
+         g_lists=[np.array([0, 0.6875 + 1j, 2.5, 0.00390625])])
+@example(m=2, head=np.array([1j, 0.75j]), g_lists=[np.array([0, 0, 1 + 2j, 0.00390625j])])
+@example(m=2, head=np.array([1j, 1.5j]), g_lists=[np.array([0.25j, 1e-8j])])
+@example(m=2, head=np.array([1.5j, 1j]),
+         g_lists=[np.array([1j]), np.array([2j, 2.0 ** -24 * 1j])])
+@example(m=2, head=np.array([2j, 2.5j]),
+         g_lists=[np.array([0.5j, 1e-8j]), np.array([1j])])
+@example(m=2, head=np.array([2j, 1.625j]),
+         g_lists=[np.array([1.5j]), np.array([2j, 1.40326959e-07j])])
+@example(m=2, head=np.array([1j, 1.5j]), g_lists=[np.array([1j, 1e-8j]), np.array([1j])])
+@example(m=2, head=np.array([1j, 1.5j]),
+         g_lists=[np.array([1j]), np.array([0, 3j, 0, 4j, 0.0390625j])])
+@example(m=2, head=np.array([2j, 3.25]),
+         g_lists=[np.array([2.5, 1.1920929e-07j]), np.array([1j])])
+@example(m=2, head=np.array([1j, 1.25j]),
+         g_lists=[np.array([1.767983154924491j, 0.03125j]),
+                  np.array([0, 0, 2j, 2 + 3j, 0.046875j])])
+# a direction whose rounding, EPS/r, would swamp the r that dropping it costs
+@example(m=2, head=np.array([1j, 1.25j]), g_lists=[np.array([0.5j, 5.4541902e-10j])])
+@example(m=2, head=np.array([1j, 0.96218527j]),
+         g_lists=[np.array([0, 0, 2.75j, 0.00390625j])])
+@example(m=2, head=np.array([3.375j, 0.96218527j]),
+         g_lists=[np.array([0, 3.41015625j, 4j, 1.48694212e-08j]),
+                  np.array([0, 4j, -1.5j])])
+# a remainder of norm exactly tol is peeled, not left in the error
+@example(m=2, head=np.array([0j]), g_lists=[np.array([1e-8j, 1j])])
+@example(m=2, head=np.array([0j]), g_lists=[np.array([1j, 0, 1e-8j])])
+# spans at the rank threshold that decompose faithfully
+@example(m=2, head=np.array([1j, 1.5j]),
+         g_lists=[np.array([1j]), np.array([1j, 2.0 ** -24 * 1j])])
+@example(m=2, head=np.array([1j, 1j]), g_lists=[np.array([1j, 1e-8j]), np.array([1j])])
+@example(m=2, head=np.array([1j, 1j]), g_lists=[np.array([1e-8j, 1j])])
+@example(m=2, head=np.array([1 + 1j]), g_lists=[np.array([1e-8j, 1j])])
 def test_hitt_reconstruction_and_parseval(m, head, g_lists):
     # span{g(z^m) e(z) : g in K} with deg(e) < m and K closed under the
     # backward shift is nearly co-invariant at arity m, so decomposition
@@ -100,6 +152,7 @@ def test_hitt_reconstruction_and_parseval(m, head, g_lists):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(complexes(6), min_size=1, max_size=3))
+@example(coeff_lists=[np.array([1j]), np.array([0, 8.97490639e-161j])])
 def test_hitt_random_spans_never_silently_corrupt(coeff_lists):
     # arbitrary spans either decompose faithfully or raise the convergence
     # flag; a quiet wrong answer is the one forbidden outcome

@@ -4,9 +4,10 @@ import pytest
 from hardyshift import (EmptyInput, MonomialSubspace, NotASubspaceOf, OutOfCap,
                         ParamOutOfRange, SpanSubspace, intersect,
                         intersect_shifted, monomial_membership,
-                        ortho_complement_within, orthonormalize, project,
-                        taylor, vector)
+                        mul, ortho_complement_within, orthonormalize, project,
+                        shift_pow, taylor, vector)
 from hardyshift.series import allclose, inner_product, sub
+from hardyshift.tolerances import EPS, RANK_TOL
 
 from conftest import random_taylor
 
@@ -279,8 +280,9 @@ def test_near_dependent_generators_stay_orthonormal():
 
 def _mgs_reference(G, rank_tol):
     """Modified Gram-Schmidt with a second pass, one vector pair at a time:
-    the loop orthonormalize ran before CGS2, kept as the reference."""
-    scale = max(np.linalg.norm(g) for g in G.T)
+    the loop orthonormalize ran before CGS2, kept as the reference.  A
+    generator is dropped when its residual is below rank_tol times its
+    own norm; no generator of the data below comes near that."""
     kept, dropped = [], []
     for idx, g in enumerate(G.T):
         w = g.copy()
@@ -288,7 +290,7 @@ def _mgs_reference(G, rank_tol):
             for u in kept:
                 w -= np.vdot(u, w) * u
         nrm = np.linalg.norm(w)
-        if nrm < rank_tol * scale:
+        if nrm < rank_tol * np.linalg.norm(g):
             dropped.append(idx)
         else:
             kept.append(w / nrm)
@@ -304,3 +306,30 @@ def test_cgs2_matches_the_modified_gram_schmidt_reference(rng):
     assert M.dropped == dropped == (3, 9)
     # the same basis up to rounding: the order of the sums changed
     assert np.max(np.abs(M.frame_matrix() - F)) <= 1e-13
+
+
+def test_rank_is_decided_against_each_generators_own_norm():
+    # 1 + e z^4, e z^2 and e span {1, z^2, z^4}: the constant keeps a
+    # fraction e of its norm, above the rank tolerance, though its norm is
+    # e times the largest
+    e = 2.0 ** -24
+    gens = [taylor([1, 0, 0, 0, e], CAP), taylor([0, 0, e], CAP), taylor([e], CAP)]
+    M = orthonormalize(gens)
+    assert (M.dim, M.dropped) == (3, ())
+    assert project(taylor([0, 0, 0, 0, 1], CAP), M).residual <= 1e-12
+    # the unit generators have least singular value e / sqrt(2), so their
+    # rounding moves the span by up to sqrt(2) EPS / e, and the span's rank
+    # decisions read nothing finer
+    assert M.rank_tol == pytest.approx(2 ** 0.5 * EPS / e, rel=1e-6)
+    assert orthonormalize(gens[1:]).rank_tol == RANK_TOL
+
+
+def test_a_generator_kept_with_little_of_its_norm_left_keeps_its_direction():
+    # e and (2 + d z^2) e span {e, z^2 e}; the second keeps a fraction of
+    # about d of its norm, so its frame vector is off by about 2^-52/d,
+    # 2e-8, in double precision and by about 2^-64/d, 2e-12, in extended
+    d = 2.0 ** -24
+    e = taylor([1.5, 1.0], CAP)
+    M = orthonormalize([e, mul(taylor([2, 0, d], CAP), e)])
+    assert M.dim == 2
+    assert project(shift_pow(e, 2), M).residual <= 1e-10
