@@ -38,8 +38,7 @@ from .invariance import (CheckReport, OperatorSpec, PipelineReport, Stage,
 from .laurent import (LaurentMatrix, _lower_symbols, adjoint_on_circle, build_sigma,
                       is_analytic, is_inner, matmul, toeplitz_adjoint_apply)
 from .series import TaylorPoly, toeplitz_view
-from .subspaces import (SpanSubspace, _cgs2, frame_distance, intersect_shifted,
-                        ortho_complement_within, orthonormalize)
+from .subspaces import SpanSubspace, _cgs2, _null_combos, frame_distance, orthonormalize
 from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL
 
 __all__ = [
@@ -73,18 +72,21 @@ class KernelColumn:
 
 
 def extract_kernels(M: SpanSubspace, m: int) -> KernelColumn:
-    """Project z^i (i < m) onto M ⊖ (M ∩ z^m H^2), orthonormalize in index
-    order (a norm left below max(M.rank_tol, EXACT_TOL) gives a degenerate
-    entry).  All-zero columns are legal (M inside z^m H^2)."""
+    """Project z^i (i < m) onto X = M ⊖ (M ∩ z^m H^2), orthonormalize in
+    index order (a norm left below max(M.rank_tol, EXACT_TOL) gives a
+    degenerate entry; all are when M lies in z^m H^2).  X = F·null(F[:m])^⊥ for the
+    frame F, from one SVD of the nonzero columns of F[:m] ranked as in ``intersect_shifted``."""
     if m < 2:
         raise ParamOutOfRange(f"arity m must be >= 2, got {m}")
     if M.arity != 1:
         raise ValueError("kernel extraction acts on scalar subspaces")
     if m > M.cap + 1:
         raise BudgetExceeded(f"monomial degree {M.cap + 1} exceeds cap {M.cap}")
-    F = ortho_complement_within(M, intersect_shifted(M, m)).frame_matrix()
-    # row i is the projection F F^H z^i of z^i
-    Q, dropped, _ = _cgs2(F[:m].conj() @ F.T, max(M.rank_tol, EXACT_TOL))
+    F = M.frame_matrix()
+    heads = np.flatnonzero(F[:m].any(axis=0))  # frame vectors outside z^m H^2
+    X = F[:, heads] @ _null_combos(F[:m, heads], heads.size, M.rank_tol)[0].T
+    # row i is the projection X X^H z^i of z^i
+    Q, dropped, _ = _cgs2(X[:m].conj() @ X.T, max(M.rank_tol, EXACT_TOL))
     # phase: the first coefficient above 1e-13 of each entry real positive
     first = Q[np.argmax(np.abs(Q) > 1e-13, axis=0), np.arange(Q.shape[1])]
     degenerate = tuple(i in dropped for i in range(m))

@@ -16,7 +16,7 @@ null space of the frame's pairing with the model space K_{B^n}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -28,7 +28,7 @@ from .laurent import (LaurentMatrix, _last_analytic_index, _lower_symbols,
 from .series import shift_product, toeplitz_view
 from .subspaces import (MonomialSubspace, SpanSubspace, _null_combos, _null_span,
                         frame_distance, intersect_shifted, orthonormalize)
-from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL, RANK_TOL
+from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
 from .veclift import fit_cap, lift
 
 __all__ = [
@@ -358,8 +358,8 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     the range is complete up to, so band-aware checkers cannot mistake a
     missing top shell for a genuine invariance failure.
 
-    An inner Θ multiplies isometrically: its normalized generators are the
-    frame when their Gram matrix is I within EXACT_TOL, else CGS2 builds it.
+    An inner Θ multiplies isometrically, so its lifted generators are
+    orthogonal and ``orthonormalize``'s Gram test makes them the frame.
     """
     _check_builder_input(theta, m, analytic_tol, "range builder")
     last = _last_analytic_index(theta)
@@ -377,11 +377,8 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     n = cap // m + 1
     gens = range_generators(theta, n - 1).reshape(m * n, -1, n)[..., : ladder + 1]
     lifted = fit_cap(lift(gens.reshape(m * n, -1), m), m, cap)
-    with np.errstate(all="ignore"):  # a norm that under- or overflows takes CGS2
-        X = lifted / np.linalg.norm(lifted, axis=0)
-        if np.max(np.abs(X.conj().T @ X - np.eye(X.shape[1]))) <= EXACT_TOL:
-            return SpanSubspace(X, cap, 1, rank_tol, label=label, band=m * ladder)
-    return orthonormalize(lifted, rank_tol, label=label, band=m * ladder)
+    span = orthonormalize(lifted, rank_tol, label=label, band=m * ladder)
+    return replace(span, generators=())  # so the lifted matrix is freed on return
 
 
 def build_model_space(theta: LaurentMatrix, m: int, cap: int,
@@ -404,7 +401,7 @@ def build_model_space(theta: LaurentMatrix, m: int, cap: int,
     d = comp_cap
     if theta.rows == theta.cols and is_inner(theta, analytic_tol):
         d = min(d, max(theta.max_pow - 1, 0))
-    combos = _null_combos(np.conj(range_generators(theta, d).T), m * (d + 1), rank_tol)
+    combos = _null_combos(np.conj(range_generators(theta, d).T), m * (d + 1), rank_tol)[1]
     return SpanSubspace(fit_cap(lift(combos.T, m), m, cap), cap, 1, rank_tol,
                         label=f"T_{m}(K_Θ) at cap {cap}", band=m * comp_cap + m - 1)
 

@@ -190,6 +190,9 @@ def is_inner(theta: LaurentMatrix, tol: float = ANALYTICITY_TOL) -> bool:
     """Theta* Theta == identity as a Laurent series, within max(tol, INNER_TOL_FLOOR)."""
     tol = max(tol, INNER_TOL_FLOOR)
     _require_analytic(theta, tol, "inner candidate")
+    # an inner Theta has unit-norm columns: no coefficient above 1 + tol, no overflow below
+    if np.max(np.abs(theta.table)) > 1 + tol:
+        return False
     return allclose(matmul(adjoint_on_circle(theta), theta), identity(theta.cols), tol)
 
 

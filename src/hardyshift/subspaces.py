@@ -6,10 +6,10 @@ the label.  A MonomialSubspace is exact combinatorics: membership of an
 exponent is decided by dynamic programming over the semigroup generators
 plus a finite exceptional set.
 
-Every frame is built by one kernel, ``_cgs2``: classical Gram-Schmidt
-with one reorthogonalization, in input order; rank drops are recorded.  A
-span stores its frame once, as one read-only matrix, and every operation
-here works on that matrix.
+Orthogonal generators over their norms are their own frame; any other
+frame is built by one kernel, ``_cgs2``: classical Gram-Schmidt with one
+reorthogonalization, in input order; rank drops are recorded.  A span
+stores its one read-only frame matrix, and every operation here uses it.
 """
 
 from __future__ import annotations
@@ -161,15 +161,24 @@ def _cgs2(rows: np.ndarray, threshold) -> tuple:
     return np.ascontiguousarray(Q[:r].T, dtype=np.complex128), tuple(dropped), least
 
 
+def _orthonormal_columns(columns: np.ndarray):
+    """The columns over their norms if their Gram matrix is I within EXACT_TOL, else None."""
+    with np.errstate(all="ignore"):  # a zero, non-finite, under- or overflowing norm fails
+        X = columns / np.linalg.norm(columns, axis=0)
+        G = X.conj().T @ X - np.eye(X.shape[1])
+        return X if np.max(np.abs(G), initial=0.0) <= EXACT_TOL else None
+
+
 def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
                    rank_tol: float = RANK_TOL, label: str = "",
                    band=None, arity: int = 1) -> SpanSubspace:
-    """Orthonormal frame of the generators by ``_cgs2``, in input order.
+    """Orthonormal frame of the generators, in input order: the generators
+    over their norms when their Gram matrix is I within EXACT_TOL, else ``_cgs2``'s.
 
-    The generators are elements, flattened once, or the columns of a
-    matrix of arity stacked component blocks of cap+1 coefficients, copied
-    once; the span's generators are then its columns.  A matrix with no
-    columns gives the empty span; an empty sequence has no cap and raises
+    The generators are elements, flattened once into columns, or the
+    columns of a matrix of arity stacked component blocks of cap+1
+    coefficients; the span's generators are then its columns.  No columns
+    give the empty span; an empty sequence has no cap and raises
     EmptyInput.  Non-finite coefficients raise ParamOutOfRange.
 
     The rounding of its own coefficients moves a generator kept with the
@@ -181,38 +190,37 @@ def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
     generator's own norm, whatever its size.  The span's rank_tol is
     max(rank_tol, EPS/r) for the r that ``_cgs2`` returns.
 
-    Scale policy: before any norm is taken, each generator is multiplied
+    Scale policy: before ``_cgs2`` takes a norm, each generator is multiplied
     by the exact power of two that brings its largest real or imaginary
-    coefficient magnitude into [0.5, 1).  The factors are exact for normal
-    inputs, so they change no frame bit there; for tiny inputs they keep
-    the norms clear of subnormal underflow, which would otherwise leave
-    the frame vectors visibly short of unit length.
+    coefficient magnitude into [0.5, 1): exact for normal inputs, so no frame
+    bit changes there, while tiny inputs keep their norms clear of subnormal
+    underflow, which would leave the frame vectors visibly short of unit length.
     """
     if isinstance(generators, np.ndarray):
-        gens, cap = tuple(generators.T), generators.shape[0] // arity - 1
-        rows = np.array(generators.T, dtype=np.complex128, order="C")
+        columns, cap = generators, generators.shape[0] // arity - 1
     else:
-        gens = tuple(generators)
-        if not gens:
+        generators = tuple(generators)
+        if not generators:
             raise EmptyInput("orthonormalize needs at least one generator")
-        arity, cap = _arity(gens[0]), gens[0].cap
-        if any(_arity(g) != arity or g.cap != cap for g in gens):
+        arity, cap = _arity(generators[0]), generators[0].cap
+        if any(_arity(g) != arity or g.cap != cap for g in generators):
             raise ValueError("generators must share arity and cap")
-        rows = np.array([flatten_element(g, cap) for g in gens], dtype=np.complex128)
-    if not np.all(np.isfinite(rows)):
-        raise ParamOutOfRange("generators must have finite coefficients")
-    top = np.maximum(np.max(np.abs(rows.real), axis=1, initial=0.0),
-                     np.max(np.abs(rows.imag), axis=1, initial=0.0))
-    if not np.any(top):
-        return SpanSubspace((), cap, arity, rank_tol, gens,
-                            tuple(range(len(gens))), label, band)
-    exponent = -np.frexp(top)[1][:, None]  # 0 for a zero row
-    rows.real = np.ldexp(rows.real, exponent)
-    rows.imag = np.ldexp(rows.imag, exponent)
-    drop = max(rank_tol, (EPS * rank_tol / MEMBERSHIP_TOL) ** 0.5)
-    matrix, dropped, r = _cgs2(rows, drop * np.linalg.norm(rows, axis=1))
-    return SpanSubspace(matrix, cap, arity, max(rank_tol, EPS / r), gens, dropped,
-                        label, band)
+        columns = np.column_stack([flatten_element(g, cap) for g in generators])
+    frame, dropped = _orthonormal_columns(columns), ()
+    if frame is None:
+        rows = np.array(columns.T, dtype=np.complex128, order="C")
+        if not np.all(np.isfinite(rows)):
+            raise ParamOutOfRange("generators must have finite coefficients")
+        top = np.maximum(np.max(np.abs(rows.real), axis=1, initial=0.0),
+                         np.max(np.abs(rows.imag), axis=1, initial=0.0))
+        exponent = -np.frexp(top)[1][:, None]  # 0 for a zero row
+        rows.real = np.ldexp(rows.real, exponent)
+        rows.imag = np.ldexp(rows.imag, exponent)
+        drop = max(rank_tol, (EPS * rank_tol / MEMBERSHIP_TOL) ** 0.5)
+        frame, dropped, r = _cgs2(rows, drop * np.linalg.norm(rows, axis=1))
+        rank_tol = max(rank_tol, EPS / r)
+    gens = tuple(columns.T) if isinstance(generators, np.ndarray) else generators
+    return SpanSubspace(frame, cap, arity, rank_tol, gens, dropped, label, band)
 
 
 class Projection(NamedTuple):
@@ -240,20 +248,20 @@ def project(f: Element, M: SpanSubspace) -> Projection:
     return Projection(unflatten_element(proj, M.arity, M.cap), float(residual[0]), coords[:, 0])
 
 
-def _null_combos(C: np.ndarray, dim: int, rank_tol: float) -> np.ndarray:
-    """Orthonormal coordinate vectors x (rows) with C x ~ 0."""
+def _null_combos(C: np.ndarray, dim: int, rank_tol: float) -> tuple:
+    """Orthonormal coordinate rows spanning null(C)^⊥ and null(C), C x ~ 0,
+    from one SVD whose rank counts the s > rank_tol * max(1, s_0)."""
     if C.shape[0] == 0 or not np.any(C):
-        return np.eye(dim, dtype=np.complex128)
+        return np.zeros((0, dim), dtype=np.complex128), np.eye(dim, dtype=np.complex128)
     u, s, vh = np.linalg.svd(C)
-    thresh = rank_tol * max(1.0, float(s[0]) if s.size else 1.0)
-    rank = int(np.sum(s > thresh))
-    return np.conj(vh[rank:])
+    rank = int(np.sum(s > rank_tol * max(1.0, float(s[0]))))
+    return np.conj(vh[:rank]), np.conj(vh[rank:])
 
 
 def _null_span(M: SpanSubspace, C: np.ndarray, label: str) -> SpanSubspace:
     """The frame combinations F x of M with C x ~ 0.  The coordinate
     vectors are orthonormal, so the new frame is orthonormal as well."""
-    combos = _null_combos(C, M.dim, M.rank_tol)
+    combos = _null_combos(C, M.dim, M.rank_tol)[1]
     return SpanSubspace(M.frame_matrix() @ combos.T, M.cap, M.arity, M.rank_tol,
                         label=label, band=M.band)
 

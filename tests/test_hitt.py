@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from hardyshift import (KernelColumn, LaurentMatrix, NoConvergence, NotAMember,
-                        build_j_map, build_sigma, certify_theta, diag_polys,
-                        extract_kernels, from_poly_grid, hitt_decompose, identity,
-                        matmul, monomial, orthonormalize, taylor,
+                        SpanSubspace, build_j_map, build_sigma, certify_theta,
+                        diag_polys, extract_kernels, from_poly_grid, hitt_decompose,
+                        identity, intersect_shifted, matmul, monomial,
+                        ortho_complement_within, orthonormalize, taylor,
                         toeplitz_adjoint_apply)
 from hardyshift.invariance import range_generators
 from hardyshift.problem import load_problem
 from hardyshift.series import allclose, shift_pow, sub
+from hardyshift.subspaces import _null_combos
+from hardyshift.tolerances import EXACT_TOL
 from hardyshift.veclift import vec_inner, vector
 
 CAP = 48
@@ -300,3 +303,90 @@ def test_peel_stops_below_tol_and_at_an_exact_zero():
     assert max(d.reconstruction_error for d in res.decompositions) < 1e-8
     exact = build_j_map(span([1], [0, 0, 1]), 2, tol=0.0)
     assert [d.reconstruction_error for d in exact.decompositions] == [0.0, 0.0]
+
+
+def kernel_from_complement(X, m, tol):
+    """Kernel column from an orthonormal frame X of M ⊖ (M ∩ z^m H^2): the
+    projections X X^H z^i, Gram-Schmidt twice in index order, the first
+    coefficient above 1e-13 of each entry made real positive."""
+    entries, kept = np.zeros((X.shape[0], m), dtype=complex), []
+    for i in range(m):
+        w = X @ X[i].conj()
+        for _ in range(2):
+            for u in kept:
+                w = w - np.vdot(u, w) * u
+        n = np.linalg.norm(w)
+        if n >= tol:
+            w = w / n
+            lead = w[np.flatnonzero(np.abs(w) > 1e-13)[0]]
+            entries[:, i] = w * np.conj(lead) / abs(lead)
+            kept.append(entries[:, i])
+    return entries
+
+
+def kernel_split_cases(rng):
+    """(label, M, m): random spans, a span inside z^m H^2, the empty span,
+    heads of deficient rank, and block spans z^(m l) q_i."""
+    def unit(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def columns(dim, deg, head=None):
+        G = np.zeros((CAP + 1, dim), dtype=complex)
+        G[: deg + 1] = unit(deg + 1, dim)
+        if head is not None:
+            G[: head.shape[0]] = head
+        return orthonormalize(G)
+
+    blocks = np.zeros((CAP + 1, 16), dtype=complex)
+    for i, q in enumerate((unit(3), unit(3))):
+        for l in range(8):
+            blocks[3 * l: 3 * l + 3, 8 * i + l] = q
+    return [
+        ("generic m=2", columns(4, 8), 2),
+        ("generic m=3", columns(7, 6), 3),
+        ("dim below m", columns(2, 20), 3),
+        ("inside z^m H^2", columns(5, 9, np.zeros((3, 5))), 3),
+        ("empty", SpanSubspace((), CAP, 1), 2),
+        ("head of rank 1", columns(5, 9, np.outer(unit(3), unit(5))), 3),
+        ("z^(m l) q_i", orthonormalize(blocks), 3),
+        ("two entries", span([1, 1, 1], [0, 1, 2]), 2),
+        ("degenerate second entry", span([1, 1], [0, 0, 1, 1]), 2),
+    ]
+
+
+def projector(F):
+    return F @ F.conj().T
+
+
+def test_kernel_split_spans_the_complement_of_the_shifted_intersection(rng):
+    # one SVD of the head block splits the coordinates into M ∩ z^m H^2 and
+    # its complement in M; the two subspace operations are the oracle
+    for label, M, m in kernel_split_cases(rng):
+        F = M.frame_matrix()
+        rows, null = _null_combos(F[:m], M.dim, M.rank_tol)
+        assert rows.shape[0] + null.shape[0] == M.dim, label
+        oracle = ortho_complement_within(M, intersect_shifted(M, m)).frame_matrix()
+        gap = np.abs(projector(F @ rows.T) - projector(oracle))
+        assert np.max(gap, initial=0.0) <= 1e-12, label
+        inside = intersect_shifted(M, m).frame_matrix()
+        gap = np.abs(projector(F @ null.T) - projector(inside))
+        assert np.max(gap, initial=0.0) <= 1e-12, label
+        E = extract_kernels(M, m)
+        want = kernel_from_complement(oracle, m, max(M.rank_tol, EXACT_TOL))
+        assert E.degenerate == tuple(not w.any() for w in want.T), label
+        assert np.max(np.abs(E.entries - want)) <= 1e-12, label
+
+
+@pytest.mark.parametrize("m, count", [(2, 1), (3, 1), (3, 2), (4, 3)])
+def test_kernel_of_a_block_span_lies_below_degree_m(rng, m, count):
+    # span{z^(m l) q_i}, q_i of degree below m: the kernel entries span the
+    # q_i exactly, with no rounding dust at or past degree m, so the peel
+    # reads m rows of the kernel column
+    G = np.zeros((CAP + 1, count * 6), dtype=complex)
+    for i in range(count):
+        q = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for l in range(6):
+            G[m * l: m * l + m, 6 * i + l] = q
+    E = extract_kernels(orthonormalize(G), m)
+    assert E.degenerate == (False,) * count + (True,) * (m - count)
+    assert not E.entries[m:].any()

@@ -119,6 +119,22 @@ def test_is_inner_rejects_non_isometry():
     assert is_inner(theta, 1e-14)
 
 
+@pytest.mark.parametrize("entries", [[[[1e200]], [[1e200]]],
+                                     [[[1e200], [1e200]], [[1e200], [-1e200]]],
+                                     [[[0, 1e155]], [[1e155]]]])
+def test_is_inner_is_false_when_the_product_would_overflow(entries):
+    # Θ*Θ has non-finite coefficients here; no warning may escape either
+    assert is_inner(from_poly_grid(entries)) is False
+
+
+def test_is_inner_verdicts_near_the_coefficient_bound():
+    # a coefficient above 1 + tol fails before the product; just below, the
+    # product decides, as before
+    for c, tol, inner in ((1 + 4e-15, 1e-14, True), (1 + 2e-14, 1e-14, False),
+                          (1 + 1e-9, 1e-8, True), (1 + 2e-8, 1e-8, False)):
+        assert is_inner(from_poly_grid([[[c]]]), tol) is inner, (c, tol)
+
+
 def test_is_inner_requires_analytic():
     bad = LaurentMatrix(1, 1, -1, np.array([[[1.0, 0.0]]], dtype=complex))
     with pytest.raises(NotAnalytic):

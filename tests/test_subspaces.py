@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from hardyshift import (EmptyInput, MonomialSubspace, NotASubspaceOf, OutOfCap,
-                        ParamOutOfRange, SpanSubspace, intersect,
+                        ParamOutOfRange, SpanSubspace, from_poly_grid, intersect,
                         intersect_shifted, monomial_membership,
                         mul, ortho_complement_within, orthonormalize, project,
                         shift_pow, taylor, vector)
-from hardyshift.series import allclose, inner_product, sub
+from hardyshift.invariance import build_theta_range
+from hardyshift.series import TaylorPoly, allclose, inner_product, sub
+from hardyshift.subspaces import _orthonormal_columns
 from hardyshift.tolerances import EPS, RANK_TOL
 
 from conftest import random_taylor
@@ -333,3 +335,61 @@ def test_a_generator_kept_with_little_of_its_norm_left_keeps_its_direction():
     M = orthonormalize([e, mul(taylor([2, 0, d], CAP), e)])
     assert M.dim == 2
     assert project(shift_pow(e, 2), M).residual <= 1e-10
+
+
+def disjoint_columns(rng, count, scale=1.0):
+    """count generators with disjoint supports of three coefficients each."""
+    G = np.zeros((CAP + 1, count), dtype=complex)
+    for j in range(count):
+        G[3 * j: 3 * j + 3, j] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return G * scale
+
+
+def test_orthogonal_generators_over_their_norms_are_the_frame(rng):
+    G = disjoint_columns(rng, 6)
+    G[:, 2] *= 1e-6  # orthogonality does not depend on the norms
+    M = orthonormalize(G, 1e-9, label="D", band=7)
+    assert np.array_equal(M.frame_matrix(), G / np.linalg.norm(G, axis=0))
+    assert (M.dropped, M.rank_tol, M.label, M.band) == ((), 1e-9, "D", 7)
+    assert np.array_equal(np.column_stack(M.generators), G)
+    # element input is flattened into the same matrix and takes the same test
+    elements = orthonormalize([taylor(g, CAP) for g in G.T], 1e-9)
+    assert np.array_equal(elements.frame_matrix(), M.frame_matrix())
+    assert all(isinstance(g, TaylorPoly) for g in elements.generators)
+
+
+def test_generators_off_orthogonal_by_1e_9_take_cgs2(rng):
+    G = disjoint_columns(rng, 4)
+    G[:, 1] += 1e-9 * G[:, 0]  # Gram entry about 1e-9, above EXACT_TOL
+    M = orthonormalize(G)
+    F = M.frame_matrix()
+    assert np.max(np.abs(F.conj().T @ F - np.eye(4))) <= 1e-14
+    # CGS2 took the first generator's direction out of the second
+    assert abs(np.vdot(F[:, 0], F[:, 1])) <= 1e-16
+    assert np.max(np.abs(F - G / np.linalg.norm(G, axis=0))) > 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e200, "zero column"])
+def test_orthogonal_generators_whose_norms_fail_the_test_take_cgs2(rng, scale):
+    # a norm that under- or overflows, or is zero, fails the Gram test, and
+    # CGS2's scale policy gives the frame and drops it always gave
+    U = disjoint_columns(rng, 4)
+    if scale == "zero column":
+        U[:, 2] = 0
+        G, dropped = U, (2,)
+    else:
+        G, dropped = U * scale, ()
+    assert _orthonormal_columns(G) is None
+    M = orthonormalize(G, 1e-9)
+    kept = [j for j in range(4) if j not in dropped]
+    want = U[:, kept] / np.linalg.norm(U[:, kept], axis=0)
+    assert (M.dropped, M.rank_tol) == (dropped, 1e-9)
+    assert np.max(np.abs(M.frame_matrix() - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("entries", [[[[1], [0]], [[0], [0, 1]]],  # inner: its own frame
+                                     [[[1, 0.5], [0]], [[0], [0, 1]]]])  # CGS2
+def test_range_builder_keeps_no_generators(entries):
+    S = build_theta_range(from_poly_grid(entries), 2, CAP)
+    assert S.dim > 0 and S.generators == () and S.dropped == ()
+    assert S.frame_matrix().base is None  # no view into the lifted matrix

@@ -148,7 +148,7 @@ def full_size_model_space(theta, m, cap):
     component degree, for any Θ."""
     comp_cap = (cap + 1) // m - 1
     combos = _null_combos(np.conj(range_generators(theta, comp_cap).T),
-                          m * (comp_cap + 1), RANK_TOL)
+                          m * (comp_cap + 1), RANK_TOL)[1]
     return fit_cap(lift(combos.T, m), m, cap)
 
 
@@ -157,7 +157,7 @@ def model_space_inline(theta, m, cap):
     _check_builder_input(theta, m, ANALYTICITY_TOL, "model-space builder")
     comp_cap = (cap + 1) // m - 1
     n_sub = _solve_degree(theta, comp_cap) + 1
-    combos = _null_combos(np.conj(range_generators(theta, n_sub - 1).T), m * n_sub, RANK_TOL)
+    combos = _null_combos(np.conj(range_generators(theta, n_sub - 1).T), m * n_sub, RANK_TOL)[1]
     label, band = f"T_{m}(K_Θ) at cap {cap}", m * comp_cap + m - 1
     if not combos.shape[0]:
         return SpanSubspace((), cap, 1, RANK_TOL, label=label, band=band)
