@@ -2,8 +2,9 @@
 invariance for subspaces of the Hardy space on the disc.
 
 The package models Hardy-space elements by degree-capped Taylor
-coefficients: coefficient arrays from parse to report, and ``TaylorPoly``
-and ``VectorPoly`` as the Python API's input elements.  It provides:
+coefficients: coefficient arrays from parse to report, and a subspace is
+its orthonormal frame matrix.  ``TaylorPoly`` and ``VectorPoly`` elements
+are inputs of the one-element functions only.  It provides:
 
 * the interleaving lift between vector-valued and scalar elements, one
   row permutation of column matrices (``veclift``),
@@ -27,9 +28,8 @@ literature are audited, not assumed.
 """
 
 from .errors import (BudgetExceeded, DepthExhausted, DimensionMismatch,
-                     EmptyInput, HardyShiftError, NoConvergence, NotAMember,
-                     NotAnalytic, NotASubspaceOf, OutOfCap, ParamOutOfRange,
-                     ZeroOnCircle)
+                     HardyShiftError, NoConvergence, NotAMember, NotAnalytic,
+                     NotASubspaceOf, OutOfCap, ParamOutOfRange, ZeroOnCircle)
 from .series import (TaylorPoly, coshift_pow, inner_product, monomial, mul,
                      shift_pow, taylor, zero)
 from .veclift import VectorPoly, lift, t_m_apply, vector

@@ -188,12 +188,6 @@ class WoldFrame:
     def m(self) -> int:
         return self.blaschke.degree
 
-    def gram_defect(self) -> float:
-        """Max deviation of the nonzero layer vectors' Gram matrix from I."""
-        A = self.matrix[:, np.linalg.norm(self.matrix, axis=0) > 0.5]
-        G = A.conj().T @ A
-        return float(np.max(np.abs(G - np.eye(G.shape[0]))))
-
 
 def build_wold_frame(B: BlaschkeProduct, cap: int,
                      depth: Optional[int] = None) -> WoldFrame:

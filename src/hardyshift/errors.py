@@ -12,7 +12,6 @@ __all__ = [
     "ParamOutOfRange",
     "DimensionMismatch",
     "NotAnalytic",
-    "EmptyInput",
     "NotASubspaceOf",
     "OutOfCap",
     "NotAMember",
@@ -44,10 +43,6 @@ class DimensionMismatch(HardyShiftError, ValueError):
 
 class NotAnalytic(HardyShiftError):
     """An operand required to be analytic carries negative-index mass."""
-
-
-class EmptyInput(HardyShiftError, ValueError):
-    """An operation that needs at least one generator received none."""
 
 
 class NotASubspaceOf(HardyShiftError):

@@ -38,7 +38,7 @@ from .invariance import (CheckReport, OperatorSpec, PipelineReport, Stage,
 from .laurent import (LaurentMatrix, _lower_symbols, adjoint_on_circle, build_sigma,
                       is_analytic, is_inner, matmul, toeplitz_adjoint_apply)
 from .series import TaylorPoly, toeplitz_view
-from .subspaces import SpanSubspace, _cgs2, _null_combos, frame_distance, orthonormalize
+from .subspaces import SpanSubspace, _cgs2, _null_combos, orthonormalize, project
 from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL
 
 __all__ = [
@@ -119,7 +119,11 @@ def hitt_decompose(f: TaylorPoly, M: SpanSubspace, E: KernelColumn,
     """
     if not isinstance(f, TaylorPoly) or M.arity != 1 or f.cap != M.cap:
         raise ValueError("element arity/cap does not match the subspace")
-    return _peel(f.padded(M.cap + 1)[None, :], M, E, max_iter, tol)[0][0]
+    v = f.padded(M.cap + 1)
+    off = project(v, M).residual
+    if not off <= tol:
+        raise NotAMember(f"element lies outside the span (residual {off:.3e} > {tol:g})")
+    return _peel(v[None, :], M, E, max_iter, tol)[0][0]
 
 
 def _col_sq(X: np.ndarray) -> np.ndarray:
@@ -135,7 +139,9 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn,
     of one element of M, at once: one HittDecomposition per row, and the
     coordinates as the columns of one m*(cap+1) x rows matrix (block i
     holds column i of the rows A(l)); or the error that decomposing the
-    rows one by one, in order, would raise first.
+    rows one by one, in order, would raise first.  Membership is the
+    caller's: ``build_j_map`` peels M's own frame, and ``hitt_decompose``
+    tests its element.
 
     The rows are the columns of one working matrix W whose rows m·s ..
     m·s+cap hold each remainder f_s.  The zero rows past the cap take the
@@ -149,11 +155,7 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn,
     n, m = M.cap + 1, E.m
     if max_iter is None:
         max_iter = M.cap // m + 2
-    off = frame_distance(M.frame_matrix(), V.T)[1]
-    errors = {int(j): NotAMember(  # column -> its first error
-        f"element lies outside the span (residual {off[j]:.3e} > {tol:g})")
-        for j in np.flatnonzero(~(off <= tol))[:1]}
-    k = min(errors, default=len(V))
+    errors, k = {}, len(V)  # column -> its first error
     active = list(E.active_indices)
     Ea = E.entries[:, active]
     d = int(np.flatnonzero(Ea.any(axis=1)).max(initial=-1)) + 1  # rows past d are 0

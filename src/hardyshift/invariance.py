@@ -365,7 +365,7 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     last = _last_analytic_index(theta)
     label = f"T_{m}(Θ·H2) at cap {cap}"
     if last.max() < 0:
-        return SpanSubspace((), cap, 1, rank_tol, label=label)
+        return SpanSubspace(np.zeros((cap + 1, 0)), cap, 1, rank_tol, label=label)
     # the largest lift degree m * (min_pow + last) + row of a nonzero entry
     lifts = np.where(last >= 0, m * last + np.arange(m)[:, None], -1)
     top = m * theta.min_pow + int(lifts.max())

@@ -15,19 +15,16 @@ stores its one read-only frame matrix, and every operation here uses it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInput, NotASubspaceOf, OutOfCap, ParamOutOfRange
-from .series import TaylorPoly
+from .errors import NotASubspaceOf, OutOfCap, ParamOutOfRange
 from .tolerances import EPS, EXACT_TOL, MEMBERSHIP_TOL, RANK_TOL
-from .veclift import VectorPoly
 
 __all__ = [
     "SpanSubspace",
     "MonomialSubspace",
-    "Element",
     "orthonormalize",
     "project",
     "Projection",
@@ -36,30 +33,7 @@ __all__ = [
     "intersect",
     "ortho_complement_within",
     "monomial_membership",
-    "flatten_element",
-    "unflatten_element",
 ]
-
-Element = Union[TaylorPoly, VectorPoly]
-
-
-def _arity(el: Element) -> int:
-    return el.m if isinstance(el, VectorPoly) else 1
-
-
-def flatten_element(el: Element, cap: int) -> np.ndarray:
-    """Coefficient vector of length arity*(cap+1), component blocks stacked."""
-    if isinstance(el, VectorPoly):
-        return np.concatenate([c.padded(cap + 1) for c in el.components])
-    return el.padded(cap + 1)
-
-
-def unflatten_element(vec: np.ndarray, arity: int, cap: int) -> Element:
-    if arity == 1:
-        return TaylorPoly(vec, cap)
-    n = cap + 1
-    comps = tuple(TaylorPoly(vec[l * n: (l + 1) * n], cap) for l in range(arity))
-    return VectorPoly(comps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +41,10 @@ class SpanSubspace:
     """Orthonormal frame spanning a capped model of a subspace.
 
     ``matrix`` is the frame: a read-only array of shape
-    (arity*(cap+1), dim) whose columns are the flattened frame vectors.  It
-    may be passed as that array, which the span then owns and makes
-    read-only instead of copying, or as a sequence of elements, which are
-    flattened once here.  A non-finite entry raises ParamOutOfRange.
-    ``frame`` builds the elements from the columns on each access; nothing
-    else is kept.
+    (arity*(cap+1), dim) whose columns are the frame vectors, arity
+    component blocks of cap+1 coefficients stacked.  A complex array passed
+    in is owned by the span and made read-only, not copied.  A non-finite
+    entry raises ParamOutOfRange.
 
     ``band`` is the highest degree the model actually represents: None for
     an exact finite-dimensional space, a value below the cap for truncated
@@ -80,7 +52,7 @@ class SpanSubspace:
     must not draw verdicts from images above the band.
     """
 
-    matrix: object
+    matrix: np.ndarray
     cap: int
     arity: int
     rank_tol: float = RANK_TOL
@@ -91,22 +63,13 @@ class SpanSubspace:
 
     def __post_init__(self) -> None:
         n = self.arity * (self.cap + 1)
-        if isinstance(self.matrix, np.ndarray):
-            mat = np.asarray(self.matrix, dtype=np.complex128)
-        else:
-            cols = [flatten_element(u, self.cap) for u in self.matrix]
-            mat = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=np.complex128)
+        mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != n:
             raise ValueError(f"frame matrix must have {n} rows, got shape {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ParamOutOfRange("frame matrix has non-finite coefficients")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def frame(self) -> tuple:
-        """Frame vectors as elements, built from the matrix columns."""
-        return tuple(unflatten_element(col, self.arity, self.cap) for col in self.matrix.T)
 
     @property
     def dim(self) -> int:
@@ -169,17 +132,14 @@ def _orthonormal_columns(columns: np.ndarray):
         return X if np.max(np.abs(G), initial=0.0) <= EXACT_TOL else None
 
 
-def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
-                   rank_tol: float = RANK_TOL, label: str = "",
+def orthonormalize(columns: np.ndarray, rank_tol: float = RANK_TOL, label: str = "",
                    band=None, arity: int = 1) -> SpanSubspace:
     """Orthonormal frame of the generators, in input order: the generators
     over their norms when their Gram matrix is I within EXACT_TOL, else ``_cgs2``'s.
 
-    The generators are elements, flattened once into columns, or the
-    columns of a matrix of arity stacked component blocks of cap+1
-    coefficients; the span's generators are then its columns.  No columns
-    give the empty span; an empty sequence has no cap and raises
-    EmptyInput.  Non-finite coefficients raise ParamOutOfRange.
+    The generators are the columns, each arity stacked component blocks of
+    cap+1 coefficients, and are the span's generators.  No columns give the
+    empty span.  Non-finite coefficients raise ParamOutOfRange.
 
     The rounding of its own coefficients moves a generator kept with the
     fraction r of its norm left after the kept ones by about EPS/r, and
@@ -196,16 +156,6 @@ def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
     bit changes there, while tiny inputs keep their norms clear of subnormal
     underflow, which would leave the frame vectors visibly short of unit length.
     """
-    if isinstance(generators, np.ndarray):
-        columns, cap = generators, generators.shape[0] // arity - 1
-    else:
-        generators = tuple(generators)
-        if not generators:
-            raise EmptyInput("orthonormalize needs at least one generator")
-        arity, cap = _arity(generators[0]), generators[0].cap
-        if any(_arity(g) != arity or g.cap != cap for g in generators):
-            raise ValueError("generators must share arity and cap")
-        columns = np.column_stack([flatten_element(g, cap) for g in generators])
     frame, dropped = _orthonormal_columns(columns), ()
     if frame is None:
         rows = np.array(columns.T, dtype=np.complex128, order="C")
@@ -219,12 +169,12 @@ def orthonormalize(generators: Union[Sequence[Element], np.ndarray],
         drop = max(rank_tol, (EPS * rank_tol / MEMBERSHIP_TOL) ** 0.5)
         frame, dropped, r = _cgs2(rows, drop * np.linalg.norm(rows, axis=1))
         rank_tol = max(rank_tol, EPS / r)
-    gens = tuple(columns.T) if isinstance(generators, np.ndarray) else generators
-    return SpanSubspace(frame, cap, arity, rank_tol, gens, dropped, label, band)
+    cap = columns.shape[0] // arity - 1
+    return SpanSubspace(frame, cap, arity, rank_tol, tuple(columns.T), dropped, label, band)
 
 
 class Projection(NamedTuple):
-    projection: Element
+    projection: np.ndarray
     residual: float
     coords: np.ndarray
 
@@ -239,13 +189,14 @@ def frame_distance(F: np.ndarray, Y: np.ndarray) -> tuple:
     return C, np.sqrt(np.sum(np.abs(R) ** 2, axis=0))
 
 
-def project(f: Element, M: SpanSubspace) -> Projection:
-    """Orthogonal projection onto the frame span, with residual norm."""
-    if _arity(f) != M.arity or f.cap != M.cap:
-        raise ValueError("element arity/cap does not match the subspace")
-    coords, residual = frame_distance(M.frame_matrix(), flatten_element(f, M.cap)[:, None])
-    proj = M.frame_matrix() @ coords[:, 0]
-    return Projection(unflatten_element(proj, M.arity, M.cap), float(residual[0]), coords[:, 0])
+def project(y: np.ndarray, M: SpanSubspace) -> Projection:
+    """Orthogonal projection of the column y onto the frame span, with its
+    residual norm: the one-column call of ``frame_distance``."""
+    F = M.frame_matrix()
+    if np.shape(y) != (len(F),):
+        raise ValueError("column length does not match the subspace")
+    coords, residual = frame_distance(F, np.asarray(y)[:, None])
+    return Projection(F @ coords[:, 0], float(residual[0]), coords[:, 0])
 
 
 def _null_combos(C: np.ndarray, dim: int, rank_tol: float) -> tuple:

@@ -44,9 +44,14 @@ def random_columns(rng, m, deg, cap, count):
     return X.reshape(m * (cap + 1), count)
 
 
-def stacked(F):
-    """The column of a vector element: its components stacked."""
-    return np.concatenate([c.padded(F.cap + 1) for c in F.components])[:, None]
+def stacked(*elements):
+    """The column matrix of elements sharing a cap, the matrix a span is
+    built from: column j holds element j's coefficients, the components of
+    a vector element stacked.  ``taylor(column, cap)`` turns a scalar
+    column back into an element."""
+    return np.column_stack([np.concatenate([c.padded(e.cap + 1)
+                                            for c in getattr(e, "components", (e,))])
+                            for e in elements])
 
 
 def matrix_action(A, X):

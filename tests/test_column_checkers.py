@@ -15,6 +15,8 @@ from hardyshift import (BlaschkeProduct, BudgetExceeded, DimensionMismatch, Oper
                         taylor, vector)
 from hardyshift.invariance import _canonical_pair, _toeplitz_range_meet
 
+from conftest import stacked
+
 CAP = 40
 B_OFF = BlaschkeProduct(1.0, [0.4, -0.3j])
 B_MONO = BlaschkeProduct(1j, [0, 0])
@@ -139,8 +141,10 @@ def spans(rng):
                                   for _ in range(arity)])
         gens = family[:2] + [family[16], breaker] + family[2:6] + [
             element(arity, [shifted(c, 34 + 2 * j) for c in q]) for j in (1, 2)]
-        out.append(orthonormalize(gens, label=f"broken{arity}", band=34))
-        out.append(orthonormalize(family, label=f"stable{arity}", band=34))
+        out.append(orthonormalize(stacked(*gens), label=f"broken{arity}", band=34,
+                                  arity=arity))
+        out.append(orthonormalize(stacked(*family), label=f"stable{arity}", band=34,
+                                  arity=arity))
     return out
 
 

@@ -14,7 +14,9 @@ from hardyshift.problem import load_problem
 from hardyshift.series import allclose, shift_pow, sub
 from hardyshift.subspaces import _null_combos
 from hardyshift.tolerances import EXACT_TOL
-from hardyshift.veclift import vec_inner, vector
+from hardyshift.veclift import vector
+
+from conftest import stacked
 
 CAP = 48
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "problems" / "demo.json"
@@ -26,7 +28,7 @@ SQRT30 = np.sqrt(30.0)
 
 
 def span(*coeff_lists, label=""):
-    return orthonormalize([taylor(c, CAP) for c in coeff_lists], label=label)
+    return orthonormalize(stacked(*(taylor(c, CAP) for c in coeff_lists)), label=label)
 
 
 def close_up_to_phase(f, g, tol=1e-10):
@@ -90,7 +92,7 @@ def brute_force_kernel_oracle(gen_rows, m=2, cap=CAP):
 
 def test_extract_kernels_matches_brute_force_oracle():
     gens = ([1, 1], [0, 1, 1], [0, 0, 0, 1, 1])
-    E = extract_kernels(orthonormalize([taylor(g, CAP) for g in gens]), 2)
+    E = extract_kernels(orthonormalize(stacked(*(taylor(g, CAP) for g in gens))), 2)
     oracle = brute_force_kernel_oracle(gens)
     # first entry also matches the closed form (2 - z)(1 + z)/sqrt(6)
     assert allclose(taylor(E.entries[:, 0], CAP), taylor(np.array([2, 1, -1]) / SQRT6, CAP),
@@ -168,7 +170,7 @@ def test_hitt_decompose_flags_uncaptured_mass():
     M = span([0, 0, 1, 1])
     E = extract_kernels(M, 2)
     with pytest.raises(NoConvergence):
-        hitt_decompose(M.frame[0], M, E)
+        hitt_decompose(taylor(M.frame_matrix()[:, 0], CAP), M, E)
 
 
 def test_hitt_decompose_counts_dust_past_the_cap():
@@ -179,7 +181,7 @@ def test_hitt_decompose_counts_dust_past_the_cap():
     dusty = E.entries.copy()
     dusty[CAP, 0] = 1e-37
     E = KernelColumn(dusty, E.degenerate, 2)
-    dec = hitt_decompose(M.frame[-1], M, E)  # peels down from degree CAP - 1
+    dec = hitt_decompose(taylor(M.frame_matrix()[:, -1], CAP), M, E)  # from degree CAP - 1
     assert dec.reconstruction_error < 1e-12
 
 
@@ -190,8 +192,8 @@ def test_build_j_map_constants():
     assert res.isometry_gap < 1e-12
     assert res.costable.passed
     # the coordinates of a 2-dim decomposable span are the constants in C^2
-    for w in res.space.frame:
-        assert all(c.deg() <= 0 for c in w.components)
+    for w in res.space.frame_matrix().T:
+        assert all(taylor(c, CAP).deg() <= 0 for c in w.reshape(2, CAP + 1))
 
 
 def test_build_j_map_monomial_coordinates():
@@ -201,8 +203,7 @@ def test_build_j_map_monomial_coordinates():
     # frame coordinates span {(a + b z, 0)}
     want0 = vector([taylor([1], CAP), taylor([0], CAP)])
     want1 = vector([taylor([0, 1], CAP), taylor([0], CAP)])
-    got = res.space.frame
-    gram = np.array([[vec_inner(a, b) for b in (want0, want1)] for a in got])
+    gram = res.space.frame_matrix().T @ stacked(want0, want1).conj()
     u, s, vh = np.linalg.svd(gram)
     assert np.all(s > 1 - 1e-10)
 
@@ -346,7 +347,7 @@ def kernel_split_cases(rng):
         ("generic m=3", columns(7, 6), 3),
         ("dim below m", columns(2, 20), 3),
         ("inside z^m H^2", columns(5, 9, np.zeros((3, 5))), 3),
-        ("empty", SpanSubspace((), CAP, 1), 2),
+        ("empty", SpanSubspace(np.zeros((CAP + 1, 0)), CAP, 1), 2),
         ("head of rank 1", columns(5, 9, np.outer(unit(3), unit(5))), 3),
         ("z^(m l) q_i", orthonormalize(blocks), 3),
         ("two entries", span([1, 1, 1], [0, 1, 2]), 2),

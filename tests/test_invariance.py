@@ -9,6 +9,9 @@ from hardyshift import (BudgetExceeded, MonomialSubspace, OperatorSpec, ParamOut
                         check_near_invariance, diag_polys, from_poly_grid,
                         identity, monomial, orthonormalize, project, taylor,
                         verify_theorem_multi)
+
+from conftest import stacked
+
 CAP = 48
 
 M1 = MonomialSubspace((2, 3), CAP, label="M1")
@@ -62,7 +65,7 @@ def test_monomial_untested_band_and_budget():
 def test_span_beurling_space_invariant():
     # capped model of z^2 H^2
     gens = [monomial(j, CAP) for j in range(2, CAP + 1)]
-    M = orthonormalize(gens, label="z2H2")
+    M = orthonormalize(stacked(*gens), label="z2H2")
     for k in (1, 2, 3, 5):
         rep = check_invariance(M, OperatorSpec.shift(k))
         assert rep.passed
@@ -73,7 +76,7 @@ def test_span_column_multiple_fails_s_with_witness():
     # capped span of (1 + 2z) f(z^2): orthonormal generators by construction
     gens = [taylor([0] * (2 * j) + [5 ** -0.5, 2 * 5 ** -0.5], CAP)
             for j in range((CAP - 1) // 2 + 1)]
-    M = orthonormalize(gens, label="(1+2z)f(z2)")
+    M = orthonormalize(stacked(*gens), label="(1+2z)f(z2)")
     rep = check_invariance(M, OperatorSpec.shift(1))
     assert rep.verdict == "FAIL"
     # residual of the first failing image is sqrt(17)/5
@@ -82,7 +85,7 @@ def test_span_column_multiple_fails_s_with_witness():
 
 
 def test_span_near_invariance_worked_example():
-    M = orthonormalize([taylor([1, 1], CAP), taylor([0, 0, 1, 1], CAP)],
+    M = orthonormalize(stacked(taylor([1, 1], CAP), taylor([0, 0, 1, 1], CAP)),
                        label="span{1+z, z2(1+z)}")
     assert check_near_invariance(M, OperatorSpec.coshift(2)).passed
     assert check_near_invariance(M, OperatorSpec.coshift(3)).passed
@@ -112,43 +115,43 @@ def test_build_theta_range_even_exponents():
     theta = from_poly_grid([[[0, 0, 1]], [[0]]])  # (z^2, 0)^T
     M = build_theta_range(theta, 2, CAP)
     assert M.dim > 0
-    for u in M.frame:
-        nz = np.flatnonzero(u.coeffs)
+    for u in M.frame_matrix().T:
+        nz = np.flatnonzero(u)
         assert all(int(i) % 2 == 0 and int(i) >= 4 for i in nz)
-    assert project(monomial(4, CAP), M).residual < 1e-10
-    assert project(monomial(6, CAP), M).residual < 1e-10
-    assert project(monomial(2, CAP), M).residual > 0.9
+    assert project(monomial(4, CAP).padded(CAP + 1), M).residual < 1e-10
+    assert project(monomial(6, CAP).padded(CAP + 1), M).residual < 1e-10
+    assert project(monomial(2, CAP).padded(CAP + 1), M).residual > 0.9
 
 
 def test_build_theta_range_full_space():
     M = build_theta_range(identity(2), 2, 15)
     assert M.dim == 16  # all degrees 0..15
-    assert project(monomial(7, 15), M).residual < 1e-10
+    assert project(monomial(7, 15).padded(16), M).residual < 1e-10
 
 
 def test_build_theta_range_column_multiple():
     theta = from_poly_grid([[[5 ** -0.5]], [[2 * 5 ** -0.5]]])
     M = build_theta_range(theta, 2, CAP)
     f = taylor([1, 2, 0, 0, 3, 6], CAP)  # (1 + 2z)(1 + 3 z^4): pattern holds
-    assert project(f, M).residual < 1e-10
-    assert project(taylor([1, 1], CAP), M).residual > 0.1
+    assert project(f.padded(CAP + 1), M).residual < 1e-10
+    assert project(taylor([1, 1], CAP).padded(CAP + 1), M).residual > 0.1
 
 
 def test_build_model_space_examples():
     theta = from_poly_grid([[[0, 0, 1]], [[0]]])  # (z^2, 0)^T
     N = build_model_space(theta, 2, CAP)
-    assert project(monomial(0, CAP), N).residual < 1e-10
-    assert project(monomial(2, CAP), N).residual < 1e-10
-    assert project(monomial(1, CAP), N).residual < 1e-10  # odd lift of (0, f)
-    assert project(monomial(4, CAP), N).residual > 0.9
+    assert project(monomial(0, CAP).padded(CAP + 1), N).residual < 1e-10
+    assert project(monomial(2, CAP).padded(CAP + 1), N).residual < 1e-10
+    assert project(monomial(1, CAP).padded(CAP + 1), N).residual < 1e-10  # odd lift of (0, f)
+    assert project(monomial(4, CAP).padded(CAP + 1), N).residual > 0.9
 
     assert build_model_space(identity(3), 3, CAP).dim == 0
 
     theta3 = diag_polys([[1], [0, 1], [0, 1]])
     N3 = build_model_space(theta3, 3, CAP)
     assert N3.dim == 2
-    assert project(monomial(1, CAP), N3).residual < 1e-10
-    assert project(monomial(2, CAP), N3).residual < 1e-10
+    assert project(monomial(1, CAP).padded(CAP + 1), N3).residual < 1e-10
+    assert project(monomial(2, CAP).padded(CAP + 1), N3).residual < 1e-10
 
 
 def test_pipeline_family_passes():
@@ -211,18 +214,18 @@ def test_invariance_versus_near_invariance_divergence():
     # strictly larger: the capped Beurling-type span shows the divergence,
     # and every FAIL witness lies outside the operator image of the span
     gens = [monomial(j, CAP) for j in range(2, CAP + 1)]
-    M = orthonormalize(gens, label="z2H2")
+    M = orthonormalize(stacked(*gens), label="z2H2")
     for k in (1, 2, 3):
         assert check_invariance(M, OperatorSpec.shift(k)).passed
     rep = check_near_invariance(M, OperatorSpec.coshift(1))
     assert rep.verdict == "FAIL"
     # witness is in the span and in the shift range, but not a shifted member
     w = taylor(rep.witness.element[0], CAP)
-    assert project(w, M).residual < 1e-10
+    assert project(w.padded(CAP + 1), M).residual < 1e-10
     assert abs(w.coeff(0)) < 1e-10
     shifted_members = orthonormalize(
-        [monomial(j, CAP) for j in range(3, CAP + 1)], label="S(z2H2)")
-    assert project(w, shifted_members).residual > 1e-2
+        stacked(*(monomial(j, CAP) for j in range(3, CAP + 1))), label="S(z2H2)")
+    assert project(w.padded(CAP + 1), shifted_members).residual > 1e-2
 
 
 def _range_generators_by_shift(theta, cap):

@@ -264,7 +264,7 @@ def test_apply_matrix_matches_convolution_loop(rng):
     for A in _matrix_cases(rng):
         # up to the cap, and past it, where the action cuts like the reference
         Fs = [random_vector(rng, A.cols, deg, cap) for deg in (0, 3, max(0, cap - A.max_pow), cap)]
-        got = matrix_action(A, np.column_stack([stacked(F) for F in Fs]))
+        got = matrix_action(A, stacked(*Fs))
         assert got.shape == (A.rows * (cap + 1), len(Fs))
         for col, F in zip(got.T, Fs):
             assert np.max(np.abs(col - _apply_matrix_by_convolution(A, F))) <= 1e-13

@@ -9,6 +9,8 @@ from hardyshift import (NoConvergence, build_j_map, coshift_pow, diag_polys,
                         verify_theorem_multi)
 from hardyshift.series import sub
 
+from conftest import stacked
+
 CAP = 64
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False,
@@ -40,10 +42,11 @@ def test_gram_schmidt_orthonormality(coeff_lists, dup_index):
     gens = [taylor(c, CAP) for c in coeff_lists]
     if gens and dup_index < len(gens):
         gens.append(taylor(2 * coeff_lists[dup_index], CAP))  # forced rank drop
-    M = orthonormalize(gens)
+    M = orthonormalize(stacked(*gens))
     assert M.dim + len(M.dropped) == len(gens)
-    for i, u in enumerate(M.frame):
-        for j, v in enumerate(M.frame):
+    frame = [taylor(c, CAP) for c in M.frame_matrix().T]
+    for i, u in enumerate(frame):
+        for j, v in enumerate(frame):
             want = 1.0 if i == j else 0.0
             assert abs(inner_product(u, v) - want) < 1e-10
 
@@ -51,14 +54,15 @@ def test_gram_schmidt_orthonormality(coeff_lists, dup_index):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(complexes(10), min_size=1, max_size=4), complexes(14))
 def test_projection_idempotent_and_orthogonal(coeff_lists, fc):
-    M = orthonormalize([taylor(c, CAP) for c in coeff_lists])
+    M = orthonormalize(stacked(*(taylor(c, CAP) for c in coeff_lists)))
     f = taylor(fc, CAP)
-    p1, r1, _ = project(f, M)
+    p1, r1, _ = project(f.padded(CAP + 1), M)
     p2, r2, _ = project(p1, M)
+    p1, p2 = taylor(p1, CAP), taylor(p2, CAP)
     assert sub(p2, p1).norm() < 1e-12
     assert p1.norm() <= f.norm() + 1e-12
-    for u in M.frame:
-        assert abs(inner_product(sub(f, p1), u)) < 1e-10
+    for u in M.frame_matrix().T:
+        assert abs(inner_product(sub(f, p1), taylor(u, CAP))) < 1e-10
 
 
 def _compose_zm(coeffs, m):
@@ -139,7 +143,7 @@ def test_hitt_reconstruction_and_parseval(m, head, g_lists):
                 gens.append(mul(taylor(_compose_zm(tail, m), CAP), e))
     if not gens:
         return
-    M = orthonormalize(gens)
+    M = orthonormalize(stacked(*gens))
     if M.dim == 0:
         return
     res = build_j_map(M, m)
@@ -156,7 +160,7 @@ def test_hitt_reconstruction_and_parseval(m, head, g_lists):
 def test_hitt_random_spans_never_silently_corrupt(coeff_lists):
     # arbitrary spans either decompose faithfully or raise the convergence
     # flag; a quiet wrong answer is the one forbidden outcome
-    M = orthonormalize([taylor(c, CAP) for c in coeff_lists])
+    M = orthonormalize(stacked(*(taylor(c, CAP) for c in coeff_lists)))
     if M.dim == 0:
         return
     try:

@@ -87,7 +87,7 @@ def test_lift_is_a_row_permutation(rng):
 def test_lift_equals_t_m_apply_column_by_column(rng):
     for m in (2, 3, 5):
         Fs = [random_vector(rng, m, CAP // m - 1, CAP) for _ in range(4)]
-        Y = fit_cap(lift(np.column_stack([stacked(F) for F in Fs]), m), m, CAP)
+        Y = fit_cap(lift(stacked(*Fs), m), m, CAP)
         for y, F in zip(Y.T, Fs):
             assert np.array_equal(y, t_m_apply(F).padded(CAP + 1))
 
@@ -160,7 +160,7 @@ def model_space_inline(theta, m, cap):
     combos = _null_combos(np.conj(range_generators(theta, n_sub - 1).T), m * n_sub, RANK_TOL)[1]
     label, band = f"T_{m}(K_Θ) at cap {cap}", m * comp_cap + m - 1
     if not combos.shape[0]:
-        return SpanSubspace((), cap, 1, RANK_TOL, label=label, band=band)
+        return SpanSubspace(np.zeros((cap + 1, 0)), cap, 1, RANK_TOL, label=label, band=band)
     # coefficient j of component l moves to index m*j + l
     lifted = np.zeros((cap + 1, combos.shape[0]), dtype=np.complex128)
     lifted[: m * n_sub] = combos.reshape(-1, m, n_sub).transpose(2, 1, 0).reshape(m * n_sub, -1)
