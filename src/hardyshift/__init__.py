@@ -3,8 +3,11 @@ invariance for subspaces of the Hardy space on the disc.
 
 The package models Hardy-space elements by degree-capped Taylor
 coefficients: coefficient arrays from parse to report, and a subspace is
-its orthonormal frame matrix.  ``TaylorPoly`` and ``VectorPoly`` elements
-are inputs of the one-element functions only.  It provides:
+its orthonormal frame matrix.  ``TaylorPoly`` and ``VectorPoly`` are
+built with their constructors and serve only the few one-element
+functions that remain (the ``series`` arithmetic, ``t_m_apply``,
+``vec_inner``, ``toeplitz_apply``, ``u_apply`` and ``hitt_decompose``).
+It provides:
 
 * the interleaving lift between vector-valued and scalar elements, one
   row permutation of column matrices (``veclift``),
@@ -30,9 +33,8 @@ literature are audited, not assumed.
 from .errors import (BudgetExceeded, DepthExhausted, DimensionMismatch,
                      HardyShiftError, NoConvergence, NotAMember, NotAnalytic,
                      NotASubspaceOf, OutOfCap, ParamOutOfRange, ZeroOnCircle)
-from .series import (TaylorPoly, coshift_pow, inner_product, monomial, mul,
-                     shift_pow, taylor, zero)
-from .veclift import VectorPoly, lift, t_m_apply, vector
+from .series import TaylorPoly, coshift_pow, inner_product, mul, shift_pow
+from .veclift import VectorPoly, lift, t_m_apply
 from .laurent import (LaurentMatrix, adjoint_on_circle, build_sigma, diag_polys,
                       from_poly_grid, identity, is_analytic, is_inner, matmul,
                       toeplitz_adjoint_apply)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, _factor_chain, toeplitz_columns
 from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange
-from .laurent import (LaurentMatrix, _last_analytic_index, _lower_symbols,
+from .laurent import (LaurentMatrix, _is_integer, _last_analytic_index, _lower_symbols,
                       adjoint_on_circle, build_sigma, is_analytic, is_inner, matmul)
 from .series import shift_product, toeplitz_view
 from .subspaces import (MonomialSubspace, SpanSubspace, _null_combos, _null_span,
@@ -64,8 +64,8 @@ class OperatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("shift", "coshift", "toeplitz", "toeplitz_adjoint"):
             raise ParamOutOfRange(f"unknown operator kind {self.kind!r}")
-        if self.power < 1:
-            raise ParamOutOfRange("operator power must be >= 1")
+        if not _is_integer(self.power) or self.power < 1:
+            raise ParamOutOfRange(f"operator power must be an integer >= 1, got {self.power!r}")
         if self.kind.startswith("toeplitz") and self.blaschke is None:
             raise ParamOutOfRange("toeplitz operator specs need a product symbol")
 
@@ -446,10 +446,10 @@ def verify_theorem_multi(theta: LaurentMatrix, m: int,
     Stages: the matrix is inner; each conjugated block-shift product is
     analytic; the lifted range is invariant under S^m and every
     S^(km+gamma), and the lifted model space under their adjoints."""
-    conds = [(int(g), int(kk)) for g, kk in conditions]
+    conds = [(g, kk) for g, kk in conditions]
     if not conds:
         raise ParamOutOfRange("at least one (gamma, k) condition is required")
-    sigmas = [build_sigma(m, g, kk) for g, kk in conds]  # refuses a bad gamma or k
+    sigmas = [build_sigma(m, g, kk) for g, kk in conds]  # refuses a bad m, gamma or k
     stages: list[Stage] = []
     products: list[tuple] = []
 

@@ -112,12 +112,19 @@ def identity(n: int) -> LaurentMatrix:
     return LaurentMatrix(n, n, 0, tab)
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; a bool is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def build_sigma(m: int, gamma: int, k: int) -> LaurentMatrix:
     """Block shift matrix: z^(k+1) I on the top-right gamma block, z^k I on
     the bottom-left (m-gamma) block, zero elsewhere.
 
     Under the arity-m lift it realises multiplication by z^(k*m+gamma).
     """
+    if not all(map(_is_integer, (m, gamma, k))):
+        raise ParamOutOfRange(f"m, gamma and k must be integers, got {m!r}, {gamma!r}, {k!r}")
     if m < 2:
         raise ParamOutOfRange(f"m must be >= 2, got {m}")
     if not 1 <= gamma <= m - 1:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,9 +27,6 @@ from .errors import BudgetExceeded, ParamOutOfRange
 
 __all__ = [
     "TaylorPoly",
-    "taylor",
-    "monomial",
-    "zero",
     "inner_product",
     "shift_pow",
     "coshift_pow",
@@ -38,7 +35,6 @@ __all__ = [
     "sub",
     "scale",
     "norm",
-    "allclose",
     "toeplitz_view",
     "toeplitz_product",
     "shift_product",
@@ -96,9 +92,6 @@ class TaylorPoly:
         nz = np.flatnonzero(self.coeffs)
         return int(nz[-1]) if nz.size else -1
 
-    def is_zero(self) -> bool:
-        return self.deg() < 0
-
     def norm2(self) -> float:
         return float(np.sum(np.abs(self.coeffs) ** 2))
 
@@ -111,50 +104,8 @@ class TaylorPoly:
         out[:n] = self.coeffs[:n]
         return out
 
-    def coeff(self, j: int) -> complex:
-        if j < 0:
-            raise ValueError("coefficient index must be nonnegative")
-        return complex(self.coeffs[j]) if j < self.coeffs.size else 0j
-
-    # -- operator sugar (thin wrappers over the module functions) ---------
-
-    def __add__(self, other: "TaylorPoly") -> "TaylorPoly":
-        return add(self, other)
-
-    def __sub__(self, other: "TaylorPoly") -> "TaylorPoly":
-        return sub(self, other)
-
-    def __neg__(self) -> "TaylorPoly":
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, TaylorPoly):
-            return mul(self, other)
-        return scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TaylorPoly(deg={self.deg()}, cap={self.cap})"
-
-
-def taylor(coeffs: Sequence[Scalar], cap: int) -> TaylorPoly:
-    return TaylorPoly(_coeff_array(coeffs), cap)
-
-
-def monomial(k: int, cap: int, coefficient: Scalar = 1.0) -> TaylorPoly:
-    if k < 0:
-        raise ValueError("monomial degree must be nonnegative")
-    if k > cap:
-        raise BudgetExceeded(f"monomial degree {k} exceeds cap {cap}")
-    arr = np.zeros(k + 1, dtype=np.complex128)
-    arr[k] = coefficient
-    return TaylorPoly(arr, cap)
-
-
-def zero(cap: int) -> TaylorPoly:
-    return TaylorPoly(np.zeros(1, dtype=np.complex128), cap)
 
 
 def _common_cap(f: TaylorPoly, g: TaylorPoly) -> int:
@@ -196,7 +147,7 @@ def mul(f: TaylorPoly, g: TaylorPoly) -> TaylorPoly:
     cap = _common_cap(f, g)
     df, dg = f.deg(), g.deg()
     if df < 0 or dg < 0:
-        return zero(cap)
+        return TaylorPoly(np.zeros(1), cap)
     if df + dg > cap:
         raise BudgetExceeded(
             f"product degree {df + dg} exceeds cap {cap}"
@@ -219,13 +170,6 @@ def sub(f: TaylorPoly, g: TaylorPoly) -> TaylorPoly:
 
 def scale(f: TaylorPoly, c: Scalar) -> TaylorPoly:
     return TaylorPoly(f.coeffs * complex(c), f.cap)
-
-
-def allclose(f: TaylorPoly, g: TaylorPoly, tol: float = 0.0) -> bool:
-    """Entrywise comparison with absolute tolerance (0 means bit-equal)."""
-    n = max(f.coeffs.size, g.coeffs.size)
-    diff = np.abs(f.padded(n) - g.padded(n))
-    return bool(np.all(diff <= tol))
 
 
 def toeplitz_view(b: np.ndarray, adjoint: bool) -> np.ndarray:

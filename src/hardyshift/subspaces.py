@@ -156,6 +156,8 @@ def orthonormalize(columns: np.ndarray, rank_tol: float = RANK_TOL, label: str =
     bit changes there, while tiny inputs keep their norms clear of subnormal
     underflow, which would leave the frame vectors visibly short of unit length.
     """
+    if arity < 1 or columns.shape[0] % arity:
+        raise ParamOutOfRange(f"{columns.shape[0]} rows do not stack {arity} component blocks")
     frame, dropped = _orthonormal_columns(columns), ()
     if frame is None:
         rows = np.array(columns.T, dtype=np.complex128, order="C")

@@ -12,9 +12,7 @@ correspondence with the block shift matrices depends on it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +21,6 @@ from .series import TaylorPoly, inner_product
 
 __all__ = [
     "VectorPoly",
-    "vector",
     "lift",
     "fit_cap",
     "t_m_apply",
@@ -54,24 +51,8 @@ class VectorPoly:
     def cap(self) -> int:
         return self.components[0].cap
 
-    def deg(self) -> int:
-        return max(c.deg() for c in self.components)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def norm2(self) -> float:
-        return float(sum(c.norm2() for c in self.components))
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm2())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"VectorPoly(m={self.m}, deg={self.deg()}, cap={self.cap})"
-
-
-def vector(components: Sequence[TaylorPoly]) -> VectorPoly:
-    return VectorPoly(tuple(components))
+        return f"VectorPoly(m={self.m}, cap={self.cap})"
 
 
 def vec_inner(F: VectorPoly, G: VectorPoly) -> complex:

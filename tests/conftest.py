@@ -4,7 +4,7 @@ import signal
 import numpy as np
 import pytest
 
-from hardyshift import adjoint_on_circle, taylor, toeplitz_adjoint_apply, vector
+from hardyshift import TaylorPoly, VectorPoly, adjoint_on_circle, toeplitz_adjoint_apply
 
 
 def pytest_runtest_logreport(report):
@@ -28,11 +28,23 @@ def rng():
 
 def random_taylor(rng, deg, cap, scale=1.0):
     coeffs = scale * (rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-    return taylor(coeffs, cap)
+    return TaylorPoly(coeffs, cap)
 
 
 def random_vector(rng, m, deg, cap, scale=1.0):
-    return vector([random_taylor(rng, deg, cap, scale) for _ in range(m)])
+    return VectorPoly([random_taylor(rng, deg, cap, scale) for _ in range(m)])
+
+
+def monomial(k, cap, coefficient=1.0):
+    """The element coefficient * z^k; a k past the cap raises BudgetExceeded."""
+    return TaylorPoly([0] * k + [coefficient], cap)
+
+
+def allclose(f, g, tol=0.0):
+    """Two elements agree coefficientwise within the absolute tolerance
+    (0 means bit-equal)."""
+    n = max(f.coeffs.size, g.coeffs.size)
+    return bool(np.all(np.abs(f.padded(n) - g.padded(n)) <= tol))
 
 
 def random_columns(rng, m, deg, cap, count):
@@ -47,7 +59,7 @@ def random_columns(rng, m, deg, cap, count):
 def stacked(*elements):
     """The column matrix of elements sharing a cap, the matrix a span is
     built from: column j holds element j's coefficients, the components of
-    a vector element stacked.  ``taylor(column, cap)`` turns a scalar
+    a vector element stacked.  ``TaylorPoly(column, cap)`` turns a scalar
     column back into an element."""
     return np.column_stack([np.concatenate([c.padded(e.cap + 1)
                                             for c in getattr(e, "components", (e,))])

@@ -10,21 +10,21 @@ discrepancies stay visible.
 import numpy as np
 import pytest
 
-from hardyshift import (BlaschkeProduct, MonomialSubspace, OperatorSpec,
-                        adjoint_on_circle, build_sigma,
+from hardyshift import (BlaschkeProduct, MonomialSubspace, OperatorSpec, TaylorPoly,
+                        VectorPoly, adjoint_on_circle, build_sigma,
                         build_theta_range, build_wold_frame, certify_theta,
                         check_invariance,
                         check_near_invariance, diag_polys, extract_kernels,
                         from_poly_grid, is_analytic, is_inner, lift,
-                        matmul, monomial, orthonormalize, t_m_apply, taylor,
+                        matmul, orthonormalize, t_m_apply,
                         taylor_expand, transfer_subspace, u_apply,
-                        verify_theorem_multi, vector)
+                        verify_theorem_multi)
 from hardyshift.laurent import allclose as mat_close
 from hardyshift.series import inner_product, sub
 from hardyshift.subspaces import project
 from hardyshift.veclift import fit_cap
 
-from conftest import matrix_action, random_columns, random_taylor, stacked
+from conftest import matrix_action, monomial, random_columns, random_taylor, stacked
 from test_blaschke import conjugation_residuals
 from test_hitt import brute_force_kernel_oracle
 from test_laurent import sampled_fourier
@@ -147,7 +147,7 @@ def test_column_multiple_theta_audit(rng):
         member[1::2] = 2 * h.coeffs[:13]
         assert _column_pattern_member(member)
         assert _column_pattern_member(np.concatenate([[0, 0], member]))
-        assert project(taylor(member, cap).padded(cap + 1), M).residual < 1e-9
+        assert project(TaylorPoly(member, cap).padded(cap + 1), M).residual < 1e-9
 
 
 @pytest.mark.xfail(
@@ -168,7 +168,7 @@ def test_column_multiple_theta_quoted_claim():
 
 def test_kernel_example_degenerate(rng):
     cap = 48
-    M = orthonormalize(stacked(taylor([1, 1], cap), taylor([0, 0, 1, 1], cap)))
+    M = orthonormalize(stacked(TaylorPoly([1, 1], cap), TaylorPoly([0, 0, 1, 1], cap)))
     E = extract_kernels(M, 2)
     want0 = np.zeros(cap + 1, dtype=complex)
     want0[:2] = 1 / SQRT2
@@ -183,7 +183,7 @@ def test_kernel_example_degenerate(rng):
 
 def test_kernel_example_two_entries():
     cap = 48
-    M = orthonormalize(stacked(taylor([1, 1, 1], cap), taylor([0, 1, 2], cap)))
+    M = orthonormalize(stacked(TaylorPoly([1, 1, 1], cap), TaylorPoly([0, 1, 2], cap)))
     E = extract_kernels(M, 2)
     assert np.max(np.abs(E.entries[:3, 0] - np.array([5, 2, -1]) / SQRT30)) < 1e-10
     assert np.max(np.abs(E.entries[:3, 1] - np.array([0, 1, 2]) / SQRT5)) < 1e-10
@@ -199,7 +199,7 @@ def test_kernel_example_two_entries():
 def test_kernel_example_discrepancy_audit():
     cap = 48
     gens = ([1, 1], [0, 1, 1], [0, 0, 0, 1, 1])
-    M = orthonormalize(stacked(*(taylor(g, cap) for g in gens)))
+    M = orthonormalize(stacked(*(TaylorPoly(g, cap) for g in gens)))
     E = extract_kernels(M, 2)
     # first entry matches the closed form (2 - z)(1 + z)/sqrt(6)
     assert np.max(np.abs(E.entries[:3, 0] - np.array([2, 1, -1]) / SQRT6)) < 1e-10
@@ -282,7 +282,7 @@ def test_arity3_diagonal_example(rng):
 
     # audit: the quoted first matrix differs from the oracle at entry (3, 2)
     assert not mat_close(p1, PRODUCT_G1_QUOTED, 1e-6)
-    X = stacked(vector([taylor([0], cap), taylor([1], cap), taylor([0], cap)]))
+    X = stacked(VectorPoly([TaylorPoly([0], cap), TaylorPoly([1], cap), TaylorPoly([0], cap)]))
     bad = lifted(matrix_action(THETA3, matrix_action(PRODUCT_G1_QUOTED, X)))
     good = OperatorSpec.shift(4).apply(lifted(matrix_action(THETA3, X)))
     assert np.linalg.norm(bad - good) > 0.5
@@ -368,7 +368,7 @@ def test_blaschke_suite(rng):
 
     # conjugation residuals at depth 28, on the layer matrix
     f = random_taylor(rng, 12, cap)
-    X = np.column_stack([taylor([1], cap).padded(cap + 1), f.padded(cap + 1) / f.norm()])
+    X = np.column_stack([TaylorPoly([1], cap).padded(cap + 1), f.padded(cap + 1) / f.norm()])
     for n in (1, 2):
         assert conjugation_residuals(B, n, X, W).max() < 1e-8
 

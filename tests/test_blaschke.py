@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from hardyshift import (BlaschkeProduct, BudgetExceeded, DepthExhausted,
-                        OperatorSpec, ParamOutOfRange, SpanSubspace, ZeroOnCircle,
-                        build_wold_frame, check_invariance,
-                        check_near_invariance, monomial,
-                        orthonormalize, t_m_apply,
-                        tail_bound, taylor, taylor_expand, toeplitz_apply,
-                        transfer_subspace, u_apply, vector)
+                        OperatorSpec, ParamOutOfRange, SpanSubspace, VectorPoly,
+                        ZeroOnCircle, build_wold_frame, check_invariance,
+                        check_near_invariance, orthonormalize, t_m_apply,
+                        tail_bound, taylor_expand, toeplitz_apply,
+                        transfer_subspace, u_apply)
 from hardyshift.blaschke import _factor_chain, power_expansion, toeplitz_columns
-from hardyshift.series import (TaylorPoly, allclose, coshift_pow, inner_product, shift_pow,
-                               sub)
+from hardyshift.series import TaylorPoly, coshift_pow, inner_product, shift_pow, sub
 from hardyshift.veclift import fit_cap
 
-from conftest import random_taylor, stacked
+from conftest import allclose, monomial, random_taylor, stacked
 
 CAP = 64
 B_HALF = BlaschkeProduct(1.0, [0.5])
@@ -95,7 +93,7 @@ def test_constructor_fails_closed(lam, zeros, match):
 
 
 def test_toeplitz_monomial_is_shift():
-    f = taylor([1, 2, 3], CAP)
+    f = TaylorPoly([1, 2, 3], CAP)
     assert allclose(toeplitz_apply(B_Z2, 1, False, f), shift_pow(f, 2))
     assert allclose(toeplitz_apply(B_Z2, 1, True, f), coshift_pow(f, 2))
     assert allclose(toeplitz_apply(B_Z2, 2, True, shift_pow(f, 4)), f)
@@ -236,7 +234,7 @@ def test_u_apply_monomial_case_equals_deinterleave(rng):
     f = random_taylor(rng, 40, CAP)
     F, resid = u_apply(f, W)
     assert resid < 1e-12
-    G = vector([taylor(f.padded(CAP + 1)[l::2], CAP) for l in range(2)])  # de-interleaved
+    G = VectorPoly([TaylorPoly(f.padded(CAP + 1)[l::2], CAP) for l in range(2)])  # de-interleaved
     for a, b in zip(F.components, G.components):
         assert sub(a, b).norm() < 1e-12
     assert sub(t_m_apply(F), f).norm() < 1e-12
@@ -248,7 +246,7 @@ def test_u_apply_basis_vectors():
         F, resid = u_apply(TaylorPoly(W.matrix[:, j], CAP), W)
         assert resid < 1e-12
         for i, comp in enumerate(F.components):
-            want = taylor([1.0 if i == j else 0.0], CAP)
+            want = TaylorPoly([1.0 if i == j else 0.0], CAP)
             assert sub(comp, want).norm() < 1e-10
 
 
@@ -283,7 +281,7 @@ def test_u_apply_depth_exhausted():
 
 def test_u_apply_and_transfer_fail_closed_on_nan():
     with pytest.raises(ParamOutOfRange):  # refused before it reaches u_apply
-        taylor([1, np.nan], CAP)
+        TaylorPoly([1, np.nan], CAP)
     frame = np.zeros((CAP + 1, 1), dtype=np.complex128)
     frame[:2, 0] = [1, np.nan]
     with pytest.raises(ParamOutOfRange):  # refused before it reaches the transfer
@@ -306,14 +304,14 @@ def conjugation_residuals(B, n, X, W):
 
 def test_check_conjugation_monomial_zero():
     W = build_wold_frame(B_Z2, CAP, depth=20)
-    X = taylor([1, 2, 3, 4], CAP).padded(CAP + 1)[:, None]
+    X = TaylorPoly([1, 2, 3, 4], CAP).padded(CAP + 1)[:, None]
     assert conjugation_residuals(B_Z2, 1, X, W).max() < 1e-14
     assert conjugation_residuals(B_Z2, 2, X, W).max() < 1e-14
 
 
 def test_check_conjugation_mixed_zeros(rng):
     W = build_wold_frame(B_MIX, CAP, depth=28)
-    X = np.column_stack([taylor([1], CAP).padded(CAP + 1),
+    X = np.column_stack([TaylorPoly([1], CAP).padded(CAP + 1),
                          random_taylor(rng, 12, CAP, scale=0.3).padded(CAP + 1)])
     for n in (1, 2):
         assert conjugation_residuals(B_MIX, n, X, W).max() < 1e-8
@@ -405,7 +403,7 @@ def test_near_invariance_sees_range_members_near_the_cap(rng):
     a, cap = 0.95, 24
     B = BlaschkeProduct(1.0, [a])
     r = random_taylor(rng, 23, cap)
-    M = orthonormalize(stacked(taylor(np.convolve([-a, 1.0], r.coeffs), cap)), label="M")
+    M = orthonormalize(stacked(TaylorPoly(np.convolve([-a, 1.0], r.coeffs), cap)), label="M")
     rep = check_near_invariance(M, OperatorSpec.toeplitz_adjoint(B, 1))
     assert rep.verdict == "FAIL" and rep.tested == 1
     w = rep.witness  # (1, cap+1) coefficient blocks
@@ -438,7 +436,7 @@ def test_toeplitz_range_meet_agrees_with_truncated_range(rng, zeros, n):
         p = random_taylor(rng, 12, cap).coeffs
         for a in list(zeros) * power:
             p = np.convolve(p, [-a, 1.0])
-        return taylor(p, cap)
+        return TaylorPoly(p, cap)
 
     # two members of B^n H^2, one of B H^2, and two generic polynomials
     gens = [vanishing(n), vanishing(n), vanishing(1)]

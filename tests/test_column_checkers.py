@@ -11,8 +11,8 @@ import pytest
 
 from hardyshift import (BlaschkeProduct, BudgetExceeded, DimensionMismatch, OperatorSpec,
                         check_invariance, check_near_invariance,
-                        intersect_shifted, orthonormalize, power_expansion,
-                        taylor, vector)
+                        TaylorPoly, VectorPoly, intersect_shifted, orthonormalize,
+                        power_expansion)
 from hardyshift.invariance import _canonical_pair, _toeplitz_range_meet
 
 from conftest import stacked
@@ -111,7 +111,7 @@ def assert_same(rep, ref):
 
 
 def poly(coeffs):
-    return taylor(coeffs, CAP)
+    return TaylorPoly(coeffs, CAP)
 
 
 def shifted(c, k):
@@ -121,7 +121,7 @@ def shifted(c, k):
 def element(arity, coeffs_list):
     if arity == 1:
         return poly(coeffs_list[0])
-    return vector([poly(c) for c in coeffs_list])
+    return VectorPoly([poly(c) for c in coeffs_list])
 
 
 def spans(rng):

@@ -6,17 +6,16 @@ import pytest
 from hardyshift import (KernelColumn, LaurentMatrix, NoConvergence, NotAMember,
                         SpanSubspace, build_j_map, build_sigma, certify_theta,
                         diag_polys, extract_kernels, from_poly_grid, hitt_decompose,
-                        identity, intersect_shifted, matmul, monomial,
-                        ortho_complement_within, orthonormalize, taylor,
-                        toeplitz_adjoint_apply)
+                        TaylorPoly, identity, intersect_shifted, matmul,
+                        ortho_complement_within, orthonormalize, toeplitz_adjoint_apply)
 from hardyshift.invariance import range_generators
 from hardyshift.problem import load_problem
-from hardyshift.series import allclose, shift_pow, sub
+from hardyshift.series import scale, shift_pow, sub
 from hardyshift.subspaces import _null_combos
 from hardyshift.tolerances import EXACT_TOL
-from hardyshift.veclift import vector
+from hardyshift.veclift import VectorPoly
 
-from conftest import stacked
+from conftest import allclose, monomial, stacked
 
 CAP = 48
 DEMO = pathlib.Path(__file__).resolve().parent.parent / "problems" / "demo.json"
@@ -28,18 +27,19 @@ SQRT30 = np.sqrt(30.0)
 
 
 def span(*coeff_lists, label=""):
-    return orthonormalize(stacked(*(taylor(c, CAP) for c in coeff_lists)), label=label)
+    return orthonormalize(stacked(*(TaylorPoly(c, CAP) for c in coeff_lists)), label=label)
 
 
 def close_up_to_phase(f, g, tol=1e-10):
-    return min(sub(f, g).norm(), sub(f, (-1) * g).norm()) < tol
+    return min(sub(f, g).norm(), sub(f, scale(g, -1)).norm()) < tol
 
 
 def test_extract_kernels_degenerate_second_entry():
     M = span([1, 1], [0, 0, 1, 1])
     E = extract_kernels(M, 2)
     assert E.degenerate == (False, True)
-    assert allclose(taylor(E.entries[:, 0], CAP), taylor(np.array([1, 1]) / SQRT2, CAP), 1e-12)
+    assert allclose(TaylorPoly(E.entries[:, 0], CAP), TaylorPoly(np.array([1, 1]) / SQRT2, CAP),
+                    1e-12)
     assert E.entries.shape == (CAP + 1, 2) and not E.entries[:, 1].any()
 
 
@@ -47,9 +47,9 @@ def test_extract_kernels_two_entries():
     M = span([1, 1, 1], [0, 1, 2])
     E = extract_kernels(M, 2)
     assert E.degenerate == (False, False)
-    assert allclose(taylor(E.entries[:, 0], CAP), taylor(np.array([5, 2, -1]) / SQRT30, CAP),
-                    1e-12)
-    assert allclose(taylor(E.entries[:, 1], CAP), taylor(np.array([0, 1, 2]) / SQRT5, CAP),
+    assert allclose(TaylorPoly(E.entries[:, 0], CAP),
+                    TaylorPoly(np.array([5, 2, -1]) / SQRT30, CAP), 1e-12)
+    assert allclose(TaylorPoly(E.entries[:, 1], CAP), TaylorPoly(np.array([0, 1, 2]) / SQRT5, CAP),
                     1e-12)
 
 
@@ -92,19 +92,20 @@ def brute_force_kernel_oracle(gen_rows, m=2, cap=CAP):
 
 def test_extract_kernels_matches_brute_force_oracle():
     gens = ([1, 1], [0, 1, 1], [0, 0, 0, 1, 1])
-    E = extract_kernels(orthonormalize(stacked(*(taylor(g, CAP) for g in gens))), 2)
+    E = extract_kernels(orthonormalize(stacked(*(TaylorPoly(g, CAP) for g in gens))), 2)
     oracle = brute_force_kernel_oracle(gens)
     # first entry also matches the closed form (2 - z)(1 + z)/sqrt(6)
-    assert allclose(taylor(E.entries[:, 0], CAP), taylor(np.array([2, 1, -1]) / SQRT6, CAP),
-                    1e-12)
+    assert allclose(TaylorPoly(E.entries[:, 0], CAP),
+                    TaylorPoly(np.array([2, 1, -1]) / SQRT6, CAP), 1e-12)
     for got, want in zip(E.entries.T, oracle):
         assert np.max(np.abs(got - want)) < 1e-10
     # the oracle value is z(1 + z)/sqrt(2); the commonly quoted value
     # z(1 + 2z)/sqrt(2) is not even normalized, so flag the difference
-    quoted = taylor(np.array([0, 1, 2]) / SQRT2, CAP)
+    quoted = TaylorPoly(np.array([0, 1, 2]) / SQRT2, CAP)
     assert abs(quoted.norm() - 1.0) > 0.5
-    assert sub(taylor(E.entries[:, 1], CAP), quoted).norm() > 0.5
-    assert allclose(taylor(E.entries[:, 1], CAP), taylor(np.array([0, 1, 1]) / SQRT2, CAP), 1e-10)
+    assert sub(TaylorPoly(E.entries[:, 1], CAP), quoted).norm() > 0.5
+    assert allclose(TaylorPoly(E.entries[:, 1], CAP), TaylorPoly(np.array([0, 1, 1]) / SQRT2, CAP),
+                    1e-10)
 
 
 def test_extract_kernels_all_zero_column():
@@ -116,7 +117,7 @@ def test_extract_kernels_all_zero_column():
 def test_hitt_decompose_two_rows():
     M = span([1, 1], [0, 0, 1, 1])
     E = extract_kernels(M, 2)
-    f = taylor([1, 1, 1, 1], CAP)  # (1+z)(1+z^2)
+    f = TaylorPoly([1, 1, 1, 1], CAP)  # (1+z)(1+z^2)
     dec = hitt_decompose(f, M, E)
     assert dec.iterations == 2
     assert np.allclose(dec.rows[:, 0], [SQRT2, SQRT2])
@@ -128,7 +129,7 @@ def test_hitt_decompose_two_rows():
 def test_hitt_decompose_kernel_entry_is_one_step():
     M = span([1, 1, 1], [0, 1, 2])
     E = extract_kernels(M, 2)
-    dec = hitt_decompose(taylor(E.entries[:, 0], CAP), M, E)
+    dec = hitt_decompose(TaylorPoly(E.entries[:, 0], CAP), M, E)
     assert dec.iterations == 1
     assert np.allclose(dec.rows, [[1, 0]])
 
@@ -136,14 +137,14 @@ def test_hitt_decompose_kernel_entry_is_one_step():
 def test_hitt_decompose_agrees_with_linear_solve_oracle(rng):
     M = span([1, 1], [0, 0, 1, 1])
     E = extract_kernels(M, 2)
-    f = taylor(M.frame_matrix() @ np.array([0.3 - 1j, 2.2 + 0.5j]), CAP)
+    f = TaylorPoly(M.frame_matrix() @ np.array([0.3 - 1j, 2.2 + 0.5j]), CAP)
     dec = hitt_decompose(f, M, E)
     # oracle: least-squares solve of f = sum_l z^(2l) A(l).E in coefficients
     cols = []
     keys = []
     for l in range((CAP // 2) + 1):
         for i in E.active_indices:
-            e = taylor(E.entries[:, i], CAP)
+            e = TaylorPoly(E.entries[:, i], CAP)
             if e.deg() + 2 * l > CAP:
                 continue
             cols.append(shift_pow(e, 2 * l).padded(CAP + 1))
@@ -170,7 +171,7 @@ def test_hitt_decompose_flags_uncaptured_mass():
     M = span([0, 0, 1, 1])
     E = extract_kernels(M, 2)
     with pytest.raises(NoConvergence):
-        hitt_decompose(taylor(M.frame_matrix()[:, 0], CAP), M, E)
+        hitt_decompose(TaylorPoly(M.frame_matrix()[:, 0], CAP), M, E)
 
 
 def test_hitt_decompose_counts_dust_past_the_cap():
@@ -181,7 +182,7 @@ def test_hitt_decompose_counts_dust_past_the_cap():
     dusty = E.entries.copy()
     dusty[CAP, 0] = 1e-37
     E = KernelColumn(dusty, E.degenerate, 2)
-    dec = hitt_decompose(taylor(M.frame_matrix()[:, -1], CAP), M, E)  # from degree CAP - 1
+    dec = hitt_decompose(TaylorPoly(M.frame_matrix()[:, -1], CAP), M, E)  # from degree CAP - 1
     assert dec.reconstruction_error < 1e-12
 
 
@@ -193,7 +194,7 @@ def test_build_j_map_constants():
     assert res.costable.passed
     # the coordinates of a 2-dim decomposable span are the constants in C^2
     for w in res.space.frame_matrix().T:
-        assert all(taylor(c, CAP).deg() <= 0 for c in w.reshape(2, CAP + 1))
+        assert all(TaylorPoly(c, CAP).deg() <= 0 for c in w.reshape(2, CAP + 1))
 
 
 def test_build_j_map_monomial_coordinates():
@@ -201,8 +202,8 @@ def test_build_j_map_monomial_coordinates():
     res = build_j_map(M, 2)
     assert res.space.dim == 2
     # frame coordinates span {(a + b z, 0)}
-    want0 = vector([taylor([1], CAP), taylor([0], CAP)])
-    want1 = vector([taylor([0, 1], CAP), taylor([0], CAP)])
+    want0 = VectorPoly([TaylorPoly([1], CAP), TaylorPoly([0], CAP)])
+    want1 = VectorPoly([TaylorPoly([0, 1], CAP), TaylorPoly([0], CAP)])
     gram = res.space.frame_matrix().T @ stacked(want0, want1).conj()
     u, s, vh = np.linalg.svd(gram)
     assert np.all(s > 1 - 1e-10)

@@ -22,7 +22,7 @@ import pytest
 
 from hardyshift import (HardyShiftError, KernelColumn, NoConvergence, NotAMember,
                         ParamOutOfRange, build_j_map, extract_kernels, hitt_decompose,
-                        orthonormalize, taylor, zero)
+                        TaylorPoly, orthonormalize)
 from hardyshift.hitt import _peel
 from hardyshift.subspaces import SpanSubspace
 
@@ -144,12 +144,12 @@ def power_span(rng, m, nq, dim, cap=CAP):
     for _ in range(nq):
         q = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         for l in range(dim // nq):
-            gens.append(taylor(np.concatenate([np.zeros(m * l), q]), cap))
+            gens.append(TaylorPoly(np.concatenate([np.zeros(m * l), q]), cap))
     return orthonormalize(stacked(*gens), label="M")
 
 
 def span(*coeff_lists, cap=CAP):
-    return orthonormalize(stacked(*(taylor(c, cap) for c in coeff_lists)))
+    return orthonormalize(stacked(*(TaylorPoly(c, cap) for c in coeff_lists)))
 
 
 @pytest.mark.parametrize("m, nq, dim", [(2, 1, 30), (3, 1, 20), (3, 2, 22), (2, 1, 36)])
@@ -175,7 +175,7 @@ def test_column_peel_matches_reference_on_small_spans(gens):
     for j, dec in enumerate(res.decompositions):
         ref = ref_decompose(np.ascontiguousarray(M.frame_matrix()[:, j]), M, res.kernel, 2)
         assert_same(dec, ref)
-        assert_same(hitt_decompose(taylor(M.frame_matrix()[:, j], CAP), M, res.kernel), ref)
+        assert_same(hitt_decompose(TaylorPoly(M.frame_matrix()[:, j], CAP), M, res.kernel), ref)
 
 
 def test_column_peel_matches_reference_with_dust_past_the_cap():
@@ -190,12 +190,12 @@ def test_column_peel_matches_reference_with_dust_past_the_cap():
     for dec, v in zip(decomps, V):
         ref = ref_decompose(v, M, E, 2)
         assert_same(dec, ref)
-        assert_same(hitt_decompose(taylor(v, CAP), M, E), ref)
+        assert_same(hitt_decompose(TaylorPoly(v, CAP), M, E), ref)
     assert decomps[-1].reconstruction_error < 1e-12
 
 
 def test_dimension_zero_span_has_no_decompositions():
-    M = orthonormalize(stacked(taylor([0], CAP), taylor([0, 0], CAP)), label="zero_span")
+    M = orthonormalize(stacked(TaylorPoly([0], CAP), TaylorPoly([0, 0], CAP)), label="zero_span")
     assert M.dim == 0
     res = build_j_map(M, 2)
     assert res.decompositions == ()
@@ -206,7 +206,7 @@ def test_dimension_zero_span_has_no_decompositions():
 def test_zero_element_takes_no_peel():
     M = span([1, 1], [0, 0, 1, 1])
     E = extract_kernels(M, 2)
-    dec = hitt_decompose(zero(CAP), M, E)
+    dec = hitt_decompose(TaylorPoly([0], CAP), M, E)
     assert dec.iterations == 0
     assert_same(dec, ref_decompose(np.zeros(CAP + 1, dtype=complex), M, E, 2))
 
@@ -258,7 +258,7 @@ def test_exhausted_max_iter_gives_the_reference_message():
         V = np.ascontiguousarray(M.frame_matrix().T)
         assert_raises_like(err, lambda: _peel(V, M, E, max_iter, TOL))
         last = ref_error(M, E, 2, M.dim - 1, max_iter)
-        assert_raises_like(last, lambda: hitt_decompose(taylor(V[-1], CAP), M, E, max_iter))
+        assert_raises_like(last, lambda: hitt_decompose(TaylorPoly(V[-1], CAP), M, E, max_iter))
 
 
 def test_non_member_gives_the_reference_message():
@@ -268,7 +268,7 @@ def test_non_member_gives_the_reference_message():
     v[5] = 1.0
     with pytest.raises(RefError) as ref:
         ref_decompose(v, M, E, 2)
-    assert_raises_like(ref.value, lambda: hitt_decompose(taylor(v, CAP), M, E))
+    assert_raises_like(ref.value, lambda: hitt_decompose(TaylorPoly(v, CAP), M, E))
 
 
 @pytest.mark.parametrize("row", [0, 1, 3, CAP])
@@ -289,7 +289,7 @@ def test_nan_element_or_kernel_fails_closed():
     f = M.frame_matrix()[:, 2].copy()
     f[9] = np.nan
     with pytest.raises(ParamOutOfRange):  # refused before it reaches the peel
-        taylor(f, CAP)
+        TaylorPoly(f, CAP)
     with pytest.raises(NoConvergence):  # a NaN remainder is never below tol
         _peel(f[None, :], M, E, None, TOL)
     bad = E.entries.copy()
@@ -297,7 +297,7 @@ def test_nan_element_or_kernel_fails_closed():
     E = KernelColumn(bad, E.degenerate, 2)
     for v in M.frame_matrix().T:
         with pytest.raises(NoConvergence):
-            hitt_decompose(taylor(v, CAP), M, E)
+            hitt_decompose(TaylorPoly(v, CAP), M, E)
     with pytest.raises(NoConvergence):
         _peel(np.ascontiguousarray(M.frame_matrix().T), M, E, None, TOL)
 
@@ -306,7 +306,7 @@ def ordered_power_span(rng, m, order, cap=CAP):
     """span{z^(ml) q} with the generators in the given order of l; the
     supports are disjoint, so frame vector j is z^(m·order[j]) q, scaled."""
     q = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return orthonormalize(stacked(*(taylor(np.concatenate([np.zeros(m * l), q]), cap)
+    return orthonormalize(stacked(*(TaylorPoly(np.concatenate([np.zeros(m * l), q]), cap)
                                     for l in order)))
 
 
@@ -361,7 +361,7 @@ def test_one_column_peels_like_all_columns(m, order):
     whole, _ = _peel(V, M, E, None, TOL)
     for j, v in enumerate(V):
         assert_same(_peel(V[j:j + 1], M, E, None, TOL)[0][0], whole[j])
-        assert_same(hitt_decompose(taylor(v, CAP), M, E), whole[j])
+        assert_same(hitt_decompose(TaylorPoly(v, CAP), M, E), whole[j])
 
 
 @pytest.mark.parametrize("degree", [CAP - 3, CAP])

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hardyshift import taylor
+from hardyshift import TaylorPoly
 from hardyshift.cli import main
 from hardyshift.laurent import from_poly_grid, toeplitz_adjoint_apply
 
@@ -64,7 +64,7 @@ def normalized(task, op):
 def test_matrix_band_offsets_of_any_size_act_past_the_cap(min_pow, sign):
     # the entry z^min_pow (1 + z/2), or z^-min_pow (1 + z^-1/2)
     A = from_poly_grid([[[1, 0.5] if sign > 0 else [0.5, 1]]], sign * min_pow - (sign < 0))
-    f = taylor([1, 2, 0, 3], CAP)
+    f = TaylorPoly([1, 2, 0, 3], CAP)
     X = f.padded(CAP + 1)[:, None]
     # both powers of the entry exceed the cap in size, so A and A* move
     # every coefficient below degree 0 or past the cap

@@ -7,10 +7,10 @@ from hardyshift import invariance
 from hardyshift import (BudgetExceeded, MonomialSubspace, OperatorSpec, ParamOutOfRange,
                         build_model_space, build_theta_range, check_invariance,
                         check_near_invariance, diag_polys, from_poly_grid,
-                        identity, monomial, orthonormalize, project, taylor,
+                        TaylorPoly, identity, orthonormalize, project,
                         verify_theorem_multi)
 
-from conftest import stacked
+from conftest import monomial, stacked
 
 CAP = 48
 
@@ -74,7 +74,7 @@ def test_span_beurling_space_invariant():
 
 def test_span_column_multiple_fails_s_with_witness():
     # capped span of (1 + 2z) f(z^2): orthonormal generators by construction
-    gens = [taylor([0] * (2 * j) + [5 ** -0.5, 2 * 5 ** -0.5], CAP)
+    gens = [TaylorPoly([0] * (2 * j) + [5 ** -0.5, 2 * 5 ** -0.5], CAP)
             for j in range((CAP - 1) // 2 + 1)]
     M = orthonormalize(stacked(*gens), label="(1+2z)f(z2)")
     rep = check_invariance(M, OperatorSpec.shift(1))
@@ -85,7 +85,7 @@ def test_span_column_multiple_fails_s_with_witness():
 
 
 def test_span_near_invariance_worked_example():
-    M = orthonormalize(stacked(taylor([1, 1], CAP), taylor([0, 0, 1, 1], CAP)),
+    M = orthonormalize(stacked(TaylorPoly([1, 1], CAP), TaylorPoly([0, 0, 1, 1], CAP)),
                        label="span{1+z, z2(1+z)}")
     assert check_near_invariance(M, OperatorSpec.coshift(2)).passed
     assert check_near_invariance(M, OperatorSpec.coshift(3)).passed
@@ -132,9 +132,9 @@ def test_build_theta_range_full_space():
 def test_build_theta_range_column_multiple():
     theta = from_poly_grid([[[5 ** -0.5]], [[2 * 5 ** -0.5]]])
     M = build_theta_range(theta, 2, CAP)
-    f = taylor([1, 2, 0, 0, 3, 6], CAP)  # (1 + 2z)(1 + 3 z^4): pattern holds
+    f = TaylorPoly([1, 2, 0, 0, 3, 6], CAP)  # (1 + 2z)(1 + 3 z^4): pattern holds
     assert project(f.padded(CAP + 1), M).residual < 1e-10
-    assert project(taylor([1, 1], CAP).padded(CAP + 1), M).residual > 0.1
+    assert project(TaylorPoly([1, 1], CAP).padded(CAP + 1), M).residual > 0.1
 
 
 def test_build_model_space_examples():
@@ -166,6 +166,10 @@ def test_pipeline_family_passes():
     ([(2, 1)], "gamma must be in 1..1, got 2"),
     ([(1, 1), (1, 0)], "k must be >= 1, got 0"),
     ([], "at least one"),
+    # a bool or a float is refused, not truncated to an integer
+    ([(1.9, 1)], "m, gamma and k must be integers, got 2, 1.9, 1"),
+    ([(True, True)], "m, gamma and k must be integers, got 2, True, True"),
+    ([(1, 1.0)], "m, gamma and k must be integers, got 2, 1, 1.0"),
 ])
 def test_bad_conditions_refused_before_any_frame(monkeypatch, conditions, match):
     def no_frame(*args, **kwargs):
@@ -176,6 +180,25 @@ def test_bad_conditions_refused_before_any_frame(monkeypatch, conditions, match)
     theta = diag_polys([[0, 0, 1], [0, 1]])
     with pytest.raises(ParamOutOfRange, match=re.escape(match)):
         verify_theorem_multi(theta, 2, conditions, CAP)
+
+
+def test_numpy_integer_conditions_give_the_python_integer_report():
+    theta = diag_polys([[1], [0, 1]])
+    want = verify_theorem_multi(theta, 2, [(1, 1)], CAP)
+    got = verify_theorem_multi(theta, np.int64(2), [(np.int32(1), np.int64(1))], CAP)
+    assert [(s.name, s.verdict) for s in got.stages] == [(s.name, s.verdict) for s in want.stages]
+    assert got.verdict == "PASS"
+
+
+@pytest.mark.parametrize("power", [True, False, 1.5, 2.0, "2", None])
+def test_operator_power_must_be_an_integer(power):
+    for make in (OperatorSpec.shift, OperatorSpec.coshift):
+        with pytest.raises(ParamOutOfRange, match="operator power must be an integer >= 1"):
+            make(power)
+
+
+def test_operator_power_accepts_numpy_integers():
+    assert OperatorSpec.coshift(np.int64(2)).describe() == "(S^2)*"
 
 
 def test_pipeline_analyticity_failure():
@@ -220,9 +243,9 @@ def test_invariance_versus_near_invariance_divergence():
     rep = check_near_invariance(M, OperatorSpec.coshift(1))
     assert rep.verdict == "FAIL"
     # witness is in the span and in the shift range, but not a shifted member
-    w = taylor(rep.witness.element[0], CAP)
+    w = TaylorPoly(rep.witness.element[0], CAP)
     assert project(w.padded(CAP + 1), M).residual < 1e-10
-    assert abs(w.coeff(0)) < 1e-10
+    assert abs(w.coeffs[0]) < 1e-10
     shifted_members = orthonormalize(
         stacked(*(monomial(j, CAP) for j in range(3, CAP + 1))), label="S(z2H2)")
     assert project(w.padded(CAP + 1), shifted_members).residual > 1e-2

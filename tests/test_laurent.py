@@ -4,7 +4,7 @@ import pytest
 from hardyshift import (DimensionMismatch, NotAnalytic, ParamOutOfRange,
                         adjoint_on_circle, build_sigma,
                         diag_polys, from_poly_grid, identity, is_analytic,
-                        is_inner, matmul, taylor, toeplitz_adjoint_apply, vector)
+                        TaylorPoly, VectorPoly, is_inner, matmul, toeplitz_adjoint_apply)
 from hardyshift.laurent import LaurentMatrix, allclose
 
 from conftest import matrix_action, random_columns, stacked
@@ -60,6 +60,14 @@ def test_build_sigma_param_validation():
     for bad in ((1, 1, 1), (3, 0, 1), (3, 3, 1), (3, 1, 0)):
         with pytest.raises(ParamOutOfRange):
             build_sigma(*bad)
+    # a bool or a float is refused, not read as an integer
+    for bad in ((2, True, 1), (True, 1, 1), (2, 1, True), (2.0, 1, 1), (3, 1.5, 1), (2, 1, 1.0)):
+        with pytest.raises(ParamOutOfRange, match="m, gamma and k must be integers"):
+            build_sigma(*bad)
+
+
+def test_build_sigma_accepts_numpy_integers():
+    assert allclose(build_sigma(np.int64(2), np.int32(1), np.uint8(1)), build_sigma(2, 1, 1))
 
 
 def test_adjoint_involution_and_antihomomorphism(rng):
@@ -171,14 +179,15 @@ def test_analyticity_agrees_with_sampling_oracle():
 def test_apply_matrix_examples():
     # the matrix action on stacked component blocks of 17 coefficients
     sigma = build_sigma(2, 1, 1)
-    out = matrix_action(sigma, stacked(vector([taylor([1], 16), taylor([0], 16)])))[:, 0]
+    X = stacked(VectorPoly([TaylorPoly([1], 16), TaylorPoly([0], 16)]))
+    out = matrix_action(sigma, X)[:, 0]
     assert not out[:17].any()
-    assert np.array_equal(out[17:], taylor([0, 1], 16).padded(17))
+    assert np.array_equal(out[17:], TaylorPoly([0, 1], 16).padded(17))
 
-    F = vector([taylor([1], 16), taylor([1], 16), taylor([1], 16)])
+    F = VectorPoly([TaylorPoly([1], 16), TaylorPoly([1], 16), TaylorPoly([1], 16)])
     out = matrix_action(build_sigma(3, 1, 1), stacked(F))[:, 0]
     for block, want in zip(out.reshape(3, 17), ([0, 0, 1], [0, 1], [0, 1])):
-        assert np.array_equal(block, taylor(want, 16).padded(17))
+        assert np.array_equal(block, TaylorPoly(want, 16).padded(17))
 
 
 def test_apply_matrix_identity_and_isometry(rng):

@@ -3,10 +3,9 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from hardyshift import (NoConvergence, build_j_map, coshift_pow, diag_polys,
+from hardyshift import (NoConvergence, TaylorPoly, build_j_map, coshift_pow, diag_polys,
                         from_poly_grid, inner_product, matmul, mul,
-                        orthonormalize, project, shift_pow, taylor,
-                        verify_theorem_multi)
+                        orthonormalize, project, shift_pow, verify_theorem_multi)
 from hardyshift.series import sub
 
 from conftest import stacked
@@ -26,8 +25,8 @@ def complexes(max_len, min_len=1):
 @settings(max_examples=200, deadline=None)
 @given(complexes(12), complexes(12), st.integers(min_value=0, max_value=8))
 def test_shift_adjointness(fc, gc, k):
-    f = taylor(fc, CAP)
-    g = taylor(gc, CAP)
+    f = TaylorPoly(fc, CAP)
+    g = TaylorPoly(gc, CAP)
     lhs = inner_product(shift_pow(f, k), g)
     rhs = inner_product(f, coshift_pow(g, k))
     assert abs(lhs - rhs) < 1e-12
@@ -39,12 +38,12 @@ def test_shift_adjointness(fc, gc, k):
 # tiny magnitudes: unscaled norms lose accuracy to subnormal underflow
 @example(coeff_lists=[np.array([4.29977152e-160j])], dup_index=0)
 def test_gram_schmidt_orthonormality(coeff_lists, dup_index):
-    gens = [taylor(c, CAP) for c in coeff_lists]
+    gens = [TaylorPoly(c, CAP) for c in coeff_lists]
     if gens and dup_index < len(gens):
-        gens.append(taylor(2 * coeff_lists[dup_index], CAP))  # forced rank drop
+        gens.append(TaylorPoly(2 * coeff_lists[dup_index], CAP))  # forced rank drop
     M = orthonormalize(stacked(*gens))
     assert M.dim + len(M.dropped) == len(gens)
-    frame = [taylor(c, CAP) for c in M.frame_matrix().T]
+    frame = [TaylorPoly(c, CAP) for c in M.frame_matrix().T]
     for i, u in enumerate(frame):
         for j, v in enumerate(frame):
             want = 1.0 if i == j else 0.0
@@ -54,15 +53,15 @@ def test_gram_schmidt_orthonormality(coeff_lists, dup_index):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(complexes(10), min_size=1, max_size=4), complexes(14))
 def test_projection_idempotent_and_orthogonal(coeff_lists, fc):
-    M = orthonormalize(stacked(*(taylor(c, CAP) for c in coeff_lists)))
-    f = taylor(fc, CAP)
+    M = orthonormalize(stacked(*(TaylorPoly(c, CAP) for c in coeff_lists)))
+    f = TaylorPoly(fc, CAP)
     p1, r1, _ = project(f.padded(CAP + 1), M)
     p2, r2, _ = project(p1, M)
-    p1, p2 = taylor(p1, CAP), taylor(p2, CAP)
+    p1, p2 = TaylorPoly(p1, CAP), TaylorPoly(p2, CAP)
     assert sub(p2, p1).norm() < 1e-12
     assert p1.norm() <= f.norm() + 1e-12
     for u in M.frame_matrix().T:
-        assert abs(inner_product(sub(f, p1), taylor(u, CAP))) < 1e-10
+        assert abs(inner_product(sub(f, p1), TaylorPoly(u, CAP))) < 1e-10
 
 
 def _compose_zm(coeffs, m):
@@ -132,15 +131,15 @@ def test_hitt_reconstruction_and_parseval(m, head, g_lists):
     # span{g(z^m) e(z) : g in K} with deg(e) < m and K closed under the
     # backward shift is nearly co-invariant at arity m, so decomposition
     # must succeed with faithful accounting
-    e = taylor(head[:m], CAP)
-    if e.is_zero():
-        e = taylor([1.0], CAP)
+    e = TaylorPoly(head[:m], CAP)
+    if e.deg() < 0:
+        e = TaylorPoly([1.0], CAP)
     gens = []
     for g in g_lists:
         for t in range(len(g)):  # close the coordinate span under S*
             tail = g[t:]
             if np.any(tail):
-                gens.append(mul(taylor(_compose_zm(tail, m), CAP), e))
+                gens.append(mul(TaylorPoly(_compose_zm(tail, m), CAP), e))
     if not gens:
         return
     M = orthonormalize(stacked(*gens))
@@ -160,7 +159,7 @@ def test_hitt_reconstruction_and_parseval(m, head, g_lists):
 def test_hitt_random_spans_never_silently_corrupt(coeff_lists):
     # arbitrary spans either decompose faithfully or raise the convergence
     # flag; a quiet wrong answer is the one forbidden outcome
-    M = orthonormalize(stacked(*(taylor(c, CAP) for c in coeff_lists)))
+    M = orthonormalize(stacked(*(TaylorPoly(c, CAP) for c in coeff_lists)))
     if M.dim == 0:
         return
     try:
