@@ -2,9 +2,12 @@
 
 All computational errors derive from :class:`HardyShiftError` so batch
 drivers can distinguish domain failures from programming errors.
+``_is_integer`` is the one test of an integer parameter.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "HardyShiftError",
@@ -80,3 +83,8 @@ class DepthExhausted(HardyShiftError):
 
 class ZeroOnCircle(HardyShiftError, ValueError):
     """A factor zero lies on (or numerically on) the unit circle."""
+
+
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; a bool is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

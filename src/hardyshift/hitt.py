@@ -38,7 +38,7 @@ from .invariance import (CheckReport, OperatorSpec, PipelineReport, Stage,
 from .laurent import (LaurentMatrix, _lower_symbols, adjoint_on_circle, build_sigma,
                       is_analytic, is_inner, matmul, toeplitz_adjoint_apply)
 from .series import TaylorPoly, toeplitz_view
-from .subspaces import SpanSubspace, _cgs2, _null_combos, orthonormalize, project
+from .subspaces import SpanSubspace, _cgs2, _frame_product, _null_combos, orthonormalize, project
 from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL
 
 __all__ = [
@@ -255,7 +255,7 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL) -> JMapRes
     E = extract_kernels(M, m)
     decomps, P = _peel(M.frame_matrix().T, M, E, None, tol)
     # the frame is orthonormal, so its Gram matrix is the identity
-    gap = float(np.max(np.abs(P.conj().T @ P - np.eye(len(decomps))), initial=0.0))
+    gap = float(np.max(np.abs(_frame_product(P, P, True) - np.eye(len(decomps))), initial=0.0))
     K = orthonormalize(P, M.rank_tol, label=f"J_{m}({M.label or 'M'})", arity=m)
     costable = check_invariance(K, OperatorSpec.coshift(1), tol)
     return JMapResult(K, E, tuple(decomps), P, gap, costable)

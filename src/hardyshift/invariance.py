@@ -22,8 +22,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .blaschke import BlaschkeProduct, _factor_chain, toeplitz_columns
-from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange
-from .laurent import (LaurentMatrix, _is_integer, _last_analytic_index, _lower_symbols,
+from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange, _is_integer
+from .laurent import (LaurentMatrix, _last_analytic_index, _lower_symbols,
                       adjoint_on_circle, build_sigma, is_analytic, is_inner, matmul)
 from .series import shift_product, toeplitz_view
 from .subspaces import (MonomialSubspace, SpanSubspace, _null_combos, _null_span,

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAnalytic, ParamOutOfRange
+from .errors import DimensionMismatch, NotAnalytic, ParamOutOfRange, _is_integer
 from .series import _numbers, toeplitz_product
 from .tolerances import ANALYTICITY_TOL, INNER_TOL_FLOOR
 
@@ -110,11 +110,6 @@ def identity(n: int) -> LaurentMatrix:
     tab = np.zeros((n, n, 1), dtype=np.complex128)
     tab[np.arange(n), np.arange(n), 0] = 1.0
     return LaurentMatrix(n, n, 0, tab)
-
-
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers; a bool is not one here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def build_sigma(m: int, gamma: int, k: int) -> LaurentMatrix:

@@ -23,7 +23,7 @@ from typing import Iterable, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BudgetExceeded, ParamOutOfRange
+from .errors import BudgetExceeded, ParamOutOfRange, _is_integer
 
 __all__ = [
     "TaylorPoly",
@@ -72,8 +72,8 @@ class TaylorPoly:
     cap: int
 
     def __post_init__(self) -> None:
-        if self.cap < 0:
-            raise ValueError("cap must be nonnegative")
+        if not _is_integer(self.cap) or self.cap < 0:
+            raise ParamOutOfRange(f"cap must be a nonnegative integer, got {self.cap!r}")
         arr = _coeff_array(self.coeffs)
         if arr.size > self.cap + 1:
             if np.any(arr[self.cap + 1:] != 0):

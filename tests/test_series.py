@@ -108,6 +108,18 @@ def test_add_sub_scale(rng):
     assert scale(f, 2).norm() == pytest.approx(2 * f.norm())
 
 
+@pytest.mark.parametrize("cap", [1.5, True, False, 2.0, np.float64(3), "2"])
+def test_taylor_poly_refuses_a_non_integer_cap(cap):
+    with pytest.raises(ParamOutOfRange, match="^cap must be a nonnegative integer"):
+        TaylorPoly([1, 2], cap)
+
+
+def test_taylor_poly_cap_is_a_nonnegative_integer():
+    with pytest.raises(ParamOutOfRange, match="^cap must be a nonnegative integer, got -1$"):
+        TaylorPoly([1], -1)
+    assert TaylorPoly([1, 2], np.int64(1)).coeffs.size == 2
+
+
 def test_coeffs_are_immutable():
     f = TaylorPoly([1, 2], CAP)
     with pytest.raises(ValueError):

@@ -99,6 +99,30 @@ def test_orthonormalize_checks_the_arity_before_any_work(monkeypatch, arity):
         orthonormalize(np.eye(7)[:, :2], arity=arity)
 
 
+@pytest.mark.parametrize("arity", [2.0, True, 1.5, "2"])
+def test_orthonormalize_refuses_a_non_integer_arity_before_any_work(monkeypatch, arity):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the generators were orthonormalized")
+
+    monkeypatch.setattr(subspaces, "_orthonormal_columns", no_work)
+    monkeypatch.setattr(subspaces, "_cgs2", no_work)
+    with pytest.raises(ParamOutOfRange, match=f"^arity must be an integer, got {arity!r}$"):
+        orthonormalize(np.eye(6)[:, :2], arity=arity)
+
+
+@pytest.mark.parametrize("cap, arity", [(2, 2.0), (2, True), (2.0, 2), (True, 3)])
+def test_span_refuses_a_non_integer_arity_or_cap(cap, arity):
+    # each pair gives the matrix's 6 rows when read as numbers
+    with pytest.raises(ParamOutOfRange, match="must be integers$"):
+        SpanSubspace(np.eye(6)[:, :2], cap, arity)
+
+
+def test_numpy_integers_are_an_arity_and_a_cap():
+    M = orthonormalize(np.eye(6)[:, :2], arity=np.int64(2))
+    assert (M.arity, M.cap, M.dim) == (2, 2, 2)
+    assert SpanSubspace(np.eye(6)[:, :2], np.int32(2), np.uint8(2)).dim == 2
+
+
 def test_orthonormalize_rejects_non_finite_generators():
     with pytest.raises(ParamOutOfRange):
         orthonormalize(stacked(TaylorPoly([1, 0, 0, np.nan], CAP), TaylorPoly([0, 1], CAP)))
