@@ -19,20 +19,23 @@ that mass rather than silently dropping it.
 
 Degenerate kernel entries are kept as exact zero columns so the column
 always has arity m; decomposition rows carry 0 at those positions.  The
-members of a frame are peeled at once, as the columns of one working
-matrix in which the co-shift is a row offset (see ``_peel``).
+members of a frame are peeled at once (see ``_peel``).  When the kernel
+column lies in its first d <= m rows, step l reads and writes only the
+m-row block l of each member, which no other step writes, so every step
+is computed at once from the member's own blocks; otherwise the steps
+overlap and run one by one on a working matrix in which the co-shift is a
+row offset.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import (BudgetExceeded, DimensionMismatch, NoConvergence, NotAMember,
-                     ParamOutOfRange)
+                     ParamOutOfRange, _is_integer)
 from .invariance import (CheckReport, OperatorSpec, PipelineReport, Stage,
                          check_invariance)
 from .laurent import (LaurentMatrix, _lower_symbols, adjoint_on_circle, build_sigma,
@@ -75,9 +78,10 @@ def extract_kernels(M: SpanSubspace, m: int) -> KernelColumn:
     """Project z^i (i < m) onto X = M ⊖ (M ∩ z^m H^2), orthonormalize in
     index order (a norm left below max(M.rank_tol, EXACT_TOL) gives a
     degenerate entry; all are when M lies in z^m H^2).  X = F·null(F[:m])^⊥ for the
-    frame F, from one SVD of the nonzero columns of F[:m] ranked as in ``intersect_shifted``."""
-    if m < 2:
-        raise ParamOutOfRange(f"arity m must be >= 2, got {m}")
+    frame F, from one SVD of the nonzero columns of F[:m] ranked as in ``intersect_shifted``.
+    An m that is not an integer >= 2 (a bool is not one) raises ParamOutOfRange."""
+    if not (_is_integer(m) and m >= 2):
+        raise ParamOutOfRange(f"arity m must be an integer >= 2, got {m!r}")
     if M.arity != 1:
         raise ValueError("kernel extraction acts on scalar subspaces")
     if m > M.cap + 1:
@@ -116,7 +120,12 @@ def hitt_decompose(f: TaylorPoly, M: SpanSubspace, E: KernelColumn,
     Raises NotAMember when f is outside M at tol, and NoConvergence when
     the recursion stalls, hits max_iter, or leaves uncaptured mass - the
     computational signal that M is not nearly co-invariant at this cap.
+    A kernel arity that is not an integer, or a max_iter that is not None or
+    a nonnegative integer (a bool is neither), raises ParamOutOfRange first.
     """
+    if not _is_integer(E.m) or not (max_iter is None or _is_integer(max_iter) and max_iter >= 0):
+        raise ParamOutOfRange(f"kernel arity {E.m!r}, max_iter {max_iter!r}: the arity must be "
+                              "an integer, max_iter None or a nonnegative integer")
     if not isinstance(f, TaylorPoly) or M.arity != 1 or f.cap != M.cap:
         raise ValueError("element arity/cap does not match the subspace")
     v = f.padded(M.cap + 1)
@@ -126,11 +135,10 @@ def hitt_decompose(f: TaylorPoly, M: SpanSubspace, E: KernelColumn,
     return _peel(v[None, :], M, E, max_iter, tol)[0][0]
 
 
-def _col_sq(X: np.ndarray) -> np.ndarray:
-    """Squared norms of the columns of a complex matrix with contiguous rows."""
+def _sq(X: np.ndarray) -> np.ndarray:
+    """Squared norms along the last axis of a complex array, contiguous along it."""
     Xf = X.view(np.float64)
-    sq = np.einsum("ij,ij->j", Xf, Xf)
-    return sq[0::2] + sq[1::2]
+    return np.einsum("...i,...i->...", Xf, Xf)
 
 
 def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn,
@@ -143,91 +151,150 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn,
     caller's: ``build_j_map`` peels M's own frame, and ``hitt_decompose``
     tests its element.
 
-    The rows are the columns of one working matrix W whose rows m·s ..
-    m·s+cap hold each remainder f_s.  The zero rows past the cap take the
-    part of z^(ms)·E past it, which stays in the remainder as in the
-    one-element recursion.  A step acts on the columns from the first
-    live one to the last: one norm reduction, C = E^H f_s and f_s -= E·C
-    as two products, and the head test on the first m rows.  A column is
-    peeled until its remainder is below tol, as its reconstruction error
-    must be.  Results agree with the one-element recursion up to rounding.
+    Step s reads and writes the rows m·s .. m·s+d-1 of each remainder,
+    d the kernel column's support, and takes the remainder's norm over the
+    rows m·s .. m·s+cap.  When d <= m no step writes a row a later step
+    reads, so every step is computed at once from the original m-row
+    blocks (``_peel_blocks``); otherwise the steps overlap and run one by
+    one (``_peel_steps``).  An element is peeled until its remainder is
+    below tol, as its reconstruction error must be.  Results agree with the
+    one-element recursion up to rounding.
     """
     n, m = M.cap + 1, E.m
     if max_iter is None:
         max_iter = M.cap // m + 2
-    errors, k = {}, len(V)  # column -> its first error
+    k = len(V)
     active = list(E.active_indices)
     Ea = E.entries[:, active]
     d = int(np.flatnonzero(Ea.any(axis=1)).max(initial=-1)) + 1  # rows past d are 0
-    W = np.zeros((n + m * (max_iter + 1), k), dtype=np.complex128)
-    W[:n] = V[:k].T
-    norm2 = _col_sq(W[:n])
-    A = np.zeros((max_iter + 1, m, k), dtype=np.complex128)
-    iterations, residuals = np.zeros(k, dtype=int), np.zeros(k)
+    A, iterations, residuals, norm2, gaps, failed = (
+        _peel_blocks if d <= m else _peel_steps)(V, Ea, active, d, m, max_iter, tol)
+    # Every element before the first one that failed or ran out of peels
+    # converged.  Rounding dust in a kernel entry can carry z^(ml) E_i past
+    # the cap.  That part is cut off, and an upper bound of its norm (the
+    # sum of the cut norms) is counted in the error, so nothing is silently
+    # dropped.
+    good = int(np.append(np.flatnonzero((failed >= 0) | (iterations > max_iter)), k)[0])
+    L = int(np.max(iterations[:good], initial=0))
+    start = np.maximum(n - m * np.arange(L), 0)  # first cut coefficient of z^(ml) E_i
+    cut = np.zeros(good)
+    for c, i in enumerate(active):
+        tail = np.sqrt(np.cumsum(np.abs(Ea[::-1, c]) ** 2)[::-1])  # tail[t] = ||E_i[t:]||
+        cut += np.abs(A[:good, :L, i]) @ np.append(tail, 0.0)[start]
+    recon_err = np.hypot(gaps[:good], cut)
+    bad = np.flatnonzero(~((recon_err < tol) | (recon_err == 0.0)))
+    if bad.size:
+        err = float(recon_err[bad[0]])
+        raise NoConvergence(f"reconstruction residual {err:.3e} is not below {tol:g}", err)
+    if good < k:
+        h = float(residuals[good])
+        if failed[good] >= 0:
+            raise NoConvergence(f"peel {failed[good]} left head mass {h:.3e} below degree {m}; "
+                                "the span is not nearly co-invariant at this cap", h)
+        raise NoConvergence(f"no convergence after {max_iter} peels (residual {h:.3e})", h)
+    parseval = np.abs(norm2 - _sq(A.reshape(k, A.shape[1] * m)))
+    decomps = [HittDecomposition(A[j, :iterations[j]].copy(), int(iterations[j]),
+                                 float(residuals[j]), float(recon_err[j]), float(parseval[j]))
+               for j in range(k)]
+    # an element's rows past its iterations are zero: it was not live there.
+    # Only a max_iter past the cap can take more than cap+1 peels.
+    P = np.zeros((m, max(n, L), k), dtype=np.complex128)
+    P[:, :L] = A[:, :L].transpose(2, 1, 0)
+    return decomps, P.reshape(m * P.shape[1], k)
+
+
+def _peel_blocks(V, Ea, active, d, m, max_iter, tol) -> tuple:
+    """``_peel``'s steps at once, for a kernel column in the first d <= m rows.
+
+    Cut V, zero-padded, into m-row blocks B_s (block s of an element is its
+    coefficients m·s .. m·s+m-1).  Step s sees f_s = the element from row
+    m·s on, untouched by the steps before it, so the coordinates are
+    C_s = E_topᴴ B_s for every s in one product, the head masses
+    ||B_s - E_top C_s|| one reduction, and the remainder norms one reverse
+    cumulative sum of block masses.  A column stops at its first step with
+    a remainder below tol; it fails at the first earlier step with head
+    mass, or runs out of peels.  The reconstruction places E_top C_s at
+    row m·s.  Returns the coordinate rows (rows of V, steps, m) and, per
+    row of V, the peels taken (max_iter + 1 when it ran out), the norm left
+    (the remainder where it stopped or ran out, the head mass where it
+    failed), the squared norm, the reconstruction gap and the step it
+    failed at (-1 for none).
+    """
+    k, n = V.shape
+    nb = -(-n // m)  # blocks holding coefficients; block nb holds none
+    S = min(max_iter + 1, nb + 1)  # every remainder is zero by step nb
+    rows = m * max(S, nb)
+    W = np.zeros((k, rows), dtype=np.complex128)
+    W[:, :n] = V
+    blocks = W.reshape(k, rows // m, m)
+    suffix = np.zeros((k, rows // m + 1))
+    suffix[:, :-1] = np.cumsum(_sq(blocks)[:, ::-1], axis=1)[:, ::-1]
+    res = np.sqrt(suffix[:, :S])  # res[j, s] = ||f_s|| of row j
+    stopped = (res < tol) | (res == 0.0)  # a zero remainder ends even at tol 0
+    stop = np.where(stopped.any(axis=1), stopped.argmax(axis=1), S)
+    on = np.arange(S) < stop[:, None]  # the steps that peel row j
+    B, a = blocks[:, :S], len(active)
+    C = (B[..., :d].reshape(k * S, d) @ Ea[:d].conj()).reshape(k, S, a)  # row s: C_sᵀ
+    C *= on[..., None]
+    B[..., :d] -= (C.reshape(k * S, a) @ Ea[:d].T).reshape(k, S, d)  # W is now V - recon
+    head = np.sqrt(_sq(B))
+    fails = on & ~(head <= tol)
+    failed = np.where(fails.any(axis=1), fails.argmax(axis=1), -1)
+    cols = np.arange(k)
+    left = np.where(failed >= 0, head[cols, failed], res[cols, np.minimum(stop, S - 1)])
+    A = np.zeros((k, S, m), dtype=np.complex128)
+    A[..., active] = C
+    return A, stop, left, suffix[:, 0], np.sqrt(_sq(W[:, :n])), failed
+
+
+def _peel_steps(V, Ea, active, d, m, max_iter, tol) -> tuple:
+    """``_peel``'s steps one by one, for a kernel column reaching past row m.
+
+    The rows of V are the rows of one working matrix W whose columns
+    m·s .. m·s+cap hold each remainder f_s.  The zero columns past the cap
+    take the part of z^(ms)·E past it, which stays in the remainder as in
+    the one-element recursion.  A step acts on the rows from the first
+    live one to the last: one norm reduction, C = E^H f_s and f_s -= E·C
+    as two products, and the head test on the first m coefficients.  The
+    reconstruction is one product per active entry with the strided
+    Toeplitz view whose columns are z^(ml)·E_i cut at the cap.  Returns
+    what ``_peel_blocks`` returns.
+    """
+    k, n = V.shape
+    W = np.zeros((k, n + m * (max_iter + 1)), dtype=np.complex128)
+    W[:, :n] = V
+    recon = -W[:, :n]  # the reconstruction is added to -V after the loop
+    norm2 = _sq(recon)
+    A = np.zeros((k, max_iter + 1, m), dtype=np.complex128)
+    iterations, left, failed = np.zeros(k, dtype=int), np.zeros(k), np.full(k, -1)
     live, lo, hi = np.ones(k, dtype=bool), 0, k
     # Termination: each peel drops the remaining degree by m, uncaptured
-    # head mass fails a column at once, so max_iter bounds the loop strictly.
+    # head mass fails a row at once, so max_iter bounds the loop strictly.
     for step in range(max_iter + 1):
-        win, on = W[m * step: m * step + n, lo:hi], live[lo:hi]
-        res = np.sqrt(_col_sq(win))
-        np.copyto(residuals[lo:hi], res, where=on)
+        win, on = W[lo:hi, m * step: m * step + n], live[lo:hi]
+        res = np.sqrt(_sq(win))
+        np.copyto(left[lo:hi], res, where=on)
         on &= ~((res < tol) | (res == 0.0))  # a zero remainder ends even at tol 0
         iterations[lo:hi] += on
         at = np.flatnonzero(on)
         if not at.size:
             break
         lo, hi = lo + int(at[0]), lo + int(at[-1]) + 1  # from the first live to the last
-        win, on = W[m * step: m * step + n, lo:hi], live[lo:hi]
-        C = Ea[:d].conj().T @ win[:d]
-        C *= on  # columns that converged inside the range keep their remainder
-        A[step, active, lo:hi] = C
-        win[:d] -= Ea[:d] @ C
-        head = np.sqrt(_col_sq(win[:m]))
-        bad = np.flatnonzero(on & ~(head <= tol))
-        if bad.size:
-            j, h = lo + int(bad[0]), float(head[bad[0]])
-            errors[j] = NoConvergence(
-                f"peel {step} left head mass {h:.3e} below degree {m}; "
-                "the span is not nearly co-invariant at this cap", h)
-            live[j:] = False  # later columns cannot be reported
-    if live.any():  # the first column still live ran out of peels
-        j = int(np.argmax(live))
-        errors[j] = NoConvergence(
-            f"no convergence after {max_iter} peels (residual {residuals[j]:.3e})",
-            float(residuals[j]))
-    # Every column before the first error converged.  Rounding dust in a
-    # kernel entry can carry z^(ml) E_i past the cap.  That part is cut
-    # off, and an upper bound of its norm (the sum of the cut norms) is
-    # counted in the error, so nothing is silently dropped.
-    good = min(errors, default=k)
-    L = int(np.max(iterations[:good], initial=0))
-    start = np.maximum(n - m * np.arange(L), 0)  # first cut coefficient of z^(ml) E_i
-    recon, cut = np.zeros((n, good), dtype=np.complex128), np.zeros(good)
+        win, on = W[lo:hi, m * step: m * step + n], live[lo:hi]
+        C = win[:, :d] @ Ea[:d].conj()
+        C *= on[:, None]  # rows that converged inside the range keep their remainder
+        A[lo:hi, step, active] = C
+        win[:, :d] -= C @ Ea[:d].T
+        head = np.sqrt(_sq(win[:, :m]))
+        fails = on & ~(head <= tol)
+        np.copyto(failed[lo:hi], step, where=fails)
+        np.copyto(left[lo:hi], head, where=fails)
+        on &= ~fails  # a failed row is peeled no further
+    L = int(np.max(iterations, initial=0))
     for c, i in enumerate(active):
-        a = A[:L, i, :good]
         T = toeplitz_view(Ea[:, c], False)[:, : m * L: m]  # column l: z^(ml) E_i, cut
-        recon += T @ a[: T.shape[1]]
-        tail = np.sqrt(np.cumsum(np.abs(Ea[::-1, c]) ** 2)[::-1])  # tail[t] = ||E_i[t:]||
-        cut += np.append(tail, 0.0)[start] @ np.abs(a)
-    recon -= V[:good].T
-    gaps = np.sqrt(_col_sq(recon))
-    decomps = []
-    for j in range(good):
-        recon_err = math.hypot(gaps[j], cut[j])
-        if not (recon_err < tol or recon_err == 0.0):
-            raise NoConvergence(
-                f"reconstruction residual {recon_err:.3e} is not below {tol:g}", recon_err)
-        rows = A[:iterations[j], :, j].copy()
-        parseval_gap = abs(float(norm2[j]) - float(np.sum(np.abs(rows) ** 2)))
-        decomps.append(HittDecomposition(rows, rows.shape[0], float(residuals[j]),
-                                         recon_err, parseval_gap))
-    if errors:
-        raise errors[good]
-    # a column's rows past its iterations are zero: it was not live there.
-    # Only a max_iter past the cap can take more than cap+1 peels.
-    P = np.zeros((m, max(n, L), k), dtype=np.complex128)
-    P[:, :L] = A[:L].transpose(1, 0, 2)
-    return decomps, P.reshape(m * P.shape[1], k)
+        recon += A[:, :T.shape[1], i] @ T.T
+    return A, iterations, left, norm2, np.sqrt(_sq(recon)), failed
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +313,8 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL) -> JMapRes
     """Decompose every frame vector of M, all at once, and collect the
     coordinates.  When several frame vectors fail, the error of the first
     one in frame order is raised.  Rank decisions use the span's own
-    rank tolerance.
+    rank tolerance.  An m that is not an integer is refused by
+    ``extract_kernels``, before any work.
 
     The map frame -> coordinates is isometric when the decomposition is
     faithful; both that and the co-shift invariance of the coordinate

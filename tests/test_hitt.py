@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardyshift import (KernelColumn, LaurentMatrix, NoConvergence, NotAMember,
-                        SpanSubspace, build_j_map, build_sigma, certify_theta,
+                        ParamOutOfRange, SpanSubspace, build_j_map, build_sigma, certify_theta,
                         diag_polys, extract_kernels, from_poly_grid, hitt_decompose,
                         TaylorPoly, identity, intersect_shifted, matmul,
                         ortho_complement_within, orthonormalize, toeplitz_adjoint_apply)
@@ -392,3 +392,37 @@ def test_kernel_of_a_block_span_lies_below_degree_m(rng, m, count):
     E = extract_kernels(orthonormalize(G), m)
     assert E.degenerate == (False,) * count + (True,) * (m - count)
     assert not E.entries[m:].any()
+
+
+@pytest.mark.parametrize("m", [2.0, 2.5, "2", True, np.float64(3)])
+def test_kernel_arity_is_refused_unless_an_integer(m):
+    # the span is never read: the arity is checked before any work
+    for call in (extract_kernels, build_j_map):
+        with pytest.raises(ParamOutOfRange, match="must be an integer"):
+            call(None, m)
+
+
+@pytest.mark.parametrize("max_iter", [2.0, 2.5, "3", True, False, -1])
+def test_max_iter_is_refused_unless_a_nonnegative_integer(max_iter):
+    M = span([1, 1], [0, 0, 1, 1])
+    E = extract_kernels(M, 2)
+    with pytest.raises(ParamOutOfRange, match="max_iter .* None or a nonnegative integer"):
+        hitt_decompose(TaylorPoly([1, 1], CAP), M, E, max_iter)
+
+
+def test_hitt_decompose_refuses_a_kernel_arity_that_is_not_an_integer():
+    M = span([1, 1], [0, 0, 1, 1])
+    E = extract_kernels(M, 2)
+    for m in (2.0, True):
+        with pytest.raises(ParamOutOfRange, match="must be an integer"):
+            hitt_decompose(TaylorPoly([1, 1], CAP), M, KernelColumn(E.entries, E.degenerate, m))
+
+
+def test_numpy_integers_are_an_arity_and_a_max_iter():
+    M = span([1, 1], [0, 0, 1, 1])
+    E = extract_kernels(M, np.int64(2))
+    assert np.array_equal(E.entries, extract_kernels(M, 2).entries)
+    assert len(build_j_map(M, np.int32(2)).decompositions) == 2
+    f = TaylorPoly([0, 0, 1, 1], CAP)
+    dec = hitt_decompose(f, M, E, np.int64(5))
+    assert dec.iterations == hitt_decompose(f, M, E, 5).iterations == 2

@@ -12,6 +12,12 @@ a stated bound (``BOUND``, absolute) on rows, residuals, reconstruction
 errors and Parseval gaps, with identical shapes and iteration counts, and
 raise the same error, with the same message, as the first failing vector
 in frame order.
+
+The peel has two paths: every step at once from the m-row blocks when the
+kernel column's support d fits in the head (d <= m), and the step loop
+otherwise.  ``on_path`` gives a kernel column for either path on the same
+span (dust of 1e-30 in row m sends a column to the loop), so the failure
+cases run on both, and ``peel_path`` records which path a call took.
 """
 
 import math
@@ -23,7 +29,8 @@ import pytest
 from hardyshift import (HardyShiftError, KernelColumn, NoConvergence, NotAMember,
                         ParamOutOfRange, build_j_map, extract_kernels, hitt_decompose,
                         TaylorPoly, orthonormalize)
-from hardyshift.hitt import _peel
+from hardyshift import hitt
+from hardyshift.hitt import _peel, _peel_blocks, _peel_steps
 from hardyshift.subspaces import SpanSubspace
 
 from conftest import stacked
@@ -135,7 +142,62 @@ def assert_raises_like(ref_err, call):
         call()
     assert str(got.value) == ref_err.message
     if ref_err.kind is NoConvergence:
-        assert abs(got.value.residual - ref_err.value) <= BOUND
+        got, want = got.value.residual, ref_err.value
+        assert abs(got - want) <= BOUND or (math.isnan(got) and math.isnan(want))
+
+
+PATHS = ("blocks", "steps")
+
+
+def support(E):
+    """d: the rows of the active kernel entries up to the last nonzero one."""
+    Ea = E.entries[:, list(E.active_indices)]
+    return int(np.flatnonzero(Ea.any(axis=1)).max(initial=-1)) + 1
+
+
+def on_path(E, path):
+    """E for the block path (its support must fit in the head); for the
+    step loop, E with 1e-30 of dust in row m of its first active entry,
+    which moves the support past the head and no outcome."""
+    if path == "blocks":
+        assert support(E) <= E.m
+        return E
+    dusty = E.entries.copy()
+    dusty[E.m, E.active_indices[0]] += 1e-30
+    E = KernelColumn(dusty, E.degenerate, E.m)
+    assert support(E) > E.m
+    return E
+
+
+@pytest.fixture
+def peel_path(monkeypatch):
+    """The paths the peel calls of a test took, in order."""
+    taken = []
+    for name, path in (("_peel_blocks", "blocks"), ("_peel_steps", "steps")):
+        def spy(*args, _run=getattr(hitt, name), _path=path):
+            taken.append(_path)
+            return _run(*args)
+        monkeypatch.setattr(hitt, name, spy)
+    return taken
+
+
+def peel_frame(M, E, max_iter=None):
+    """``_peel`` on the frame vectors of M; each must match the reference,
+    with its coordinate column holding its rows and zeros after them, or
+    the call must raise the reference's first error."""
+    V = np.ascontiguousarray(M.frame_matrix().T)
+    err = first_ref_error(M, E, E.m, max_iter)
+    if err is not None:
+        assert_raises_like(err, lambda: _peel(V, M, E, max_iter, TOL))
+        return err
+    decomps, P = _peel(V, M, E, max_iter, TOL)
+    assert len(decomps) == M.dim
+    blocks = P.reshape(E.m, -1, M.dim)  # block i: column i of the rows A(l)
+    for j, (dec, v) in enumerate(zip(decomps, V)):
+        assert_same(dec, ref_decompose(v, M, E, E.m, max_iter))
+        assert np.array_equal(blocks[:, :dec.iterations, j].T, dec.rows)
+        assert not np.any(blocks[:, dec.iterations:, j])
+    return decomps
 
 
 def power_span(rng, m, nq, dim, cap=CAP):
@@ -218,18 +280,21 @@ def stray_span():
     return span(q, [0] * 11 + [1], [0, 0] + q, [0, 0, 0, 1], [0] * 4 + q)
 
 
-def test_first_failing_vector_in_frame_order_is_reported():
+def test_first_failing_vector_in_frame_order_is_reported(peel_path):
     M = stray_span()
-    E = extract_kernels(M, 2)
-    outcomes = [ref_error(M, E, 2, j) for j in range(M.dim)]
-    assert [o is None for o in outcomes] == [True, False, True, False, True]
-    assert outcomes[1].message.startswith("peel 5 ")
-    assert outcomes[3].message.startswith("peel 1 ")
-    assert_raises_like(first_ref_error(M, E, 2), lambda: build_j_map(M, 2))
+    for path in PATHS:
+        E = on_path(extract_kernels(M, 2), path)
+        outcomes = [ref_error(M, E, 2, j) for j in range(M.dim)]
+        assert [o is None for o in outcomes] == [True, False, True, False, True]
+        assert outcomes[1].message.startswith("peel 5 ")
+        assert outcomes[3].message.startswith("peel 1 ")
+        assert peel_frame(M, E).message == outcomes[1].message
+    assert_raises_like(first_ref_error(M, extract_kernels(M, 2), 2), lambda: build_j_map(M, 2))
+    assert peel_path == ["blocks", "steps", "blocks"]
 
 
 @pytest.mark.parametrize("head", [0.7e-8, 1.5e-8])
-def test_head_mass_near_tol_is_judged_like_the_reference(head):
+def test_head_mass_near_tol_is_judged_like_the_reference(head, peel_path):
     # span{q, z^2 q + eps z^3}: the second frame vector leaves head mass
     # about 0.8 eps at peel 1, here just below and just above tol
     q = np.array([1.0, 0.5j])
@@ -246,19 +311,29 @@ def test_head_mass_near_tol_is_judged_like_the_reference(head):
     else:
         assert err.message.startswith("peel 1 left head mass 1.5")
         assert_raises_like(err, lambda: build_j_map(M, 2))
+    for path in PATHS:
+        outcome = peel_frame(M, on_path(E, path))
+        assert outcome.message == err.message if err else len(outcome) == M.dim
+    assert peel_path == ["blocks", "blocks", "steps"]
 
 
 def test_exhausted_max_iter_gives_the_reference_message():
     rng = np.random.default_rng(7)
     M = power_span(rng, 2, 1, 12)
-    E = extract_kernels(M, 2)
-    for max_iter in (0, 3):
-        err = first_ref_error(M, E, 2, max_iter)
-        assert err.message.startswith(f"no convergence after {max_iter} peels")
-        V = np.ascontiguousarray(M.frame_matrix().T)
-        assert_raises_like(err, lambda: _peel(V, M, E, max_iter, TOL))
-        last = ref_error(M, E, 2, M.dim - 1, max_iter)
-        assert_raises_like(last, lambda: hitt_decompose(TaylorPoly(V[-1], CAP), M, E, max_iter))
+    V = np.ascontiguousarray(M.frame_matrix().T)
+    for path in PATHS:
+        E = on_path(extract_kernels(M, 2), path)
+        for max_iter in (0, 3):
+            err = first_ref_error(M, E, 2, max_iter)
+            assert err.message.startswith(f"no convergence after {max_iter} peels")
+            assert_raises_like(err, lambda: _peel(V, M, E, max_iter, TOL))
+            last = ref_error(M, E, 2, M.dim - 1, max_iter)
+            assert_raises_like(last,
+                               lambda: hitt_decompose(TaylorPoly(V[-1], CAP), M, E, max_iter))
+        # enough peels for the first frame vectors only: the first one left is reported
+        err = first_ref_error(M, E, 2, 8)
+        assert err.message.startswith("no convergence after 8 peels")
+        assert_raises_like(err, lambda: _peel(V, M, E, 8, TOL))
 
 
 def test_non_member_gives_the_reference_message():
@@ -285,21 +360,45 @@ def test_nan_frame_column_fails_closed_wherever_it_sits(row):
 def test_nan_element_or_kernel_fails_closed():
     rng = np.random.default_rng(4)
     M = power_span(rng, 2, 1, 6)
-    E = extract_kernels(M, 2)
     f = M.frame_matrix()[:, 2].copy()
     f[9] = np.nan
     with pytest.raises(ParamOutOfRange):  # refused before it reaches the peel
         TaylorPoly(f, CAP)
-    with pytest.raises(NoConvergence):  # a NaN remainder is never below tol
-        _peel(f[None, :], M, E, None, TOL)
-    bad = E.entries.copy()
-    bad[1, 0] = np.nan
-    E = KernelColumn(bad, E.degenerate, 2)
-    for v in M.frame_matrix().T:
-        with pytest.raises(NoConvergence):
-            hitt_decompose(TaylorPoly(v, CAP), M, E)
-    with pytest.raises(NoConvergence):
-        _peel(np.ascontiguousarray(M.frame_matrix().T), M, E, None, TOL)
+    for path in PATHS:
+        E = on_path(extract_kernels(M, 2), path)
+        with pytest.raises(NoConvergence):  # a NaN remainder is never below tol
+            _peel(f[None, :], M, E, None, TOL)
+        bad = E.entries.copy()
+        bad[1, 0] = np.nan
+        E = KernelColumn(bad, E.degenerate, 2)
+        assert (support(E) <= 2) == (path == "blocks")
+        for v in M.frame_matrix().T:
+            with pytest.raises(NoConvergence):
+                hitt_decompose(TaylorPoly(v, CAP), M, E)
+        assert peel_frame(M, E).message.startswith("peel 0 left head mass nan")
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("row", [0, 1, 3, 4, CAP])
+def test_nan_frame_row_fails_at_the_first_step_that_reads_it(row, path):
+    # the peel itself, past the span's own refusal of a NaN frame: each
+    # column in turn carries a NaN in the given row.  Step s reads the rows
+    # m·s .. m·s + max(d, m) - 1, so the NaN column fails at the first step
+    # whose rows reach it (the reference's vdot spreads 0·NaN over all rows
+    # at once, so it is no oracle here); the other columns converge
+    rng = np.random.default_rng(3)
+    M = power_span(rng, 2, 1, 6)
+    E = on_path(extract_kernels(M, 2), path)
+    step = max(0, (row - max(support(E), 2)) // 2 + 1)
+    for pos in range(M.dim):
+        V = np.ascontiguousarray(M.frame_matrix().T)
+        V[pos, row] = np.nan
+        with pytest.raises(NoConvergence) as got:
+            _peel(V, M, E, None, TOL)
+        assert str(got.value).startswith(f"peel {step} left head mass nan ")
+        assert math.isnan(got.value.residual)
+        decomps, _ = _peel(np.delete(V, pos, axis=0), M, E, None, TOL)
+        assert len(decomps) == M.dim - 1
 
 
 def ordered_power_span(rng, m, order, cap=CAP):
@@ -336,6 +435,29 @@ def test_converged_column_inside_the_live_range_keeps_its_remainder():
     assert 4e-9 < res.decompositions[2].residual < TOL
     for dec, v in zip(res.decompositions, M.frame_matrix().T):
         assert_same(dec, ref_decompose(np.ascontiguousarray(v), M, res.kernel, 2))
+    for path in PATHS:
+        peel_frame(M, on_path(res.kernel, path))
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("m", [2, 3])
+def test_every_column_keeps_a_remainder_below_tol(m, path):
+    # q, and z^(ml) q + 3e-9·z^(ml + 2m + 1) for l > 0, with disjoint
+    # supports: each of these converges after l + 1 peels with 3e-9 left,
+    # which later steps must neither peel nor count
+    rng = np.random.default_rng(m)
+    q = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    gens = []
+    for l in (8, 0, 12, 4, 16):
+        g = np.zeros(m * l + 3 * m, dtype=complex)
+        g[m * l: m * l + m] = q
+        g[m * l + 2 * m + 1] = 3e-9 if l else 0.0
+        gens.append(g)
+    M = span(*gens)
+    E = on_path(extract_kernels(M, m), path)
+    decomps = peel_frame(M, E)
+    assert [d.iterations for d in decomps] == [9, 1, 13, 5, 17]
+    assert all(0 < d.residual < TOL for j, d in enumerate(decomps) if j != 1)
 
 
 def test_failing_column_between_live_columns_is_reported():
@@ -343,10 +465,13 @@ def test_failing_column_between_live_columns_is_reported():
     # z^20 q before it and z^30 q after it still need peels
     q = [1.0, 0.5j]
     M = span(q, [0] * 20 + q, [0] * 11 + [1], [0] * 30 + q, [0, 0] + q)
+    for path in PATHS:
+        E = on_path(extract_kernels(M, 2), path)
+        outcomes = [ref_error(M, E, 2, j) for j in range(M.dim)]
+        assert [o is None for o in outcomes] == [True, True, False, True, True]
+        assert outcomes[2].message.startswith("peel 5 ")
+        peel_frame(M, E)
     E = extract_kernels(M, 2)
-    outcomes = [ref_error(M, E, 2, j) for j in range(M.dim)]
-    assert [o is None for o in outcomes] == [True, True, False, True, True]
-    assert outcomes[2].message.startswith("peel 5 ")
     assert_raises_like(first_ref_error(M, E, 2), lambda: build_j_map(M, 2))
     V = np.ascontiguousarray(M.frame_matrix().T)
     for j, dec in enumerate(_peel(V[:2], M, E, None, TOL)[0]):
@@ -378,3 +503,83 @@ def test_cut_past_the_cap_is_counted_like_the_reference(degree):
     for dec, v in zip(decomps, V):
         assert_same(dec, ref_decompose(v, M, E, 2))
     assert max(d.reconstruction_error for d in decomps) > 1e-11
+
+
+@pytest.mark.parametrize("gens, m, d", [
+    (([1], [0, 0, 1], [0, 0, 0, 0, 1]), 2, 1),
+    (([1, 0.5j], [0, 0, 0, 1, 0.5j], [0] * 6 + [1, 0.5j]), 3, 2),
+    (([1, 0.5j], [0, 0, 1, 0.5j]), 2, 2),
+    (([1, 2, 3], [0, 0, 0, 1, 2, 3]), 3, 3),
+    (([1, 1, 1], [0, 1, 2]), 2, 3),                     # demo's two_dim span
+    (([1, 1], [0, 1, 1], [0, 0, 0, 1, 1]), 2, 3),
+], ids=["d1_m2", "d2_m3", "d2_m2", "d3_m3", "d3_m2", "d3_m2_three"])
+def test_kernel_supports_around_the_head_take_their_path(gens, m, d, peel_path):
+    M = span(*gens)
+    E = extract_kernels(M, m)
+    assert support(E) == d
+    peel_frame(M, E)
+    res = build_j_map(M, m)
+    for j, dec in enumerate(res.decompositions):
+        v = np.ascontiguousarray(M.frame_matrix()[:, j])
+        assert_same(dec, ref_decompose(v, M, E, m))
+        assert_same(hitt_decompose(TaylorPoly(v, CAP), M, E), dec)
+    assert set(peel_path) == {"blocks" if d <= m else "steps"}
+    assert len(peel_path) == 2 + M.dim
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("row, dust",
+                         [(0, 1e-37), (1, 1e-37), (1, 1e-17), (4, 1e-30), (CAP, 1e-37)])
+def test_rounding_dust_past_the_head_takes_the_loop(m, row, dust, peel_path):
+    # dust in row m + row of a kernel entry (the cap at most) moves the
+    # support past the head
+    M = power_span(np.random.default_rng(11 * m + row), m, 1, 18)
+    E = extract_kernels(M, m)
+    assert support(E) == m
+    dusty = E.entries.copy()
+    dusty[min(m + row, CAP), 0] = dust
+    E = KernelColumn(dusty, E.degenerate, m)
+    decomps = peel_frame(M, E)
+    assert len(decomps) == M.dim
+    assert peel_path == ["steps"]
+
+
+def step_inputs(M, m, max_iter):
+    E = extract_kernels(M, m)
+    active = list(E.active_indices)
+    d = support(E)
+    assert d <= m
+    limit = M.cap // m + 2 if max_iter is None else max_iter
+    return np.ascontiguousarray(M.frame_matrix().T), E.entries[:, active], active, d, m, limit, TOL
+
+
+@pytest.mark.parametrize("case, m, max_iter", [
+    ("power", 2, None), ("power", 3, None), ("ordered", 3, None), ("stray", 2, None),
+    ("between", 2, None), ("power", 2, 0), ("power", 2, 3), ("power", 3, 9), ("power", 2, 200),
+])
+def test_block_path_agrees_with_the_step_loop(case, m, max_iter):
+    # the same d <= m inputs through both paths: every column before the
+    # first error agrees within BOUND, and the first error is the same
+    q = [1.0, 0.5j]
+    M = {"power": lambda: power_span(np.random.default_rng(m), m, 2, 24),
+         "ordered": lambda: ordered_power_span(np.random.default_rng(9), m,
+                                               [9, 0, 14, 1, 13, 3, 7, 2, 11, 5]),
+         "stray": stray_span,
+         "between": lambda: span(q, [0] * 20 + q, [0] * 11 + [1], [0] * 30 + q, [0, 0] + q),
+         }[case]()
+    args = step_inputs(M, m, max_iter)
+    A, iterations, left, norm2, gaps, failed = _peel_blocks(*args)
+    A2, iterations2, left2, norm22, gaps2, failed2 = _peel_steps(*args)
+    def first_out(failed, iterations):  # the first element that fails or runs out
+        return int(np.append(np.flatnonzero((failed >= 0) | (iterations > args[5])), M.dim)[0])
+
+    first = first_out(failed2, iterations2)
+    assert first_out(failed, iterations) == first
+    upto = slice(0, first + 1)
+    assert np.array_equal(failed[upto], failed2[upto])
+    assert np.array_equal(iterations[:first], iterations2[:first])
+    steps = A.shape[1]  # the block path stops at the step where every remainder is zero
+    assert steps <= A2.shape[1] and not np.any(A2[:first, steps:])
+    assert np.max(np.abs(A[:first] - A2[:first, :steps]), initial=0.0) <= BOUND
+    for x, y in ((left, left2), (norm2, norm22), (gaps[:first], gaps2[:first])):
+        assert np.max(np.abs(x[upto] - y[upto]), initial=0.0) <= BOUND
