@@ -16,9 +16,9 @@ It provides:
   powers under the lift (``laurent``),
 * capped span frames and exact monomial exponent-set models with
   projections, intersections and complements (``subspaces``),
-* definition-based invariance / near-invariance checkers and the
-  simultaneous-invariance pipelines (``invariance``),
-* kernel-column extraction and the peeling decomposition with its
+* operators as (power, star, symbol), definition-based invariance /
+  near-invariance checkers and the pipelines (``invariance``),
+* kernel-column extraction as one matrix, the whole-frame peel and its
   certification pipeline (``hitt``),
 * finite products of disc automorphisms, their Toeplitz operators, model
   space bases, layer coordinates and subspace transfer (``blaschke``),
@@ -45,8 +45,8 @@ from .invariance import (CheckReport, OperatorSpec, PipelineReport,
                          build_model_space, build_theta_range,
                          check_invariance, check_near_invariance,
                          verify_theorem_multi)
-from .hitt import (CertifyReport, HittDecomposition, JMapResult, KernelColumn,
-                   build_j_map, certify_theta, extract_kernels, hitt_decompose)
+from .hitt import (CertifyReport, HittDecomposition, JMapResult, build_j_map,
+                   certify_theta, extract_kernels, hitt_decompose)
 from .blaschke import (BlaschkeProduct, WoldFrame, build_wold_frame,
                        power_expansion, tail_bound, taylor_expand,
                        toeplitz_apply, transfer_subspace, u_apply)

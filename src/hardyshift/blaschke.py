@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, DepthExhausted, ParamOutOfRange, ZeroOnCircle
+from .errors import BudgetExceeded, DepthExhausted, ParamOutOfRange, ZeroOnCircle, _is_integer
 from .series import TaylorPoly, shift_product, toeplitz_product
 from .subspaces import SpanSubspace, frame_distance, orthonormalize
 from .tolerances import MEMBERSHIP_TOL
@@ -101,6 +101,8 @@ def _factor_chain(B: BlaschkeProduct, cap: int) -> tuple:
     with P the product of the earlier factors, g = P·sum conj(a)^k z^k is
     one cut product; sqrt(1 - |a|^2)·g is the normalized reproducing
     kernel at a times P, and the next P is z·g - a·g."""
+    if not _is_integer(cap):
+        raise ParamOutOfRange(f"cap must be an integer, got {cap!r}")
     if cap < B.degree:
         raise BudgetExceeded(f"cap {cap} is below the product degree {B.degree}")
     E = np.empty((cap + 1, B.degree), dtype=np.complex128)
@@ -123,9 +125,10 @@ def power_expansion(B: BlaschkeProduct, n: int, cap: int) -> np.ndarray:
     """Coefficients 0..cap of the n-th power, by cut products: one per
     power up to cap // deg B + 1, and past it binary powering, about
     log2 n of them.  Coefficients up to the cap of a product depend only
-    on those of its factors, so every cut is exact."""
-    if n < 1:
-        raise ParamOutOfRange("power must be >= 1")
+    on those of its factors, so every cut is exact.  An n or cap that is
+    not an integer (a bool is not one) raises ParamOutOfRange."""
+    if not (_is_integer(n) and n >= 1):
+        raise ParamOutOfRange(f"power must be an integer >= 1, got {n!r}")
     acc = taylor_expand(B, cap)
     base = acc[: np.flatnonzero(acc)[-1] + 1]  # trailing zeros add nothing
     bits = []  # the low bits of n, handled by squaring
@@ -200,9 +203,12 @@ def build_wold_frame(B: BlaschkeProduct, cap: int,
     0..s-1, one Toeplitz product of the symbol of B^s, whose square is the
     next symbol.  Coefficients up to the cap of a product depend only on
     coefficients up to the cap of its factors, so cutting every product
-    at the cap is exact.
+    at the cap is exact.  A cap or depth that is not an integer (a bool is
+    not one) raises ParamOutOfRange.
     """
     m = B.degree
+    if not (_is_integer(cap) and (depth is None or _is_integer(depth))):
+        raise ParamOutOfRange(f"cap {cap!r} and depth {depth!r} must be integers")
     if depth is None:
         depth = max(1, (cap + 1) // m)
     if depth < 1:

@@ -97,8 +97,8 @@ def _run_hitt(problem: Problem, task: Task) -> dict:
 
 def _kernel_payload(E) -> dict:
     return {
-        "entries": [poly_pairs(floored(e)) for e in E.entries.T],
-        "degenerate": list(E.degenerate),
+        "entries": [poly_pairs(floored(e)) for e in E.T],
+        "degenerate": (~E.any(axis=0)).tolist(),
     }
 
 
@@ -107,9 +107,8 @@ def _jmap_payload(jmap) -> dict:
         "dim": jmap.space.dim,
         "isometry_gap": floored12(jmap.isometry_gap),
         "coshift_invariance": check_payload(jmap.costable),
-        "reconstruction_errors": [floored12(d.reconstruction_error)
-                                  for d in jmap.decompositions],
-        "parseval_gaps": [floored12(d.parseval_gap) for d in jmap.decompositions],
+        "reconstruction_errors": [floored12(e) for e in jmap.reconstruction_errors.tolist()],
+        "parseval_gaps": [floored12(g) for g in jmap.parseval_gaps.tolist()],
     }
 
 

@@ -17,9 +17,9 @@ absorb, the peeled remainder is not divisible by z^m and the space is not
 nearly co-invariant at this cap; the loop stops immediately and reports
 that mass rather than silently dropping it.
 
-Degenerate kernel entries are kept as exact zero columns so the column
-always has arity m; decomposition rows carry 0 at those positions.  The
-members of a frame are peeled at once (see ``_peel``).  When the kernel
+The kernel column is its (cap+1) x m matrix; a degenerate entry is an
+exact zero column, and coordinate rows carry 0 there.  The members of a
+frame are peeled at once (see ``_peel``).  When the kernel
 column lies in its first d <= m rows, step l reads and writes only the
 m-row block l of each member, which no other step writes, so every step
 is computed at once from the member's own blocks; otherwise the steps
@@ -45,7 +45,6 @@ from .subspaces import SpanSubspace, _cgs2, _frame_product, _null_combos, orthon
 from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL
 
 __all__ = [
-    "KernelColumn",
     "HittDecomposition",
     "JMapResult",
     "CertifyReport",
@@ -56,28 +55,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class KernelColumn:
-    """m-entry column: ``entries`` is (cap+1) x m, column i the
-    coefficients of entry i; zero columns are flagged degenerate, the rest
-    are orthonormal with the first nonzero coefficient made real positive."""
-
-    entries: np.ndarray
-    degenerate: tuple
-    m: int
-
-    @property
-    def active_indices(self) -> tuple:
-        return tuple(i for i, d in enumerate(self.degenerate) if not d)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KernelColumn(m={self.m}, active={len(self.active_indices)})"
-
-
-def extract_kernels(M: SpanSubspace, m: int) -> KernelColumn:
-    """Project z^i (i < m) onto X = M ⊖ (M ∩ z^m H^2), orthonormalize in
-    index order (a norm left below max(M.rank_tol, EXACT_TOL) gives a
-    degenerate entry; all are when M lies in z^m H^2).  X = F·null(F[:m])^⊥ for the
+def extract_kernels(M: SpanSubspace, m: int) -> np.ndarray:
+    """The (cap+1) x m kernel column: project z^i (i < m) onto
+    X = M ⊖ (M ∩ z^m H^2), orthonormalize in index order (a norm left below
+    max(M.rank_tol, EXACT_TOL) gives a degenerate entry, an exact zero column;
+    all are when M lies in z^m H^2).  X = F·null(F[:m])^⊥ for the
     frame F, from one SVD of the nonzero columns of F[:m] ranked as in ``intersect_shifted``.
     An m that is not an integer >= 2 (a bool is not one) raises ParamOutOfRange."""
     if not (_is_integer(m) and m >= 2):
@@ -93,10 +75,9 @@ def extract_kernels(M: SpanSubspace, m: int) -> KernelColumn:
     Q, dropped, _ = _cgs2(X[:m].conj() @ X.T, max(M.rank_tol, EXACT_TOL))
     # phase: the first coefficient above 1e-13 of each entry real positive
     first = Q[np.argmax(np.abs(Q) > 1e-13, axis=0), np.arange(Q.shape[1])]
-    degenerate = tuple(i in dropped for i in range(m))
-    entries = np.zeros((M.cap + 1, m), dtype=np.complex128)
-    entries[:, np.flatnonzero(~np.array(degenerate))] = Q * (first.conj() / np.abs(first))
-    return KernelColumn(entries, degenerate, m)
+    E = np.zeros((M.cap + 1, m), dtype=np.complex128)
+    E[:, np.delete(np.arange(m), dropped)] = Q * (first.conj() / np.abs(first))
+    return E
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,29 +91,30 @@ class HittDecomposition:
     parseval_gap: float
 
 
-def hitt_decompose(f: TaylorPoly, M: SpanSubspace, E: KernelColumn,
+def hitt_decompose(f: TaylorPoly, M: SpanSubspace, E: np.ndarray,
                    max_iter: Optional[int] = None,
                    tol: float = MEMBERSHIP_TOL) -> HittDecomposition:
     """Run the peeling recursion on f ∈ M: the one-column call of the peel
     that ``build_j_map`` runs on every frame vector at once.  f is taken
-    as its cap+1 coefficients; the arity is the kernel column's.
+    as its cap+1 coefficients; E is the (cap+1) x m kernel column.
 
     Raises NotAMember when f is outside M at tol, and NoConvergence when
     the recursion stalls, hits max_iter, or leaves uncaptured mass - the
     computational signal that M is not nearly co-invariant at this cap.
-    A kernel arity that is not an integer, or a max_iter that is not None or
-    a nonnegative integer (a bool is neither), raises ParamOutOfRange first.
+    A max_iter that is not None or a nonnegative integer (a bool is
+    neither) raises ParamOutOfRange first.
     """
-    if not _is_integer(E.m) or not (max_iter is None or _is_integer(max_iter) and max_iter >= 0):
-        raise ParamOutOfRange(f"kernel arity {E.m!r}, max_iter {max_iter!r}: the arity must be "
-                              "an integer, max_iter None or a nonnegative integer")
+    if not (max_iter is None or _is_integer(max_iter) and max_iter >= 0):
+        raise ParamOutOfRange(f"max_iter must be None or a nonnegative integer, got {max_iter!r}")
     if not isinstance(f, TaylorPoly) or M.arity != 1 or f.cap != M.cap:
         raise ValueError("element arity/cap does not match the subspace")
     v = f.padded(M.cap + 1)
     off = project(v, M).residual
     if not off <= tol:
         raise NotAMember(f"element lies outside the span (residual {off:.3e} > {tol:g})")
-    return _peel(v[None, :], M, E, max_iter, tol)[0][0]
+    P, *per_vector = _peel(v[None, :], M, E, max_iter, tol)
+    it, residual, error, gap = (a.item() for a in per_vector)
+    return HittDecomposition(P.reshape(E.shape[1], -1)[:, :it].T, it, residual, error, gap)
 
 
 def _sq(X: np.ndarray) -> np.ndarray:
@@ -141,15 +123,16 @@ def _sq(X: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", Xf, Xf)
 
 
-def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn,
+def _peel(V: np.ndarray, M: SpanSubspace, E: np.ndarray,
           max_iter: Optional[int], tol: float) -> tuple:
     """The peeling recursion on every row of V, each the cap+1 coefficients
-    of one element of M, at once: one HittDecomposition per row, and the
-    coordinates as the columns of one m*(cap+1) x rows matrix (block i
-    holds column i of the rows A(l)); or the error that decomposing the
-    rows one by one, in order, would raise first.  Membership is the
-    caller's: ``build_j_map`` peels M's own frame, and ``hitt_decompose``
-    tests its element.
+    of one element of M, at once: the coordinates as the columns of one
+    m*(cap+1) x rows matrix P (block i holds column i of the rows A(l))
+    and, per row, the peels, final residual, reconstruction error and
+    Parseval gap; or the error that decomposing the rows one by one, in
+    order, would raise first.  The active entries are E's nonzero columns.
+    Membership is the caller's: ``build_j_map`` peels M's own frame, and
+    ``hitt_decompose`` tests its element.
 
     Step s reads and writes the rows m·s .. m·s+d-1 of each remainder,
     d the kernel column's support, and takes the remainder's norm over the
@@ -160,12 +143,12 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn,
     below tol, as its reconstruction error must be.  Results agree with the
     one-element recursion up to rounding.
     """
-    n, m = M.cap + 1, E.m
+    n, m = M.cap + 1, E.shape[1]
     if max_iter is None:
         max_iter = M.cap // m + 2
     k = len(V)
-    active = list(E.active_indices)
-    Ea = E.entries[:, active]
+    active = np.flatnonzero(E.any(axis=0))
+    Ea = E[:, active]
     d = int(np.flatnonzero(Ea.any(axis=1)).max(initial=-1)) + 1  # rows past d are 0
     A, iterations, residuals, norm2, gaps, failed = (
         _peel_blocks if d <= m else _peel_steps)(V, Ea, active, d, m, max_iter, tol)
@@ -193,14 +176,11 @@ def _peel(V: np.ndarray, M: SpanSubspace, E: KernelColumn,
                                 "the span is not nearly co-invariant at this cap", h)
         raise NoConvergence(f"no convergence after {max_iter} peels (residual {h:.3e})", h)
     parseval = np.abs(norm2 - _sq(A.reshape(k, A.shape[1] * m)))
-    decomps = [HittDecomposition(A[j, :iterations[j]].copy(), int(iterations[j]),
-                                 float(residuals[j]), float(recon_err[j]), float(parseval[j]))
-               for j in range(k)]
     # an element's rows past its iterations are zero: it was not live there.
     # Only a max_iter past the cap can take more than cap+1 peels.
     P = np.zeros((m, max(n, L), k), dtype=np.complex128)
     P[:, :L] = A[:, :L].transpose(2, 1, 0)
-    return decomps, P.reshape(m * P.shape[1], k)
+    return P.reshape(m * P.shape[1], k), iterations, residuals, recon_err, parseval
 
 
 def _peel_blocks(V, Ea, active, d, m, max_iter, tol) -> tuple:
@@ -302,9 +282,12 @@ class JMapResult:
     """Coordinate space of a decomposed span, with its verification."""
 
     space: SpanSubspace          # arity-m span of the frame coordinates
-    kernel: KernelColumn
-    decompositions: tuple
+    kernel: np.ndarray           # the (cap+1) x m kernel column
     coords: np.ndarray           # the coordinates as arity-stacked columns
+    iterations: np.ndarray       # per frame vector: the peels taken
+    residuals: np.ndarray        # norm of the final peeled remainder
+    reconstruction_errors: np.ndarray
+    parseval_gaps: np.ndarray
     isometry_gap: float          # max |Gram(coords) - Gram(frame)|
     costable: CheckReport        # co-shift invariance check of the space
 
@@ -321,12 +304,12 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL) -> JMapRes
     space are verified and reported, never assumed.
     """
     E = extract_kernels(M, m)
-    decomps, P = _peel(M.frame_matrix().T, M, E, None, tol)
+    P, *per_vector = _peel(M.frame_matrix().T, M, E, None, tol)
     # the frame is orthonormal, so its Gram matrix is the identity
-    gap = float(np.max(np.abs(_frame_product(P, P, True) - np.eye(len(decomps))), initial=0.0))
+    gap = float(np.max(np.abs(_frame_product(P, P, True) - np.eye(M.dim)), initial=0.0))
     K = orthonormalize(P, M.rank_tol, label=f"J_{m}({M.label or 'M'})", arity=m)
     costable = check_invariance(K, OperatorSpec.coshift(1), tol)
-    return JMapResult(K, E, tuple(decomps), P, gap, costable)
+    return JMapResult(K, E, P, *per_vector, gap, costable)
 
 
 @dataclass(frozen=True, eq=False)

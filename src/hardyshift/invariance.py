@@ -50,69 +50,50 @@ SubspaceModel = Union[SpanSubspace, MonomialSubspace]
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Symbol of an operator acting on column matrices of flattened elements.
+    """S^power (``blaschke`` None) or T_B^power, T_B the Toeplitz operator
+    of a product of automorphisms B, or its adjoint when ``star``; it acts
+    on column matrices of flattened elements."""
 
-    kind is one of "shift", "coshift", "toeplitz", "toeplitz_adjoint";
-    power is the shift order k or the Toeplitz power n.  Toeplitz symbols
-    carry their product-of-automorphisms factor.
-    """
-
-    kind: str
     power: int
-    blaschke: object = None  # BlaschkeProduct when kind is toeplitz-like
+    star: bool = False
+    blaschke: object = None  # the BlaschkeProduct B of T_B
 
     def __post_init__(self) -> None:
-        if self.kind not in ("shift", "coshift", "toeplitz", "toeplitz_adjoint"):
-            raise ParamOutOfRange(f"unknown operator kind {self.kind!r}")
         if not _is_integer(self.power) or self.power < 1:
             raise ParamOutOfRange(f"operator power must be an integer >= 1, got {self.power!r}")
-        if self.kind.startswith("toeplitz") and self.blaschke is None:
-            raise ParamOutOfRange("toeplitz operator specs need a product symbol")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def shift(k: int) -> "OperatorSpec":
-        return OperatorSpec("shift", k)
+        return OperatorSpec(k)
 
     @staticmethod
     def coshift(k: int) -> "OperatorSpec":
-        return OperatorSpec("coshift", k)
+        return OperatorSpec(k, True)
 
     @staticmethod
     def toeplitz(blaschke, n: int) -> "OperatorSpec":
-        return OperatorSpec("toeplitz", n, blaschke)
+        return OperatorSpec(n, False, blaschke)
 
     @staticmethod
     def toeplitz_adjoint(blaschke, n: int) -> "OperatorSpec":
-        return OperatorSpec("toeplitz_adjoint", n, blaschke)
+        return OperatorSpec(n, True, blaschke)
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_isometry(self) -> bool:
-        return self.kind in ("shift", "toeplitz")
-
     def adjoint(self) -> "OperatorSpec":
-        flip = {"shift": "coshift", "coshift": "shift",
-                "toeplitz": "toeplitz_adjoint", "toeplitz_adjoint": "toeplitz"}
-        return OperatorSpec(flip[self.kind], self.power, self.blaschke)
+        return replace(self, star=not self.star)
 
     def describe(self) -> str:
-        if self.kind == "shift":
-            return f"S^{self.power}"
-        if self.kind == "coshift":
-            return f"(S^{self.power})*"
-        tag = f"T_B^{self.power}" if self.power != 1 else "T_B"
-        return tag if self.kind == "toeplitz" else f"({tag})*"
+        tag = (f"S^{self.power}" if self.blaschke is None
+               else f"T_B^{self.power}" if self.power != 1 else "T_B")
+        return f"({tag})*" if self.star else tag
 
     def formal_degree_gain(self) -> int:
         """Worst-case degree added by the isometric direction."""
-        if self.kind in ("shift",):
-            return self.power
-        if self.kind == "toeplitz":
-            return self.power * self.blaschke.degree
-        return 0
+        degree = 1 if self.blaschke is None else self.blaschke.degree
+        return 0 if self.star else self.power * degree
 
     def apply(self, X: np.ndarray, arity: int = 1) -> np.ndarray:
         """Image of every column of X, each a flattened element: arity
@@ -121,21 +102,18 @@ class OperatorSpec:
         Shifts act by ``series.shift_product``; Toeplitz symbols act on
         scalar columns only.
         """
-        if not self.kind.startswith("toeplitz"):
-            return shift_product(self.power, self.kind == "coshift", X, arity)
+        if self.blaschke is None:
+            return shift_product(self.power, self.star, X, arity)
         if arity != 1:
             raise DimensionMismatch("toeplitz symbols act on scalar elements only")
-        return toeplitz_columns(self.blaschke, self.power,
-                                self.kind == "toeplitz_adjoint", X)
+        return toeplitz_columns(self.blaschke, self.power, self.star, X)
 
     def monomial_shift_order(self) -> Optional[int]:
         """Total shift order when the symbol is a pure monomial, else None."""
-        if self.kind in ("shift", "coshift"):
-            return self.power
         b = self.blaschke
-        if all(z == 0 for z in b.zeros):
-            return self.power * b.degree
-        return None
+        if b is not None and any(z != 0 for z in b.zeros):
+            return None
+        return self.power * (1 if b is None else b.degree)
 
 
 @dataclass(frozen=True)
@@ -225,7 +203,7 @@ def check_invariance(M: SubspaceModel, op: OperatorSpec,
     if isinstance(M, MonomialSubspace):
         order, exps = _monomial_order(M, op), M.exponents()
         domain, shift, untested = exps, -order, ()  # an adjoint tests every exponent
-        if op.is_isometry:
+        if not op.star:
             top = M.cap - order
             domain, shift = exps[exps <= top], order
             if domain.size < exps.size:
@@ -265,9 +243,7 @@ def check_invariance(M: SubspaceModel, op: OperatorSpec,
 
 def _canonical_pair(op: OperatorSpec):
     """(isometry T, adjoint T*) regardless of which was supplied."""
-    if op.is_isometry:
-        return op, op.adjoint()
-    return op.adjoint(), op
+    return (op.adjoint(), op) if op.star else (op, op.adjoint())
 
 
 def _toeplitz_range_meet(M: SpanSubspace, T: OperatorSpec) -> SpanSubspace:
@@ -299,7 +275,7 @@ def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
         return _exponent_check(M, "near-invariance", Tstar, name, exps[exps >= order],
                                -order, "z^{e} lies in the range but maps to z^{img} outside")
 
-    if T.kind == "shift":
+    if T.blaschke is None:
         inside = intersect_shifted(M, T.power)
     else:
         inside = _toeplitz_range_meet(M, T)

@@ -148,7 +148,7 @@ def parse_operator_token(token: Any, problem: "Problem", path: str) -> OperatorS
     blaschke = _ref(problem.blaschke, "blaschke product", name, path) if toeplitz else None
     if power < 1:
         raise ValidationError(path, "operator power must be >= 1")
-    return OperatorSpec(kind, power, blaschke)
+    return OperatorSpec(power, kind in ("coshift", "toeplitz_adjoint"), blaschke)
 
 
 def _ref(objects: dict, what: str, name: Any, path: str) -> Any:

@@ -286,10 +286,11 @@ def intersect_shifted(M: SpanSubspace, k: int) -> SpanSubspace:
     """Capped model of M intersected with z^k H^2 (componentwise for vectors).
 
     Computed as the null space of the map sending a frame combination to
-    its first k coefficients of every component.
+    its first k coefficients of every component.  A k that is not an
+    integer >= 1 (a bool is not one) raises ParamOutOfRange.
     """
-    if k < 1:
-        raise ParamOutOfRange(f"shift order k must be >= 1, got {k}")
+    if not (_is_integer(k) and k >= 1):
+        raise ParamOutOfRange(f"shift order k must be an integer >= 1, got {k!r}")
     label = f"{M.label or 'M'} ∩ S^{k}H2"
     if M.dim == 0:  # a reshape to (-1, 0) rows is ambiguous
         return replace(M, label=label)
@@ -327,7 +328,8 @@ def ortho_complement_within(M: SpanSubspace, N: SpanSubspace) -> SpanSubspace:
 @dataclass(frozen=True, eq=False)
 class MonomialSubspace:
     """Exponent-set model: numerical-semigroup combinations of the
-    generators, plus a finite exceptional set, tracked up to cap."""
+    generators, plus a finite exceptional set, tracked up to cap; all of
+    these are integers (a bool is not one), or ParamOutOfRange is raised."""
 
     semigroup_generators: tuple
     cap: int
@@ -336,12 +338,15 @@ class MonomialSubspace:
     _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        gens = tuple(sorted(int(g) for g in self.semigroup_generators))
+        gens, exc = tuple(self.semigroup_generators), tuple(self.exceptional_exponents)
+        if not all(map(_is_integer, (self.cap, *gens, *exc))):
+            raise ParamOutOfRange("cap, generators and exceptional exponents must be integers")
+        gens = tuple(sorted(int(g) for g in gens))
         if any(g < 1 for g in gens):
             raise ParamOutOfRange("semigroup generators must be positive integers")
         if self.cap < 0:
             raise ParamOutOfRange("cap must be nonnegative")
-        exc = frozenset(int(e) for e in self.exceptional_exponents)
+        exc = frozenset(int(e) for e in exc)
         if any(e < 0 or e > self.cap for e in exc):
             raise OutOfCap("exceptional exponents must lie in 0..cap")
         table = np.zeros(self.cap + 1, dtype=bool)

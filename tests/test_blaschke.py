@@ -7,6 +7,7 @@ from hardyshift import (BlaschkeProduct, BudgetExceeded, DepthExhausted,
                         check_near_invariance, orthonormalize, t_m_apply,
                         tail_bound, taylor_expand, toeplitz_apply,
                         transfer_subspace, u_apply)
+from hardyshift import blaschke
 from hardyshift.blaschke import _factor_chain, power_expansion, toeplitz_columns
 from hardyshift.series import TaylorPoly, coshift_pow, inner_product, shift_pow, sub
 from hardyshift.veclift import fit_cap
@@ -447,3 +448,34 @@ def test_toeplitz_range_meet_agrees_with_truncated_range(rng, zeros, n):
     P_new = new.matrix @ new.matrix.conj().T
     P_old = old.matrix @ old.matrix.conj().T
     assert np.linalg.norm(P_new - P_old, 2) <= 1e-10
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the expansion was computed")
+
+
+@pytest.mark.parametrize("cap, depth", [(16, True), (16, 2.0), (16, 1.5), (16.0, None),
+                                        (True, None), (16.0, 2)])
+def test_wold_frame_refuses_a_non_integer_cap_or_depth_before_any_work(monkeypatch, cap, depth):
+    monkeypatch.setattr(blaschke, "_factor_chain", _no_work)
+    with pytest.raises(ParamOutOfRange, match="must be integers$"):
+        build_wold_frame(B_HALF, cap, depth)
+
+
+@pytest.mark.parametrize("n, cap, match", [
+    (True, 8, "power must be an integer"), (2.0, 8, "power must be an integer"),
+    (1.5, 8, "power must be an integer"), (2, 8.0, "cap must be an integer"),
+    (2, True, "cap must be an integer"),
+])
+def test_power_expansion_refuses_a_non_integer_power_or_cap_before_any_work(monkeypatch, n,
+                                                                            cap, match):
+    monkeypatch.setattr(np, "convolve", _no_work)
+    with pytest.raises(ParamOutOfRange, match=match):
+        power_expansion(B_HALF, n, cap)
+
+
+def test_numpy_integers_are_a_cap_depth_and_power():
+    W = build_wold_frame(B_HALF, np.int64(16), np.int32(3))
+    assert W.depth == 3 and np.array_equal(W.matrix, build_wold_frame(B_HALF, 16, 3).matrix)
+    assert np.array_equal(power_expansion(B_HALF, np.int64(3), np.int32(8)),
+                          power_expansion(B_HALF, 3, 8))

@@ -30,19 +30,19 @@ def ref_effective_degree(c, mass_tol):
 
 def ref_apply(op, c, cap):
     """op on one component's coefficient vector of length cap+1."""
-    if op.kind == "toeplitz" and all(z == 0 for z in op.blaschke.zeros):
+    if op.blaschke is not None and not op.star and all(z == 0 for z in op.blaschke.zeros):
         c = c * op.blaschke.lam ** op.power
         op = OperatorSpec.shift(op.power * op.blaschke.degree)
     k = op.power
-    if op.kind == "coshift":
+    if op.blaschke is None and op.star:
         return np.concatenate([c[k:], np.zeros(min(k, cap + 1))])
-    if op.kind == "shift":
+    if op.blaschke is None:
         nz = np.flatnonzero(c)
         if nz.size and nz[-1] + k > cap:
             raise BudgetExceeded("reference shift passes the cap")
         return np.concatenate([np.zeros(k), c])[: cap + 1]
     b = power_expansion(op.blaschke, k, cap)
-    if op.kind == "toeplitz":
+    if not op.star:
         return np.convolve(b, c)[: cap + 1]
     return np.correlate(c, b, "full")[cap:]
 
@@ -81,7 +81,7 @@ def ref_invariance(M, op, tol=1e-8):
 
 def ref_near_invariance(M, op, tol=1e-8):
     T, Tstar = _canonical_pair(op)
-    inside = intersect_shifted(M, T.power) if T.kind == "shift" else _toeplitz_range_meet(M, T)
+    inside = intersect_shifted(M, T.power) if T.blaschke is None else _toeplitz_range_meet(M, T)
     W = inside.frame_matrix()
     for idx in range(inside.dim):
         img = ref_image(Tstar, W[:, idx], M.arity, M.cap)

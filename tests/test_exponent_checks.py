@@ -31,7 +31,7 @@ def _order(op):
 def ref_invariance(M, op):
     order = _order(op)
     untested, tested, witness = [], 0, None
-    if op.kind in ("shift", "toeplitz"):
+    if not op.star:
         top = M.cap - order
         skipped = [int(e) for e in M.exponents() if e > top]
         if skipped:
@@ -59,7 +59,7 @@ def ref_invariance(M, op):
 
 
 def ref_near_invariance(M, op):
-    T = op if op.kind in ("shift", "toeplitz") else op.adjoint()
+    T = op.adjoint() if op.star else op
     order = _order(T)
     tested, witness = 0, None
     for e in (int(x) for x in M.exponents()):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hardyshift import invariance
-from hardyshift import (BudgetExceeded, MonomialSubspace, OperatorSpec, ParamOutOfRange,
+from hardyshift import (BlaschkeProduct, BudgetExceeded, MonomialSubspace, OperatorSpec, ParamOutOfRange,
                         build_model_space, build_theta_range, check_invariance,
                         check_near_invariance, diag_polys, from_poly_grid,
                         TaylorPoly, identity, orthonormalize, project,
@@ -199,6 +199,36 @@ def test_operator_power_must_be_an_integer(power):
 
 def test_operator_power_accepts_numpy_integers():
     assert OperatorSpec.coshift(np.int64(2)).describe() == "(S^2)*"
+
+
+B_ORIGIN = BlaschkeProduct(1j, [0, 0])  # i·z², a pure monomial symbol
+B_OFF = BlaschkeProduct(1.0, [0, 0.5])
+
+
+@pytest.mark.parametrize("name, power, text, gain, origin_order, off_order, partner", [
+    ("shift", 1, "S^1", 1, 1, 1, "coshift"),
+    ("shift", 3, "S^3", 3, 3, 3, "coshift"),
+    ("coshift", 1, "(S^1)*", 0, 1, 1, "shift"),
+    ("coshift", 3, "(S^3)*", 0, 3, 3, "shift"),
+    ("toeplitz", 1, "T_B", 2, 2, None, "toeplitz_adjoint"),
+    ("toeplitz", 3, "T_B^3", 6, 6, None, "toeplitz_adjoint"),
+    ("toeplitz_adjoint", 1, "(T_B)*", 0, 2, None, "toeplitz"),
+    ("toeplitz_adjoint", 3, "(T_B^3)*", 0, 6, None, "toeplitz"),
+])
+def test_operator_constructors_fix_their_structure(name, power, text, gain, origin_order,
+                                                   off_order, partner):
+    # a shift ignores the symbol; a Toeplitz operator is a pure shift only
+    # when every zero of B sits at the origin
+    for B, order in ((B_ORIGIN, origin_order), (B_OFF, off_order)):
+        def make(ctor):
+            return getattr(OperatorSpec, ctor)(*(() if ctor.endswith("shift") else (B,)), power)
+
+        op = make(name)
+        assert op.describe() == text
+        assert op.formal_degree_gain() == gain
+        assert op.monomial_shift_order() == order
+        assert op.adjoint() == make(partner) != op
+        assert op.adjoint().adjoint() == op
 
 
 def test_pipeline_analyticity_failure():

@@ -123,6 +123,34 @@ def test_numpy_integers_are_an_arity_and_a_cap():
     assert SpanSubspace(np.eye(6)[:, :2], np.int32(2), np.uint8(2)).dim == 2
 
 
+@pytest.mark.parametrize("gens, cap, exceptional", [
+    ((2.5,), 10, ()), ((True,), 10, ()), ((2,), 10.0, ()), ((2,), True, ()),
+    ((2,), 10, (3.7,)), ((2,), 10, (True,)),
+])
+def test_monomial_model_refuses_non_integers(gens, cap, exceptional):
+    with pytest.raises(ParamOutOfRange, match="must be integers$"):
+        MonomialSubspace(gens, cap, frozenset(exceptional))
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 1.5, "1"])
+def test_intersect_shifted_refuses_a_non_integer_order_before_any_work(monkeypatch, k):
+    M = orthonormalize(np.eye(9)[:, :3])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the intersection was computed")
+
+    monkeypatch.setattr(subspaces, "_null_span", no_work)
+    with pytest.raises(ParamOutOfRange, match="shift order k must be an integer >= 1"):
+        intersect_shifted(M, k)
+
+
+def test_numpy_integers_are_monomial_model_parameters_and_a_shift_order():
+    M = MonomialSubspace((np.int64(3), np.int32(2)), np.int64(10), frozenset({np.int64(1)}))
+    assert M.exponents().tolist() == MonomialSubspace((2, 3), 10, frozenset({1})).exponents().tolist()
+    S = orthonormalize(np.eye(9)[:, :3])
+    assert intersect_shifted(S, np.int64(2)).dim == intersect_shifted(S, 2).dim == 1
+
+
 def test_orthonormalize_rejects_non_finite_generators():
     with pytest.raises(ParamOutOfRange):
         orthonormalize(stacked(TaylorPoly([1, 0, 0, np.nan], CAP), TaylorPoly([0, 1], CAP)))

@@ -1,17 +1,21 @@
 """The benchmark's tracer wraps hardyshift functions by name
 (``bench/tracing.py``); a renamed or deleted function would end a traced
-run in an AttributeError.  This checks every traced name resolves, and
-that the element modules ``series`` and ``veclift`` hold nothing public
-beyond those names and the array kernels."""
+run in an AttributeError.  This checks every traced name resolves, that
+the tracer's hooks find the result attributes they count, and that the
+element modules ``series`` and ``veclift`` hold nothing public beyond
+those names and the array kernels."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 
+import numpy as np
 import pytest
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 def _tracing():
@@ -33,6 +37,33 @@ def test_traced_name_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_tracer_hooks_count_on_a_traced_run():
+    # the hooks read result attributes (nbytes, generators, dropped, tested,
+    # iterations): a reshaped result ends a traced run in an AttributeError
+    # or leaves its counter at 0
+    import hardyshift
+    from hardyshift.cli import run_problem
+    from hardyshift.problem import load_problem
+
+    problem = load_problem(str(ROOT / "problems" / "demo.json"))
+    plain = json.dumps(run_problem(problem), indent=2, ensure_ascii=False)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = json.dumps(run_problem(problem), indent=2, ensure_ascii=False)
+        M = hardyshift.orthonormalize(np.eye(9)[:, [0, 1, 4, 5]])  # span{1, z, z^4, z^5}
+        E = hardyshift.extract_kernels(M, 2)
+        hardyshift.hitt_decompose(hardyshift.TaylorPoly([0, 0, 0, 0, 1], 8), M, E)
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    metrics = tracer.metrics(1.0, 1.0)
+    for name in ("hitt.hitt_decompose.peels", "subspaces.orthonormalize.vectors_in",
+                 "invariance.check_invariance.frames_tested",
+                 "subspaces.SpanSubspace.frame_matrix.bytes_built"):
+        assert metrics[name] > 0, name
 
 
 # the element classes the traced names take, and the array kernels
