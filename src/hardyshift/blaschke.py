@@ -86,6 +86,8 @@ def tail_bound(B: BlaschkeProduct, cap: int) -> float:
     coefficient of B is at most C(k+d-1, d-1)·rho^(k-d).  The bound is the
     largest of these over k > cap, and never above 1 (B is inner).
     """
+    if not _is_integer(cap):
+        raise ParamOutOfRange(f"cap must be an integer, got {cap!r}")
     rho = max(abs(z) for z in B.zeros)
     if rho == 0:
         return 0.0

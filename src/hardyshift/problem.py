@@ -5,6 +5,8 @@ coefficient arrays; matrices are row-major nested coefficient arrays with
 an optional min_pow.  Every task reference is resolved against the
 declared objects before any computation starts, so an unknown name fails
 the whole file with a field path instead of failing one task mid-run.
+Floats are parsed in C, or one at a time when the text could hold a
+literal past the float range; a non-finite number anywhere is refused.
 """
 
 from __future__ import annotations
@@ -86,11 +88,11 @@ def _coeff_list_at(path: str, value: Any) -> Sequence[complex]:
     if not isinstance(value, list) or not value:
         raise ValidationError(path, "expected a nonempty coefficient array")
     if (set(map(type, value)) == {list} and set(map(len, value)) == {2}
-            and set(map(type, chain.from_iterable(value))) <= {int, float}):
+            and set(map(type, flat := list(chain.from_iterable(value)))) <= {int, float}):
         with contextlib.suppress(OverflowError):  # an integer beyond the float range
-            pairs = np.array(value, dtype=np.float64)
+            pairs = np.array(flat, dtype=np.float64)
             if np.isfinite(pairs).all():
-                return pairs.view(np.complex128)[:, 0]
+                return pairs.view(np.complex128)
     return [_complex_at(f"{path}[{i}]", v) for i, v in enumerate(value)]
 
 
@@ -167,13 +169,24 @@ def _finite(token: str) -> float:
     return value
 
 
+def _float_parser(text: str) -> Any:
+    """json's parse_float: None (C parsing) unless a float literal could pass the float range.
+    With I digits before the point and exponent E it is below 10^(I+E): flag I > 198, E > 99."""
+    a = np.frombuffer(text.encode().replace(b"+", b"") + b"   ", np.uint8)  # pad past e + 3
+    digit = (a - ord("0")) < 10  # all-digit 100-byte blocks: any run of 199 holds one
+    e = np.flatnonzero((a | 32) == ord("e"))  # 'e' or 'E' before three digits: E > 99
+    return _finite if (digit[: a.size // 100 * 100].reshape(-1, 100).all(axis=1).any()
+                       or (digit[e + 1] & digit[e + 2] & digit[e + 3]).any()) else None
+
+
 def read_problem_file(path: str) -> Any:
     """The JSON value of a problem file.  Unreadable or undecodable bytes,
     bad JSON, nesting too deep to parse and non-finite numbers, anywhere
     in the file, raise ParseError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=_finite, parse_constant=_finite)
+            text = fh.read()
+        return json.loads(text, parse_float=_float_parser(text), parse_constant=_finite)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

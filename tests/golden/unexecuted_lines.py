@@ -5,19 +5,23 @@
 Runs every report of `write_reports.py` (the same problems, caps and
 seeds) under the standard library's `trace` module, then prints, for
 each module of the `hardyshift` package under `src/` of this checkout,
-how many of its executable lines never ran, and the total.  With
-`--lines`, the line numbers follow each module.  The reports themselves
-go to a temporary directory and are discarded.
+how many of its executable statements never ran, and the total.  With
+`--lines`, the first line of each follows the module.  The reports
+themselves go to a temporary directory and are discarded.
 
-A line counts as executable when the compiled module maps an instruction
-to it.  Only the package's own files are traced, and the package is
-imported under the tracer, so the lines its import runs count as
-executed.
+A statement counts once, by its first line, however many lines it is
+wrapped over: a line belongs to the innermost statement (or `except`
+clause) that spans it, and a decorated definition starts at its first
+decorator.  A statement is executable when the compiled module maps an
+instruction to one of its lines, and ran when one of those lines ran.
+Only the package's own files are traced, and the package is imported
+under the tracer, so the statements its import runs count as executed.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import functools
 import pathlib
 import sys
@@ -36,6 +40,19 @@ def executable_lines(path: pathlib.Path) -> set:
         lines.update(line for _, _, line in code.co_lines() if line)
         stack.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
     return lines
+
+
+def statement_starts(path: pathlib.Path) -> dict:
+    """Each line that some statement spans, mapped to the first line of the
+    innermost one."""
+    starts, stack = {}, [ast.parse(path.read_text(encoding="utf-8"))]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.stmt, ast.excepthandler)):
+            first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+            starts.update(dict.fromkeys(range(first, node.end_lineno + 1), first))
+        stack.extend(ast.iter_child_nodes(node))
+    return starts
 
 
 class PackageOnly:
@@ -70,7 +87,9 @@ def main(argv=None) -> int:
         ran.setdefault(pathlib.Path(name).resolve(), set()).add(line)
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        missed = sorted(executable_lines(path) - ran.get(path, set()))
+        first = statement_starts(path)
+        missed = sorted({first.get(line, line) for line in executable_lines(path)}
+                        - {first.get(line, line) for line in ran.get(path, set())})
         total += len(missed)
         print(f"{path.name:16s} {len(missed):4d}")
         if args.lines and missed:

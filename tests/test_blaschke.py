@@ -479,3 +479,14 @@ def test_numpy_integers_are_a_cap_depth_and_power():
     assert W.depth == 3 and np.array_equal(W.matrix, build_wold_frame(B_HALF, 16, 3).matrix)
     assert np.array_equal(power_expansion(B_HALF, np.int64(3), np.int32(8)),
                           power_expansion(B_HALF, 3, 8))
+
+
+@pytest.mark.parametrize("cap", [2.5, True, "3"])
+def test_tail_bound_refuses_a_cap_that_is_not_an_integer(cap):
+    # 2.5 gave 0.177 (3.5 as the first cut degree), True read as cap 1
+    with pytest.raises(ParamOutOfRange, match="cap must be an integer"):
+        tail_bound(B_HALF, cap)
+
+
+def test_tail_bound_takes_a_numpy_integer_cap():
+    assert tail_bound(B_HALF, np.int64(8)) == tail_bound(B_HALF, 8) > 0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import re
@@ -9,7 +10,8 @@ import pytest
 
 from hardyshift import cli
 from hardyshift.cli import main
-from hardyshift.problem import ParseError, ValidationError, load_problem, parse_problem
+from hardyshift.problem import (ParseError, ValidationError, _finite, _float_parser,
+                                load_problem, parse_problem, read_problem_file)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -348,15 +350,66 @@ def test_non_finite_input_rejected(tmp_path, capsys, case):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
-def test_non_finite_number_in_an_unread_key_rejected(tmp_path, capsys, token):
-    # no field reads workspace.note, so only the JSON parser can see it
+def _noted(tmp_path, token):
+    """A file whose workspace.note, which no field reads, holds the token."""
     path = tmp_path / "problem.json"
     path.write_text('{"workspace": {"cap": 8, "note": %s}, "tasks": %s}'
                     % (token, json.dumps(SIGMA_ONLY)))
+    return path
+
+
+@pytest.mark.parametrize("token", [
+    "NaN", "Infinity", "-Infinity", "1e400", "1E+400", "1e0400", "-1e400",
+    # 300 digits and a one-digit exponent: no three-digit exponent, under 309 digits
+    pytest.param("9" * 300 + "e9", id="nines300e9"),
+    pytest.param("1" + "0" * 309 + ".0", id="ten_to_309"),
+])
+def test_non_finite_number_in_an_unread_key_rejected(tmp_path, capsys, token):
+    # no field reads workspace.note, so only the JSON parser can see it
+    path = _noted(tmp_path, token)
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "finite" in err and str(path) in err
+
+
+@pytest.mark.parametrize("token, value", [
+    ("1.7976931348623157e308", 1.7976931348623157e308),
+    ("1e-400", 0.0),
+    pytest.param("1" * 250 + "e-240", float("1" * 250 + "e-240"), id="digits250e-240"),
+    ('"e400"', "e400"),
+])
+def test_finite_numbers_near_the_float_range_load(tmp_path, capsys, token, value):
+    path = _noted(tmp_path, token)
+    assert read_problem_file(str(path))["workspace"]["note"] == value
+    assert main(["run", str(path)]) == 0
+
+
+def _bits(value):
+    """The decoded value with every float as its exact bits."""
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("path", sorted([*ROOT.glob("problems/*.json"),
+                                         *ROOT.glob("tests/golden/*.json")]),
+                         ids=lambda p: p.name)
+def test_c_float_parse_and_checked_parse_give_the_same_bits(path):
+    text = path.read_text(encoding="utf-8")
+    assert _float_parser(text) is None  # these files take the C parse
+    checked = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    assert _bits(read_problem_file(str(path))) == _bits(checked)
+
+
+def test_overflow_guard_passes_only_finite_literals():
+    for digits in range(1, 400):
+        for exponent in ("", "e9", "E99", "e+99", "e100", "E+308", "e-400"):
+            literal = "9" * digits + ".5" + exponent
+            for pad in (0, 1, 100 - digits % 100):  # start on, just past, end on a boundary
+                checked = _float_parser("x" * pad + literal) is _finite
+                assert checked or math.isfinite(float(literal))
 
 
 def test_non_finite_tol_flag_rejected(tmp_path, capsys):

@@ -15,10 +15,9 @@ def walk(path, value):
 
 
 def outcome(read, value):
-    """The values with the signs of their zero parts, or the message."""
+    """The exact bits of the values, or the message."""
     try:
-        return [(c.real, c.imag, math.copysign(1, c.real), math.copysign(1, c.imag))
-                for c in map(complex, read("objects.polys.p", value))]
+        return [(c.real.hex(), c.imag.hex()) for c in map(complex, read("objects.polys.p", value))]
     except ValidationError as exc:
         return str(exc)
 
@@ -28,13 +27,26 @@ def outcome(read, value):
     [[0, 0]],
     [[-0.0, 0.0], [0.0, -0.0]],
     [[2 ** 53 + 1, -(2 ** 63) - 1], [10 ** 20, 1e300], [-1e-320, 7]],
+    [[5e-324, -5e-324], [-0.0, 2.2250738585072009e-308], [1.7976931348623157e308, -1]],
 ])
 def test_pairs_of_numbers_read_in_one_pass_give_the_walk_values(value):
     assert isinstance(_coeff_list_at("objects.polys.p", value), np.ndarray)
     assert outcome(_coeff_list_at, value) == outcome(walk, value)
 
 
-BAD = {"bool": True, "nan": float("nan"), "string": "1", "huge": 10 ** 400}
+def test_random_pairs_read_in_one_pass_give_the_walk_bits(rng):
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        bits = rng.integers(0, 2 ** 63, 2 * n, dtype=np.uint64) | rng.choice(
+            np.array([0, 2 ** 63], dtype=np.uint64), 2 * n)  # any sign and exponent
+        parts = [v if math.isfinite(v) else -0.0 for v in bits.view(np.float64).tolist()]
+        parts[:: 3] = rng.integers(-(2 ** 62), 2 ** 62, len(parts[:: 3])).tolist()
+        value = [parts[i:i + 2] for i in range(0, len(parts), 2)]
+        assert isinstance(_coeff_list_at("objects.polys.p", value), np.ndarray)
+        assert outcome(_coeff_list_at, value) == outcome(walk, value)
+
+
+BAD = {"bool": True, "nan": float("nan"), "string": "1", "huge": 10 ** 400, "none": None}
 
 
 @pytest.mark.parametrize("where", [0, 2, 4])
