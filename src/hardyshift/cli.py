@@ -20,8 +20,8 @@ from .hitt import build_j_map, certify_theta
 from .invariance import (OperatorSpec, check_invariance, check_near_invariance,
                          verify_theorem_multi)
 from .laurent import build_sigma
-from .problem import (ParseError, Problem, Task, ValidationError, parse_problem,
-                      read_problem_file)
+from .problem import (_INT_TOKEN, ParseError, Problem, Task, ValidationError,
+                      parse_problem, read_problem_file)
 from .report import (check_payload, floored, floored12, matrix_payload, matrix_text,
                      poly_pairs, round12, stage_payload)
 
@@ -116,21 +116,12 @@ def _run_transfer(problem: Problem, task: Task) -> dict:
     sub = task.params["subspace"]
     B = task.params["blaschke"]
     n = task.params["n"]
-    depth = task.params.get("depth")
     near = task.params["near"]
-    W = build_wold_frame(B, problem.cap, depth)
+    W = build_wold_frame(B, problem.cap, task.params.get("depth"))
     shifted = transfer_subspace(sub, W, problem.membership_tol)
-    order = B.degree * n
-    if near:
-        direct = check_near_invariance(sub, OperatorSpec.toeplitz_adjoint(B, n),
-                                       problem.membership_tol)
-        moved = check_near_invariance(shifted, OperatorSpec.coshift(order),
-                                      problem.membership_tol)
-    else:
-        direct = check_invariance(sub, OperatorSpec.toeplitz(B, n),
-                                  problem.membership_tol)
-        moved = check_invariance(shifted, OperatorSpec.shift(order),
-                                 problem.membership_tol)
+    check = check_near_invariance if near else check_invariance
+    direct = check(sub, OperatorSpec(n, near, B), problem.membership_tol)
+    moved = check(shifted, OperatorSpec(B.degree * n, near), problem.membership_tol)
     agreement = direct.verdict == moved.verdict
     return {
         "subspace": task.params["subspace_name"],
@@ -201,10 +192,21 @@ def run_problem(problem: Problem) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag: ASCII digits with an optional minus, the operator-token rule."""
+    if not _INT_TOKEN.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+# The subcommand, its file and the flags every subcommand takes; every other flag is a task key.
+_COMMON = ("command", "problem", "tol", "cap", "format", "out")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None,
                    help="membership tolerance override")
-    p.add_argument("--cap", type=int, default=None, help="degree cap override")
+    p.add_argument("--cap", type=_int_flag, default=None, help="degree cap override")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
@@ -226,33 +228,33 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("problem")
         p.add_argument("--subspace", required=True)
-        p.add_argument("--op", action="append", required=True,
-                       help="operator token, e.g. shift:2 or toeplitz:B:1")
+        p.add_argument("--op", dest="operators", metavar="OP", action="append",
+                       required=True, help="operator token, e.g. shift:2 or toeplitz:B:1")
         _add_common(p)
 
     p = sub.add_parser("verify-theta", help="simultaneous-invariance pipeline")
     p.add_argument("problem")
     p.add_argument("--theta", required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cond", action="append", required=True,
-                   help="gamma:k pair, repeatable")
+    p.add_argument("--m", type=_int_flag, required=True)
+    p.add_argument("--cond", dest="conditions", metavar="COND", action="append",
+                   required=True, help="gamma:k pair, repeatable")
     _add_common(p)
 
     p = sub.add_parser("hitt", help="kernel extraction / decomposition / certification")
     p.add_argument("problem")
     p.add_argument("--subspace", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_int_flag, required=True)
     p.add_argument("--theta")
-    p.add_argument("--gamma", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--gamma", type=_int_flag)
+    p.add_argument("--k", type=_int_flag)
     _add_common(p)
 
     p = sub.add_parser("blaschke-transfer", help="verdict transfer across the unitary")
     p.add_argument("problem")
     p.add_argument("--subspace", required=True)
     p.add_argument("--blaschke", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int,
+    p.add_argument("--n", type=_int_flag, required=True)
+    p.add_argument("--depth", type=_int_flag,
                    help="layers of the frame, at most cap // deg B + 1 "
                         "(default (cap + 1) // deg B)")
     p.add_argument("--near", action="store_true",
@@ -260,39 +262,26 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("build-sigma", help="print a block shift matrix")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--gamma", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m", type=_int_flag, required=True)
+    p.add_argument("--gamma", type=_int_flag, required=True)
+    p.add_argument("--k", type=_int_flag, required=True)
     _add_common(p)
     return ap
 
 
 def _single_task_raw(args: argparse.Namespace) -> dict:
-    if args.command in ("check-invariance", "check-near-invariance"):
-        return {"task": args.command, "subspace": args.subspace, "operators": args.op}
-    if args.command == "verify-theta":
+    """The subcommand's task: each flag given, under its task key, for parse_problem."""
+    raw = {key: value for key, value in vars(args).items()
+           if value is not None and key not in _COMMON}
+    if "conditions" in raw:
         conds = []
-        for c in args.cond:
+        for c in raw["conditions"]:
             bits = c.split(":")
             if len(bits) != 2 or not all(b.isascii() and b.isdigit() for b in bits):
                 raise ValidationError("--cond", f"expected gamma:k, got {c!r}")
             conds.append({"gamma": int(bits[0]), "k": int(bits[1])})
-        return {"task": "verify-theta", "theta": args.theta, "m": args.m,
-                "conditions": conds}
-    if args.command == "hitt":
-        raw = {"task": "hitt", "subspace": args.subspace, "m": args.m}
-        if args.theta is not None:
-            if args.gamma is None or args.k is None:
-                raise ValidationError("--theta", "certification needs --gamma and --k")
-            raw.update({"theta": args.theta, "gamma": args.gamma, "k": args.k})
-        return raw
-    if args.command == "blaschke-transfer":
-        raw = {"task": "blaschke-transfer", "subspace": args.subspace,
-               "blaschke": args.blaschke, "n": args.n, "near": args.near}
-        if args.depth is not None:
-            raw["depth"] = args.depth
-        return raw
-    return {"task": "build-sigma", "m": args.m, "gamma": args.gamma, "k": args.k}
+        raw["conditions"] = conds
+    return {"task": args.command, **raw}
 
 
 def _render_text(report: dict) -> str:

@@ -49,6 +49,9 @@ class LaurentMatrix:
     table: np.ndarray
 
     def __post_init__(self) -> None:
+        if not all(map(_is_integer, (self.rows, self.cols, self.min_pow))):
+            raise ParamOutOfRange(f"rows {self.rows!r}, cols {self.cols!r} and "
+                                  f"min_pow {self.min_pow!r} must be integers")
         tab = _numbers(self.table)
         if tab.shape[:2] != (self.rows, self.cols) or tab.ndim != 3:
             raise DimensionMismatch("table shape does not match declared rows/cols")

@@ -7,6 +7,9 @@ declared objects before any computation starts, so an unknown name fails
 the whole file with a field path instead of failing one task mid-run.
 Floats are parsed in C, or one at a time when the text could hold a
 literal past the float range; a non-finite number anywhere is refused.
+Operators are string tokens only.  The CLI passes a single-task
+subcommand's flags here as task keys, so errors name the JSON path;
+integer flags, like operator-token integers, are ASCII digits only.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .blaschke import BlaschkeProduct
-from .errors import HardyShiftError
+from .errors import HardyShiftError, _is_integer
 from .invariance import OperatorSpec
 from .laurent import from_poly_grid
 from .subspaces import MonomialSubspace, SpanSubspace, orthonormalize
@@ -34,8 +37,8 @@ __all__ = ["ParseError", "ValidationError", "Problem", "Task",
 TASK_KINDS = ("check-invariance", "check-near-invariance", "verify-theta",
               "hitt", "blaschke-transfer", "build-sigma")
 
-# The power in an operator token: ASCII digits only, since str.isdigit
-# also accepts digits such as '²' that int() rejects.
+# An integer in an operator token or an integer flag: ASCII digits only,
+# since int() also takes digits such as '٣', underscores and a sign.
 _INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
@@ -51,15 +54,10 @@ class ValidationError(HardyShiftError):
         self.path = path
 
 
-def _is_int(value: Any) -> bool:
-    """True for JSON integers; bool is an int subclass in Python, not here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _real_at(path: str, value: Any) -> float:
     """A finite JSON number as a float; booleans are not numbers here."""
     try:
-        if _is_int(value) or isinstance(value, float) and math.isfinite(value):
+        if _is_integer(value) or isinstance(value, float) and math.isfinite(value):
             return float(value)
     except OverflowError:  # an integer beyond the float range
         pass
@@ -127,27 +125,17 @@ class Problem:
 
 
 def parse_operator_token(token: Any, problem: "Problem", path: str) -> OperatorSpec:
-    """Accepts {"op": ..., ...} dicts or compact "kind:arg[:arg]" strings."""
-    if isinstance(token, str):
-        kind, *args = token.split(":")
-    elif isinstance(token, dict) and "op" in token:
-        kind = token["op"]
-    else:
-        raise ValidationError(path, "operator must be a string token or an object with 'op'")
+    """A compact "kind:power" or "kind:NAME:power" string token."""
+    if not isinstance(token, str):
+        raise ValidationError(path, "operator must be a string token")
+    kind, *args = token.split(":")
     if kind not in ("shift", "coshift", "toeplitz", "toeplitz_adjoint"):
         raise ValidationError(path, f"unknown operator kind {kind!r}")
     toeplitz = kind.startswith("toeplitz")
-    if isinstance(token, str):
-        if len(args) != 1 + toeplitz or not _INT_TOKEN.fullmatch(args[-1]):
-            raise ValidationError(path, f"bad operator token {token!r}")
-        power, name = int(args[-1]), args[0]
-    else:
-        key = "n" if toeplitz else "k"
-        power, name = token.get(key, token.get("power")), token.get("blaschke")
-        if not _is_int(power):
-            raise ValidationError(path, f"{'toeplitz' if toeplitz else 'shift'} "
-                                        f"operators need an integer '{key}'")
-    blaschke = _ref(problem.blaschke, "blaschke product", name, path) if toeplitz else None
+    if len(args) != 1 + toeplitz or not _INT_TOKEN.fullmatch(args[-1]):
+        raise ValidationError(path, f"bad operator token {token!r}")
+    power = int(args[-1])
+    blaschke = _ref(problem.blaschke, "blaschke product", args[0], path) if toeplitz else None
     if power < 1:
         raise ValidationError(path, "operator power must be >= 1")
     return OperatorSpec(power, kind in ("coshift", "toeplitz_adjoint"), blaschke)
@@ -207,10 +195,10 @@ def parse_problem(data: Any, cap: Optional[int] = None,
         raise ValidationError("$", "problem file must be a JSON object")
     ws = _object_at(data, "workspace", "workspace")
     file_cap = ws.get("cap", 64)
-    if not _is_int(file_cap) or file_cap < 1:
+    if not _is_integer(file_cap) or file_cap < 1:
         raise ValidationError("workspace.cap", "must be a positive integer")
     if cap is not None:
-        if not _is_int(cap) or cap < 1:
+        if not _is_integer(cap) or cap < 1:
             raise ValidationError("--cap", "must be a positive integer")
         file_cap = cap
     tols = {"membership": MEMBERSHIP_TOL, "rank": RANK_TOL,
@@ -252,7 +240,7 @@ def parse_problem(data: Any, cap: Optional[int] = None,
             grid.append([_coeff_list_at(f"{path}.entries[{i}][{j}]", e)
                          for j, e in enumerate(row)])
         min_pow = spec.get("min_pow", 0)
-        if not _is_int(min_pow):
+        if not _is_integer(min_pow):
             raise ValidationError(f"{path}.min_pow", "must be an integer")
         try:
             problem.matrices[name] = from_poly_grid(grid, min_pow)
@@ -280,13 +268,13 @@ def parse_problem(data: Any, cap: Optional[int] = None,
         kind = spec["kind"]
         if kind == "monomial":
             gens = spec.get("generators", [])
-            if not isinstance(gens, list) or not all(_is_int(g) for g in gens):
+            if not isinstance(gens, list) or not all(_is_integer(g) for g in gens):
                 raise ValidationError(f"{path}.generators", "expected a list of integers")
             exc_set = spec.get("exceptional", [])
-            if not isinstance(exc_set, list) or not all(_is_int(e) for e in exc_set):
+            if not isinstance(exc_set, list) or not all(_is_integer(e) for e in exc_set):
                 raise ValidationError(f"{path}.exceptional", "expected a list of integers")
             mcap = spec.get("cap", file_cap)
-            if not _is_int(mcap) or mcap < 0:
+            if not _is_integer(mcap) or mcap < 0:
                 raise ValidationError(f"{path}.cap", "must be a nonnegative integer")
             try:
                 problem.subspaces[name] = MonomialSubspace(tuple(gens), mcap,
@@ -314,7 +302,7 @@ def parse_problem(data: Any, cap: Optional[int] = None,
 
 def _int_at(raw: dict, key: str, path: str, minimum: int = 1) -> int:
     val = raw.get(key)
-    if not _is_int(val) or val < minimum:
+    if not _is_integer(val) or val < minimum:
         raise ValidationError(f"{path}.{key}", f"must be an integer >= {minimum}")
     return val
 
@@ -347,8 +335,8 @@ def _parse_task(problem: Problem, idx: int, raw: Any) -> Task:
             raise ValidationError(f"{path}.conditions", "expected a nonempty list")
         parsed = []
         for i, c in enumerate(conds):
-            if not (isinstance(c, dict) and _is_int(c.get("gamma"))
-                    and _is_int(c.get("k"))):
+            if not (isinstance(c, dict) and _is_integer(c.get("gamma"))
+                    and _is_integer(c.get("k"))):
                 raise ValidationError(f"{path}.conditions[{i}]",
                                       "expected {'gamma': int, 'k': int}")
             parsed.append((c["gamma"], c["k"]))

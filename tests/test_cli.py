@@ -3,6 +3,7 @@ import math
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -268,6 +269,58 @@ def test_single_task_subcommands(tmp_path, capsys):
     assert out["tasks"][0]["agreement"] is True
 
 
+def single_task_argv(problem, task):
+    """The single-task subcommand that runs a problem file's task: each key as its flag."""
+    argv = [task["task"]] + ([] if task["task"] == "build-sigma" else [problem])
+    for key, value in task.items():
+        flag = {"operators": "--op", "conditions": "--cond"}.get(key, f"--{key}")
+        if key == "near":
+            argv += [flag] if value else []
+        elif key in ("operators", "conditions"):
+            for v in value:
+                argv += [flag, f"{v['gamma']}:{v['k']}" if key == "conditions" else v]
+        elif key != "task":
+            argv += [flag, str(value)]
+    return argv
+
+
+SHIPPED_TASKS = [(path, i) for path in sorted(ROOT.glob("problems/*.json"))
+                 for i in range(len(json.loads(path.read_text())["tasks"]))]
+
+
+@pytest.mark.parametrize("path, index", SHIPPED_TASKS,
+                         ids=[f"{p.stem}_{i}" for p, i in SHIPPED_TASKS])
+def test_single_task_subcommand_matches_run_on_a_one_task_file(tmp_path, capsys, path, index):
+    # the flags reach parse_problem as task keys; build-sigma reads no file
+    data = json.loads(path.read_text())
+    task = data["tasks"][index]
+    one_task = {"tasks": [task]} if task["task"] == "build-sigma" else {**data, "tasks": [task]}
+    rc = main(["run", write_problem(tmp_path, one_task)])
+    expected = capsys.readouterr().out
+    assert main(single_task_argv(str(path), task)) == rc
+    assert capsys.readouterr().out == expected
+
+
+def _readme_commands():
+    """Each `hardyshift ...` command of README's CLI block, as an argv."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_cli_commands_run(monkeypatch, argv):
+    monkeypatch.chdir(ROOT)
+    assert main(argv) in (0, 1)  # an input error would exit 2
+
+
+def test_hitt_theta_without_gamma_is_refused_by_the_schema(tmp_path, capsys):
+    argv = ["hitt", write_problem(tmp_path), "--subspace", "S", "--m", "2", "--theta", "Th"]
+    assert main([*argv, "--k", "1"]) == 2
+    assert capsys.readouterr().err == "input error: tasks[0].gamma: must be an integer >= 1\n"
+
+
 @pytest.mark.parametrize("depth", [26, 10 ** 12])
 def test_transfer_depth_past_the_cap_is_a_task_error(tmp_path, capsys, depth):
     # B has degree 2 at cap 48, so the deepest layer may start at degree 48
@@ -442,9 +495,6 @@ BOOL_FOR_INT = {
     "monomial_generators": _patched(["subspaces", "M1", "generators"], [2, True]),
     "monomial_exceptional": _patched(["subspaces", "M1", "exceptional"], [True]),
     "monomial_cap": _patched(["subspaces", "M1", "cap"], True),
-    "operator_k": _patched(["tasks", 0, "operators"], [{"op": "shift", "k": True}]),
-    "operator_n": _patched(["tasks", 0, "operators"],
-                           [{"op": "toeplitz", "n": True, "blaschke": "B"}]),
     "min_pow": _patched(["objects", "matrices", "Th", "min_pow"], True),
     "tolerance": _patched(["workspace", "tolerances", "membership"], True),
     "condition_pair": _patched(["tasks", 1], {"task": "verify-theta", "theta": "Th", "m": 2,
@@ -505,9 +555,28 @@ def test_operator_token_integers_exit_2(tmp_path, capsys, op):
 
 
 def test_operator_power_below_one_exits_2(tmp_path, capsys):
-    data = _patched(["tasks", 0, "operators"], [{"op": "shift", "k": 0}])
+    data = _patched(["tasks", 0, "operators"], ["shift:0"])
     assert main(["run", write_problem(tmp_path, data)]) == 2
     assert "tasks[0].operators[0]: operator power must be >= 1" in capsys.readouterr().err
+
+
+def test_object_operator_token_exits_2(tmp_path, capsys):
+    # operators are string tokens only; an object is refused, not read
+    data = _patched(["tasks", 0, "operators"], ["shift:2", {"op": "shift", "k": 2}])
+    assert main(["run", write_problem(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == \
+        "input error: tasks[0].operators[1]: operator must be a string token\n"
+
+
+# an integer flag takes the operator-token rule; int() would read each of these
+@pytest.mark.parametrize("flag, value", [("--m", "\u0663"), ("--k", "1_0"),
+                                         ("--cap", "\u0664\u0668"), ("--gamma", "+1")])
+def test_integer_flags_take_ascii_digits_only(capsys, flag, value):
+    args = {"--m": "3", "--gamma": "1", "--k": "1", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["build-sigma", *(a for pair in args.items() for a in pair)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cond", ["1:²", "²:1", "1:٣", "1:-1"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -287,3 +289,25 @@ def test_apply_matrix_matches_convolution_loop(rng):
 def test_constructor_rejects_non_finite_and_non_numeric_tables(table):
     with pytest.raises(ParamOutOfRange):
         LaurentMatrix(2, 1, 0, table)
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1"])
+@pytest.mark.parametrize("field", ["rows", "cols", "min_pow"])
+def test_constructor_rejects_non_integer_structure(field, value):
+    # 0.5 made half-integer powers that is_analytic called analytic
+    args = {"rows": 1, "cols": 1, "min_pow": 0, field: value}
+    with pytest.raises(ParamOutOfRange, match=re.escape(f"{field} {value!r}")):
+        LaurentMatrix(table=np.ones((1, 1, 2)), **args)
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1"])
+def test_from_poly_grid_rejects_a_non_integer_min_pow(value):
+    # True used to read as the power 1
+    with pytest.raises(ParamOutOfRange, match=re.escape(f"min_pow {value!r}")):
+        from_poly_grid([[[1.0, 2.0]]], min_pow=value)
+
+
+def test_numpy_integer_structure_is_accepted():
+    A = LaurentMatrix(np.int64(1), np.int64(2), np.int64(-1), np.ones((1, 2, 2)))
+    assert (A.min_pow, A.max_pow) == (-1, 0)
+    assert from_poly_grid([[[1.0, 2.0]]], min_pow=np.int64(3)).max_pow == 4

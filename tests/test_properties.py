@@ -1,6 +1,7 @@
 """Property suites over randomized inputs (200+ cases each)."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hardyshift import (NoConvergence, TaylorPoly, build_j_map, coshift_pow, diag_polys,
@@ -150,6 +151,19 @@ def test_hitt_reconstruction_and_parseval(m, head, g_lists):
     assert np.all(res.reconstruction_errors < 1e-8)
     assert np.all(res.parseval_gaps < 1e-8)
     assert res.costable.passed
+
+
+# A known defect of the rank decision: span{z^4 + e z^8, z^2 + e z^6,
+# 1 + e z^4, e z^2, e} has dimension 5, but orthonormalize drops the
+# direction that costs about e^2, and the J-map space then fails the
+# co-shift check at residual e.  Hypothesis draws these chains only on a
+# few seeds (80 and 87 of seed_sweep.py); here they run every time.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the span's rank decision drops a chain direction")
+@pytest.mark.parametrize("e", [1.1920929e-7, 1e-5])
+def test_hitt_reconstruction_and_parseval_on_chains(e):
+    test_hitt_reconstruction_and_parseval.hypothesis.inner_test(
+        m=2, head=np.array([0j]), g_lists=[np.array([0, 0, 1j, 0, e * 1j])])
 
 
 @settings(max_examples=200, deadline=None)
