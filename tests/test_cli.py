@@ -495,6 +495,10 @@ BOOL_FOR_INT = {
     "monomial_generators": _patched(["subspaces", "M1", "generators"], [2, True]),
     "monomial_exceptional": _patched(["subspaces", "M1", "exceptional"], [True]),
     "monomial_cap": _patched(["subspaces", "M1", "cap"], True),
+    # an object operator is refused whole, so its bool never reaches an int
+    "operator_k": _patched(["tasks", 0, "operators"], [{"op": "shift", "k": True}]),
+    "operator_n": _patched(["tasks", 0, "operators"],
+                           [{"op": "toeplitz", "n": True, "blaschke": "B"}]),
     "min_pow": _patched(["objects", "matrices", "Th", "min_pow"], True),
     "tolerance": _patched(["workspace", "tolerances", "membership"], True),
     "condition_pair": _patched(["tasks", 1], {"task": "verify-theta", "theta": "Th", "m": 2,
