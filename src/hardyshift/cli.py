@@ -20,7 +20,7 @@ from .hitt import build_j_map, certify_theta
 from .invariance import (OperatorSpec, check_invariance, check_near_invariance,
                          verify_theorem_multi)
 from .laurent import build_sigma
-from .problem import (_INT_TOKEN, ParseError, Problem, Task, ValidationError,
+from .problem import (_INT_TOKEN, TASK_KEYS, ParseError, Problem, Task, ValidationError,
                       parse_problem, read_problem_file)
 from .report import (check_payload, floored, floored12, matrix_payload, matrix_text,
                      poly_pairs, round12, stage_payload)
@@ -34,17 +34,11 @@ __all__ = ["main", "run_problem"]
 
 
 def _run_checks(problem: Problem, task: Task, near: bool) -> dict:
-    sub = task.params["subspace"]
-    checks = []
-    verdicts = []
-    fn = check_near_invariance if near else check_invariance
-    for op in task.params["operators"]:
-        rep = fn(sub, op, problem.membership_tol)
-        checks.append(check_payload(rep))
-        verdicts.append(rep.verdict)
-    verdict = "PASS" if all(v == "PASS" for v in verdicts) else "FAIL"
-    return {"subspace": task.params["subspace_name"], "checks": checks,
-            "verdict": verdict}
+    check = check_near_invariance if near else check_invariance
+    reps = [check(task.params["subspace"], op, problem.membership_tol)
+            for op in task.params["operators"]]
+    return {"subspace": task.params["subspace_name"], "checks": [check_payload(r) for r in reps],
+            "verdict": "PASS" if all(r.passed for r in reps) else "FAIL"}
 
 
 def _run_verify_theta(problem: Problem, task: Task) -> dict:
@@ -116,7 +110,7 @@ def _run_transfer(problem: Problem, task: Task) -> dict:
     sub = task.params["subspace"]
     B = task.params["blaschke"]
     n = task.params["n"]
-    near = task.params["near"]
+    near = task.params.get("near", False)
     W = build_wold_frame(B, problem.cap, task.params.get("depth"))
     shifted = transfer_subspace(sub, W, problem.membership_tol)
     check = check_near_invariance if near else check_invariance
@@ -199,16 +193,32 @@ def _int_flag(text: str) -> int:
     return int(text)
 
 
-# The subcommand, its file and the flags every subcommand takes; every other flag is a task key.
-_COMMON = ("command", "problem", "tol", "cap", "format", "out")
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=None,
                    help="membership tolerance override")
     p.add_argument("--cap", type=_int_flag, default=None, help="degree cap override")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
+
+
+_HELP = {
+    "check-invariance": "membership check of operator images",
+    "check-near-invariance": "definition-based near-invariance check",
+    "verify-theta": "simultaneous-invariance pipeline",
+    "hitt": "kernel extraction / decomposition / certification",
+    "blaschke-transfer": "verdict transfer across the unitary",
+    "build-sigma": "print a block shift matrix",
+}
+
+# The task keys whose flag is not a plain --KEY: another spelling, or a help line.
+_FLAGS = {
+    "operators": ("--op", {"metavar": "OP",
+                           "help": "operator token, e.g. shift:2 or toeplitz:B:1"}),
+    "conditions": ("--cond", {"metavar": "COND", "help": "gamma:k pair, repeatable"}),
+    "depth": ("--depth", {"help": "layers of the frame, at most cap // deg B + 1 "
+                                  "(default (cap + 1) // deg B)"}),
+    "near": ("--near", {"help": "compare near-invariance instead of invariance"}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -221,66 +231,30 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("problem")
     _add_common(run)
 
-    for name, help_text in (
-        ("check-invariance", "membership check of operator images"),
-        ("check-near-invariance", "definition-based near-invariance check"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("problem")
-        p.add_argument("--subspace", required=True)
-        p.add_argument("--op", dest="operators", metavar="OP", action="append",
-                       required=True, help="operator token, e.g. shift:2 or toeplitz:B:1")
+    for kind, keys in TASK_KEYS.items():
+        p = sub.add_parser(kind, help=_HELP[kind])
+        if kind != "build-sigma":  # the one kind that reads no file
+            p.add_argument("problem")
+        for key, (value, required) in keys.items():
+            flag, spec = _FLAGS.get(key, (f"--{key}", {}))
+            if isinstance(value, int):
+                spec = {"type": _int_flag, **spec}
+            elif value in ("operators", "conditions", "bool"):
+                spec = {"action": "store_true" if value == "bool" else "append", **spec}
+            p.add_argument(flag, dest=key, required=required is True, **spec)
         _add_common(p)
-
-    p = sub.add_parser("verify-theta", help="simultaneous-invariance pipeline")
-    p.add_argument("problem")
-    p.add_argument("--theta", required=True)
-    p.add_argument("--m", type=_int_flag, required=True)
-    p.add_argument("--cond", dest="conditions", metavar="COND", action="append",
-                   required=True, help="gamma:k pair, repeatable")
-    _add_common(p)
-
-    p = sub.add_parser("hitt", help="kernel extraction / decomposition / certification")
-    p.add_argument("problem")
-    p.add_argument("--subspace", required=True)
-    p.add_argument("--m", type=_int_flag, required=True)
-    p.add_argument("--theta")
-    p.add_argument("--gamma", type=_int_flag)
-    p.add_argument("--k", type=_int_flag)
-    _add_common(p)
-
-    p = sub.add_parser("blaschke-transfer", help="verdict transfer across the unitary")
-    p.add_argument("problem")
-    p.add_argument("--subspace", required=True)
-    p.add_argument("--blaschke", required=True)
-    p.add_argument("--n", type=_int_flag, required=True)
-    p.add_argument("--depth", type=_int_flag,
-                   help="layers of the frame, at most cap // deg B + 1 "
-                        "(default (cap + 1) // deg B)")
-    p.add_argument("--near", action="store_true",
-                   help="compare near-invariance instead of invariance")
-    _add_common(p)
-
-    p = sub.add_parser("build-sigma", help="print a block shift matrix")
-    p.add_argument("--m", type=_int_flag, required=True)
-    p.add_argument("--gamma", type=_int_flag, required=True)
-    p.add_argument("--k", type=_int_flag, required=True)
-    _add_common(p)
     return ap
 
 
 def _single_task_raw(args: argparse.Namespace) -> dict:
     """The subcommand's task: each flag given, under its task key, for parse_problem."""
-    raw = {key: value for key, value in vars(args).items()
-           if value is not None and key not in _COMMON}
-    if "conditions" in raw:
-        conds = []
-        for c in raw["conditions"]:
-            bits = c.split(":")
-            if len(bits) != 2 or not all(b.isascii() and b.isdigit() for b in bits):
-                raise ValidationError("--cond", f"expected gamma:k, got {c!r}")
-            conds.append({"gamma": int(bits[0]), "k": int(bits[1])})
-        raw["conditions"] = conds
+    raw = {key: getattr(args, key) for key in TASK_KEYS[args.command]
+           if getattr(args, key) is not None}
+    for i, cond in enumerate(raw.get("conditions", [])):
+        gamma, _, k = cond.partition(":")
+        if not all(b.isascii() and b.isdigit() for b in (gamma, k)):
+            raise ValidationError("--cond", f"expected gamma:k, got {cond!r}")
+        raw["conditions"][i] = {"gamma": int(gamma), "k": int(k)}
     return {"task": args.command, **raw}
 
 

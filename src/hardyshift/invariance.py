@@ -23,7 +23,7 @@ import numpy as np
 
 from .blaschke import BlaschkeProduct, _factor_chain, toeplitz_columns
 from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange, _is_integer
-from .laurent import (LaurentMatrix, _last_analytic_index, _lower_symbols,
+from .laurent import (LaurentMatrix, _check_sigma_params, _last_analytic_index, _lower_symbols,
                       adjoint_on_circle, build_sigma, is_analytic, is_inner, matmul)
 from .series import shift_product, toeplitz_view
 from .subspaces import (MonomialSubspace, SpanSubspace, _null_combos, _null_span,
@@ -425,7 +425,10 @@ def verify_theorem_multi(theta: LaurentMatrix, m: int,
     conds = [(g, kk) for g, kk in conditions]
     if not conds:
         raise ParamOutOfRange("at least one (gamma, k) condition is required")
-    sigmas = [build_sigma(m, g, kk) for g, kk in conds]  # refuses a bad m, gamma or k
+    for g, kk in conds:  # before any Σ: a bad m, gamma or k, or S^(km+gamma) past the cap
+        _check_sigma_params(m, g, kk)
+        if kk * m + g > cap:
+            raise BudgetExceeded(f"order {kk * m + g} of S^(km+gamma) exceeds cap {cap}")
     stages: list[Stage] = []
     products: list[tuple] = []
 
@@ -440,9 +443,9 @@ def verify_theorem_multi(theta: LaurentMatrix, m: int,
     rep = check_invariance(smodel, OperatorSpec.coshift(m), tol)
     stages.append(Stage(f"model_invariant_(S^{m})*", rep.verdict, "", rep))
 
-    for (g, kk), sigma in zip(conds, sigmas):
+    for g, kk in conds:
         order = kk * m + g
-        product = matmul(matmul(adjoint_on_circle(theta), sigma), theta)
+        product = matmul(matmul(adjoint_on_circle(theta), build_sigma(m, g, kk)), theta)
         chk = is_analytic(product, analytic_tol)
         products.append(((g, kk), product))
         stages.append(Stage(

@@ -115,12 +115,8 @@ def identity(n: int) -> LaurentMatrix:
     return LaurentMatrix(n, n, 0, tab)
 
 
-def build_sigma(m: int, gamma: int, k: int) -> LaurentMatrix:
-    """Block shift matrix: z^(k+1) I on the top-right gamma block, z^k I on
-    the bottom-left (m-gamma) block, zero elsewhere.
-
-    Under the arity-m lift it realises multiplication by z^(k*m+gamma).
-    """
+def _check_sigma_params(m: int, gamma: int, k: int) -> None:
+    """The one rule for (m, gamma, k): integers, m >= 2, 1 <= gamma <= m - 1, k >= 1."""
     if not all(map(_is_integer, (m, gamma, k))):
         raise ParamOutOfRange(f"m, gamma and k must be integers, got {m!r}, {gamma!r}, {k!r}")
     if m < 2:
@@ -129,12 +125,22 @@ def build_sigma(m: int, gamma: int, k: int) -> LaurentMatrix:
         raise ParamOutOfRange(f"gamma must be in 1..{m - 1}, got {gamma}")
     if k < 1:
         raise ParamOutOfRange(f"k must be >= 1, got {k}")
-    tab = np.zeros((m, m, k + 2), dtype=np.complex128)
+
+
+def build_sigma(m: int, gamma: int, k: int) -> LaurentMatrix:
+    """Block shift matrix: z^(k+1) I on the top-right gamma block, z^k I on
+    the bottom-left (m-gamma) block, zero elsewhere.
+
+    Under the arity-m lift it realises multiplication by z^(k*m+gamma);
+    its table holds only the powers k and k+1, so any k costs the same.
+    """
+    _check_sigma_params(m, gamma, k)
+    tab = np.zeros((m, m, 2), dtype=np.complex128)
     for i in range(gamma):
-        tab[i, m - gamma + i, k + 1] = 1.0
+        tab[i, m - gamma + i, 1] = 1.0
     for i in range(m - gamma):
-        tab[gamma + i, i, k] = 1.0
-    return LaurentMatrix(m, m, 0, tab)
+        tab[gamma + i, i, 0] = 1.0
+    return LaurentMatrix(m, m, int(k), tab)
 
 
 def adjoint_on_circle(A: LaurentMatrix) -> LaurentMatrix:

@@ -7,9 +7,11 @@ declared objects before any computation starts, so an unknown name fails
 the whole file with a field path instead of failing one task mid-run.
 Floats are parsed in C, or one at a time when the text could hold a
 literal past the float range; a non-finite number anywhere is refused.
-Operators are string tokens only.  The CLI passes a single-task
-subcommand's flags here as task keys, so errors name the JSON path;
-integer flags, like operator-token integers, are ASCII digits only.
+Operators are string tokens only.  ``TASK_KEYS`` is the one task schema,
+read by the parser and by the CLI's flags; a key that a task or spec does
+not define, or a gamma outside 1..m-1, is refused.  The CLI passes a
+single-task subcommand's flags here as task keys, so errors name the JSON
+path; integer flags, like operator-token integers, are ASCII digits only.
 """
 
 from __future__ import annotations
@@ -27,15 +29,31 @@ import numpy as np
 from .blaschke import BlaschkeProduct
 from .errors import HardyShiftError, _is_integer
 from .invariance import OperatorSpec
-from .laurent import from_poly_grid
+from .laurent import _check_sigma_params, from_poly_grid
 from .subspaces import MonomialSubspace, SpanSubspace, orthonormalize
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
 
-__all__ = ["ParseError", "ValidationError", "Problem", "Task",
+__all__ = ["TASK_KEYS", "ParseError", "ValidationError", "Problem", "Task",
            "read_problem_file", "load_problem", "parse_problem", "parse_operator_token"]
 
-TASK_KINDS = ("check-invariance", "check-near-invariance", "verify-theta",
-              "hitt", "blaschke-transfer", "build-sigma")
+# Each task kind's keys, in the order they are checked: key -> (value, required).
+# A value is the object table that a name refers to ("span": a span subspace),
+# "operators", "conditions", "bool", or the least value of an integer.  A key
+# required "theta" is required with a theta and refused without one.
+_CHECK_KEYS = {"subspace": ("subspaces", True), "operators": ("operators", True)}
+TASK_KEYS = {
+    "check-invariance": _CHECK_KEYS,
+    "check-near-invariance": _CHECK_KEYS,
+    "verify-theta": {"theta": ("matrices", True), "m": (2, True),
+                     "conditions": ("conditions", True)},
+    "hitt": {"subspace": ("span", True), "m": (2, True), "theta": ("matrices", False),
+             "gamma": (1, "theta"), "k": (1, "theta")},
+    "blaschke-transfer": {"subspace": ("span", True), "blaschke": ("blaschke", True),
+                          "n": (1, True), "depth": (1, False), "near": ("bool", False)},
+    "build-sigma": {"m": (2, True), "gamma": (1, True), "k": (1, True)},
+}
+_NOUNS = {"subspaces": "subspace", "span": "subspace", "matrices": "matrix",
+          "blaschke": "blaschke product"}
 
 # An integer in an operator token or an integer flag: ASCII digits only,
 # since int() also takes digits such as '٣', underscores and a sign.
@@ -77,6 +95,21 @@ def _object_at(parent: dict, key: str, path: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(path, "must be an object")
     return value
+
+
+def _known_keys(spec: dict, keys: Sequence[str], path: str) -> None:
+    """Refuse a key that the spec's schema does not define."""
+    if unknown := [key for key in spec if key not in keys]:
+        raise ValidationError(f"{path}.{unknown[0]}", "unknown key")
+
+
+@contextlib.contextmanager
+def _at(path: str):
+    """A domain error raised inside, as a ValidationError naming path."""
+    try:
+        yield
+    except HardyShiftError as exc:
+        raise ValidationError(path, str(exc)) from exc
 
 
 def _coeff_list_at(path: str, value: Any) -> Sequence[complex]:
@@ -230,6 +263,7 @@ def parse_problem(data: Any, cap: Optional[int] = None,
         path = f"objects.matrices.{name}"
         if not isinstance(spec, dict) or "entries" not in spec:
             raise ValidationError(path, "expected an object with 'entries'")
+        _known_keys(spec, ("entries", "min_pow"), path)
         entries = spec["entries"]
         if not isinstance(entries, list) or not entries:
             raise ValidationError(f"{path}.entries", "expected a nonempty row list")
@@ -242,24 +276,21 @@ def parse_problem(data: Any, cap: Optional[int] = None,
         min_pow = spec.get("min_pow", 0)
         if not _is_integer(min_pow):
             raise ValidationError(f"{path}.min_pow", "must be an integer")
-        try:
+        with _at(path):
             problem.matrices[name] = from_poly_grid(grid, min_pow)
-        except HardyShiftError as exc:
-            raise ValidationError(path, str(exc)) from exc
 
     for name, spec in _object_at(objects, "blaschke", "objects.blaschke").items():
         path = f"objects.blaschke.{name}"
         if not isinstance(spec, dict) or "zeros" not in spec:
             raise ValidationError(path, "expected an object with 'zeros'")
+        _known_keys(spec, ("lambda", "zeros"), path)
         if not isinstance(spec["zeros"], list):
             raise ValidationError(f"{path}.zeros", "expected a list of zeros")
         lam = _complex_at(f"{path}.lambda", spec.get("lambda", 1.0))
         zeros = [_complex_at(f"{path}.zeros[{i}]", z)
                  for i, z in enumerate(spec["zeros"])]
-        try:
+        with _at(path):
             problem.blaschke[name] = BlaschkeProduct(lam, zeros)
-        except HardyShiftError as exc:
-            raise ValidationError(path, str(exc)) from exc
 
     for name, spec in _object_at(data, "subspaces", "subspaces").items():
         path = f"subspaces.{name}"
@@ -267,6 +298,7 @@ def parse_problem(data: Any, cap: Optional[int] = None,
             raise ValidationError(path, "expected an object with 'kind'")
         kind = spec["kind"]
         if kind == "monomial":
+            _known_keys(spec, ("kind", "generators", "exceptional", "cap"), path)
             gens = spec.get("generators", [])
             if not isinstance(gens, list) or not all(_is_integer(g) for g in gens):
                 raise ValidationError(f"{path}.generators", "expected a list of integers")
@@ -276,12 +308,11 @@ def parse_problem(data: Any, cap: Optional[int] = None,
             mcap = spec.get("cap", file_cap)
             if not _is_integer(mcap) or mcap < 0:
                 raise ValidationError(f"{path}.cap", "must be a nonnegative integer")
-            try:
+            with _at(path):
                 problem.subspaces[name] = MonomialSubspace(tuple(gens), mcap,
                                                            frozenset(exc_set), label=name)
-            except HardyShiftError as exc:
-                raise ValidationError(path, str(exc)) from exc
         elif kind == "span":
+            _known_keys(spec, ("kind", "generators"), path)
             gen_names = spec.get("generators", [])
             if not isinstance(gen_names, list) or not gen_names:
                 raise ValidationError(f"{path}.generators", "expected a nonempty name list")
@@ -300,71 +331,54 @@ def parse_problem(data: Any, cap: Optional[int] = None,
     return problem
 
 
-def _int_at(raw: dict, key: str, path: str, minimum: int = 1) -> int:
-    val = raw.get(key)
-    if not _is_integer(val) or val < minimum:
-        raise ValidationError(f"{path}.{key}", f"must be an integer >= {minimum}")
-    return val
+def _condition_at(cond: Any, m: int, path: str) -> tuple:
+    """One verify-theta condition {"gamma": γ, "k": k} as (γ, k), by build_sigma's rule."""
+    if not (isinstance(cond, dict) and cond.keys() == {"gamma", "k"}
+            and _is_integer(cond["gamma"]) and _is_integer(cond["k"])):
+        raise ValidationError(path, "expected {'gamma': int, 'k': int}")
+    with _at(path):
+        _check_sigma_params(m, cond["gamma"], cond["k"])
+    return cond["gamma"], cond["k"]
 
 
 def _parse_task(problem: Problem, idx: int, raw: Any) -> Task:
+    """The task's keys, checked in the order of its kind's TASK_KEYS entry."""
     path = f"tasks[{idx}]"
     if not isinstance(raw, dict) or "task" not in raw:
         raise ValidationError(path, "expected an object with 'task'")
     kind = raw["task"]
-    if kind not in TASK_KINDS:
+    if not isinstance(kind, str) or kind not in TASK_KEYS:
         raise ValidationError(f"{path}.task", f"unknown task {kind!r}")
+    _known_keys(raw, ("task", *TASK_KEYS[kind]), path)
     params: dict = {}
-
-    def named(key: str, objects: dict, what: str) -> Any:
-        params[f"{key}_name"] = raw.get(key)
-        return _ref(objects, what, raw.get(key), f"{path}.{key}")
-
-    if kind in ("check-invariance", "check-near-invariance"):
-        params["subspace"] = named("subspace", problem.subspaces, "subspace")
-        ops = raw.get("operators")
-        if not isinstance(ops, list) or not ops:
-            raise ValidationError(f"{path}.operators", "expected a nonempty list")
-        params["operators"] = [parse_operator_token(o, problem, f"{path}.operators[{i}]")
-                               for i, o in enumerate(ops)]
-    elif kind == "verify-theta":
-        params["theta"] = named("theta", problem.matrices, "matrix")
-        params["m"] = _int_at(raw, "m", path, 2)
-        conds = raw.get("conditions")
-        if not isinstance(conds, list) or not conds:
-            raise ValidationError(f"{path}.conditions", "expected a nonempty list")
-        parsed = []
-        for i, c in enumerate(conds):
-            if not (isinstance(c, dict) and _is_integer(c.get("gamma"))
-                    and _is_integer(c.get("k"))):
-                raise ValidationError(f"{path}.conditions[{i}]",
-                                      "expected {'gamma': int, 'k': int}")
-            parsed.append((c["gamma"], c["k"]))
-        params["conditions"] = parsed
-    elif kind == "hitt":
-        sub = named("subspace", problem.subspaces, "subspace")
-        if not isinstance(sub, SpanSubspace):
-            raise ValidationError(f"{path}.subspace", "hitt needs a span subspace")
-        params["subspace"] = sub
-        params["m"] = _int_at(raw, "m", path, 2)
-        if "theta" in raw:
-            params["theta"] = named("theta", problem.matrices, "matrix")
-            params["gamma"] = _int_at(raw, "gamma", path, 1)
-            params["k"] = _int_at(raw, "k", path, 1)
-    elif kind == "blaschke-transfer":
-        sub = named("subspace", problem.subspaces, "subspace")
-        if not isinstance(sub, SpanSubspace):
-            raise ValidationError(f"{path}.subspace", "transfer needs a span subspace")
-        params["subspace"] = sub
-        params["blaschke"] = named("blaschke", problem.blaschke, "blaschke product")
-        params["n"] = _int_at(raw, "n", path, 1)
-        if "depth" in raw:
-            params["depth"] = _int_at(raw, "depth", path, 1)
-        params["near"] = raw.get("near", False)
-        if not isinstance(params["near"], bool):
-            raise ValidationError(f"{path}.near", "must be a boolean")
-    else:  # build-sigma
-        params["m"] = _int_at(raw, "m", path, 2)
-        params["gamma"] = _int_at(raw, "gamma", path, 1)
-        params["k"] = _int_at(raw, "k", path, 1)
+    for key, (value, required) in TASK_KEYS[kind].items():
+        at, val = f"{path}.{key}", raw.get(key)
+        if required == "theta":
+            if key in raw and "theta" not in raw:
+                raise ValidationError(at, "given without 'theta'")
+            required = "theta" in raw
+        if key not in raw and not required:
+            continue
+        if isinstance(value, int):
+            if not _is_integer(val) or val < value:
+                raise ValidationError(at, f"must be an integer >= {value}")
+        elif value == "bool":
+            if not isinstance(val, bool):
+                raise ValidationError(at, "must be a boolean")
+        elif value in ("operators", "conditions"):
+            if not isinstance(val, list) or not val:
+                raise ValidationError(at, "expected a nonempty list")
+            # verify-theta's m precedes its conditions
+            val = [parse_operator_token(v, problem, f"{at}[{i}]") if value == "operators"
+                   else _condition_at(v, params["m"], f"{at}[{i}]") for i, v in enumerate(val)]
+        else:  # a name in an object table
+            params[f"{key}_name"] = val
+            val = _ref(getattr(problem, "subspaces" if value == "span" else value),
+                       _NOUNS[value], val, at)
+            if value == "span" and not isinstance(val, SpanSubspace):
+                raise ValidationError(at, f"{kind} needs a span subspace")
+        params[key] = val
+    if "gamma" in params:  # build-sigma, or hitt with a theta
+        with _at(f"{path}.gamma"):
+            _check_sigma_params(params["m"], params["gamma"], params["k"])
     return Task(idx, kind, params)

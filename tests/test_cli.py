@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 from hardyshift import cli
 from hardyshift.cli import main
-from hardyshift.problem import (ParseError, ValidationError, _finite, _float_parser,
+from hardyshift.problem import (TASK_KEYS, ParseError, ValidationError, _finite, _float_parser,
                                 load_problem, parse_problem, read_problem_file)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -321,6 +322,32 @@ def test_hitt_theta_without_gamma_is_refused_by_the_schema(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: tasks[0].gamma: must be an integer >= 1\n"
 
 
+def test_hitt_gamma_without_theta_is_refused(tmp_path, capsys):
+    # gamma and k are read only to certify a theta; they used to be dropped
+    argv = ["hitt", write_problem(tmp_path), "--subspace", "S", "--m", "2"]
+    assert main([*argv, "--gamma", "1", "--k", "1"]) == 2
+    assert capsys.readouterr().err == "input error: tasks[0].gamma: given without 'theta'\n"
+
+
+COMMON_FLAGS = ["tol", "cap", "format", "out"]
+# a list key is a repeatable flag, a bool a switch, anything else one value
+FLAG_ACTION = {"operators": argparse._AppendAction, "conditions": argparse._AppendAction,
+               "bool": argparse._StoreTrueAction}
+
+
+@pytest.mark.parametrize("kind", TASK_KEYS)
+def test_subcommand_flags_follow_the_task_schema(kind):
+    ap = cli._build_parser()
+    subcommands = next(a for a in ap._actions if a.dest == "command").choices
+    actions = {a.dest: a for a in subcommands[kind]._actions if a.dest != "help"}
+    files = [] if kind == "build-sigma" else ["problem"]  # build-sigma reads no file
+    assert list(actions) == [*files, *TASK_KEYS[kind], *COMMON_FLAGS]
+    for key, (value, required) in TASK_KEYS[kind].items():
+        assert actions[key].required == (required is True), key
+        assert (actions[key].type is cli._int_flag) == isinstance(value, int), key
+        assert type(actions[key]) is FLAG_ACTION.get(value, argparse._StoreAction), key
+
+
 @pytest.mark.parametrize("depth", [26, 10 ** 12])
 def test_transfer_depth_past_the_cap_is_a_task_error(tmp_path, capsys, depth):
     # B has degree 2 at cap 48, so the deepest layer may start at degree 48
@@ -547,6 +574,76 @@ def test_bool_for_int_rejected(tmp_path, capsys, case):
 def test_transfer_near_must_be_a_json_boolean(tmp_path, capsys):
     assert main(["run", write_problem(tmp_path, BOOL_FOR_INT["transfer_near"])]) == 2
     assert "tasks[1].near" in capsys.readouterr().err
+
+
+def _task(task):
+    return _patched(["tasks", 1], task)
+
+
+# a key that its task kind or spec does not define is refused with its path;
+# each of these used to be read as absent, and the file ran
+UNKNOWN_KEY = {
+    # a hitt task without its theta skipped the certification and PASSed
+    "hitt_thetta": ("tasks[1].thetta", _task({"task": "hitt", "subspace": "S", "m": 2,
+                                              "thetta": "Th", "gamma": 1, "k": 1})),
+    # a transfer without near compared invariance instead
+    "transfer_neer": ("tasks[1].neer", _task({"task": "blaschke-transfer", "subspace": "S",
+                                              "blaschke": "B", "n": 1, "neer": True})),
+    "monomial_exceptionl": ("subspaces.M1.exceptionl",
+                            _patched(["subspaces", "M1", "exceptionl"], [3])),
+    "span_cap": ("subspaces.S.cap", _patched(["subspaces", "S", "cap"], 4)),
+    "blaschke_lamda": ("objects.blaschke.B.lamda",
+                       _patched(["objects", "blaschke", "B", "lamda"], [0, 1])),
+    "matrix_min_po": ("objects.matrices.Th.min_po",
+                      _patched(["objects", "matrices", "Th", "min_po"], 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEY))
+def test_unknown_task_and_spec_keys_exit_2(tmp_path, capsys, case):
+    path, data = UNKNOWN_KEY[case]
+    assert main(["run", write_problem(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"input error: {path}: unknown key\n"
+
+
+def test_top_level_and_workspace_keys_stay_free(tmp_path, capsys):
+    assert main(["run", write_problem(tmp_path)]) == 0
+    expected = capsys.readouterr().out
+    data = {**_patched(["workspace", "note"], "cap 48"), "comment": "free"}
+    assert main(["run", write_problem(tmp_path, data)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+DEMO = str(ROOT / "problems" / "demo.json")
+
+
+# gamma in 1..m-1 and k >= 1, the rule of build_sigma, checked where m is
+# known; each of these used to become a task ERROR (exit 1)
+@pytest.mark.parametrize("argv, path, message", [
+    (["verify-theta", DEMO, "--theta", "diag_1zz", "--m", "3", "--cond", "0:1"],
+     "tasks[0].conditions[0]", "gamma must be in 1..2, got 0"),
+    (["verify-theta", DEMO, "--theta", "diag_1zz", "--m", "3", "--cond", "1:1", "--cond", "5:1"],
+     "tasks[0].conditions[1]", "gamma must be in 1..2, got 5"),
+    (["verify-theta", DEMO, "--theta", "diag_1zz", "--m", "3", "--cond", "1:0"],
+     "tasks[0].conditions[0]", "k must be >= 1, got 0"),
+    (["hitt", DEMO, "--subspace", "two_dim", "--m", "2", "--theta", "col_zz",
+      "--gamma", "5", "--k", "1"], "tasks[0].gamma", "gamma must be in 1..1, got 5"),
+    (["build-sigma", "--m", "3", "--gamma", "3", "--k", "1"],
+     "tasks[0].gamma", "gamma must be in 1..2, got 3"),
+], ids=["cond_gamma_0", "cond_gamma_5", "cond_k_0", "hitt_gamma_5", "sigma_gamma_3"])
+def test_gamma_and_k_out_of_range_exit_2(capsys, argv, path, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"input error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("cond, message", [
+    ({"gamma": 0, "k": 1}, "gamma must be in 1..1, got 0"),
+    ({"gamma": 1, "k": 1, "note": 0}, "expected {'gamma': int, 'k': int}"),
+], ids=["gamma_0", "extra_key"])
+def test_condition_out_of_range_in_a_file_exits_2(tmp_path, capsys, cond, message):
+    data = _task({"task": "verify-theta", "theta": "Th", "m": 2, "conditions": [cond]})
+    assert main(["run", write_problem(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"input error: tasks[1].conditions[0]: {message}\n"
 
 
 # str.isdigit accepts '²', which int() rejects

@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from hardyshift import TaylorPoly
+from hardyshift import BudgetExceeded, TaylorPoly, invariance
 from hardyshift.cli import main
-from hardyshift.laurent import from_poly_grid, toeplitz_adjoint_apply
+from hardyshift.laurent import build_sigma, diag_polys, from_poly_grid, toeplitz_adjoint_apply
 
 from conftest import matrix_action, time_limit
 
@@ -89,3 +89,36 @@ def test_a_huge_adjoint_power_near_the_circle_finishes(tmp_path, capsys):
     task = json.loads(capsys.readouterr().out)["tasks"][0]
     assert rc == 0 and task["verdict"] == "PASS"
     assert task["checks"][0]["tested"] == 1
+
+
+@pytest.mark.parametrize("k", [CAP, HUGE])
+def test_verify_theta_with_an_order_past_the_cap_is_a_budget_error(tmp_path, capsys,
+                                                                   monkeypatch, k):
+    # S^(km+gamma) past the cap leaves nothing testable; it is refused
+    # before any block shift matrix or frame is built, so k = 10^20 no
+    # longer allocates an (m, m, k+2) table
+    def no_build(*args):
+        raise AssertionError("built before the order was checked")
+
+    for name in ("build_sigma", "build_theta_range", "build_model_space"):
+        monkeypatch.setattr(invariance, name, no_build)
+    with pytest.raises(BudgetExceeded, match=f"order {k * 2 + 1} of S"):
+        invariance.verify_theorem_multi(diag_polys([[1], [0, 1]]), 2, [(1, 1), (1, k)], CAP)
+    data = {"workspace": {"cap": CAP}, "objects": {"matrices": {"Th": {"entries": [[[1]], [[0, 1]]]}}},
+            "tasks": [{"task": "verify-theta", "theta": "Th", "m": 2,
+                       "conditions": [{"gamma": 1, "k": k}]}]}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 1
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["verdict"] == "ERROR"
+    assert task["error"] == {"type": "BudgetExceeded",
+                             "message": f"order {k * 2 + 1} of S^(km+gamma) exceeds cap {CAP}"}
+
+
+def test_a_huge_block_shift_matrix_holds_two_powers(capsys):
+    sigma = build_sigma(3, 1, HUGE)
+    assert (sigma.min_pow, sigma.max_pow) == (HUGE, HUGE + 1)
+    assert main(["build-sigma", "--m", "3", "--gamma", "1", "--k", str(HUGE),
+                 "--format", "text"]) == 0
+    assert f"  [0, 0, z^{HUGE + 1}]\n  [z^{HUGE}, 0, 0]\n" in capsys.readouterr().out
