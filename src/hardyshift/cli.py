@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .blaschke import build_wold_frame, transfer_subspace
-from .errors import HardyShiftError
+from .errors import BudgetExceeded, HardyShiftError
 from .hitt import build_j_map, certify_theta
 from .invariance import (OperatorSpec, check_invariance, check_near_invariance,
                          verify_theorem_multi)
@@ -114,8 +114,9 @@ def _run_transfer(problem: Problem, task: Task) -> dict:
     W = build_wold_frame(B, problem.cap, task.params.get("depth"))
     shifted = transfer_subspace(sub, W, problem.membership_tol)
     check = check_near_invariance if near else check_invariance
-    direct = check(sub, OperatorSpec(n, near, B), problem.membership_tol)
-    moved = check(shifted, OperatorSpec(B.degree * n, near), problem.membership_tol)
+    op = OperatorSpec(n, near, B)
+    direct = check(sub, op, problem.membership_tol)
+    moved = check(shifted, OperatorSpec(op.order, near), problem.membership_tol)
     agreement = direct.verdict == moved.verdict
     return {
         "subspace": task.params["subspace_name"],
@@ -131,6 +132,8 @@ def _run_transfer(problem: Problem, task: Task) -> dict:
 
 
 def _run_build_sigma(problem: Problem, task: Task) -> dict:
+    if task.params["m"] > problem.cap + 1:  # before the dense (m, m, 2) table
+        raise BudgetExceeded(f"cap {problem.cap} cannot host arity {task.params['m']}")
     mat = build_sigma(task.params["m"], task.params["gamma"], task.params["k"])
     return {
         "m": task.params["m"],

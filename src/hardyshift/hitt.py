@@ -308,7 +308,7 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL) -> JMapRes
     # the frame is orthonormal, so its Gram matrix is the identity
     gap = float(np.max(np.abs(_frame_product(P, P, True) - np.eye(M.dim)), initial=0.0))
     K = orthonormalize(P, M.rank_tol, label=f"J_{m}({M.label or 'M'})", arity=m)
-    costable = check_invariance(K, OperatorSpec.coshift(1), tol)
+    costable = check_invariance(K, OperatorSpec(1, True), tol)
     return JMapResult(K, E, P, *per_vector, gap, costable)
 
 

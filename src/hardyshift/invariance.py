@@ -62,38 +62,15 @@ class OperatorSpec:
         if not _is_integer(self.power) or self.power < 1:
             raise ParamOutOfRange(f"operator power must be an integer >= 1, got {self.power!r}")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def shift(k: int) -> "OperatorSpec":
-        return OperatorSpec(k)
-
-    @staticmethod
-    def coshift(k: int) -> "OperatorSpec":
-        return OperatorSpec(k, True)
-
-    @staticmethod
-    def toeplitz(blaschke, n: int) -> "OperatorSpec":
-        return OperatorSpec(n, False, blaschke)
-
-    @staticmethod
-    def toeplitz_adjoint(blaschke, n: int) -> "OperatorSpec":
-        return OperatorSpec(n, True, blaschke)
-
-    # -- structure ---------------------------------------------------------
-
-    def adjoint(self) -> "OperatorSpec":
-        return replace(self, star=not self.star)
+    @property
+    def order(self) -> int:
+        """power * deg B: the power of S that the transfer U makes of T_B^power."""
+        return self.power * (1 if self.blaschke is None else self.blaschke.degree)
 
     def describe(self) -> str:
         tag = (f"S^{self.power}" if self.blaschke is None
                else f"T_B^{self.power}" if self.power != 1 else "T_B")
         return f"({tag})*" if self.star else tag
-
-    def formal_degree_gain(self) -> int:
-        """Worst-case degree added by the isometric direction."""
-        degree = 1 if self.blaschke is None else self.blaschke.degree
-        return 0 if self.star else self.power * degree
 
     def apply(self, X: np.ndarray, arity: int = 1) -> np.ndarray:
         """Image of every column of X, each a flattened element: arity
@@ -107,13 +84,6 @@ class OperatorSpec:
         if arity != 1:
             raise DimensionMismatch("toeplitz symbols act on scalar elements only")
         return toeplitz_columns(self.blaschke, self.power, self.star, X)
-
-    def monomial_shift_order(self) -> Optional[int]:
-        """Total shift order when the symbol is a pure monomial, else None."""
-        b = self.blaschke
-        if b is not None and any(z != 0 for z in b.zeros):
-            return None
-        return self.power * (1 if b is None else b.degree)
 
 
 @dataclass(frozen=True)
@@ -146,10 +116,9 @@ class CheckReport:
 def _monomial_order(M: MonomialSubspace, op: OperatorSpec) -> int:
     """Total shift order of a monomial symbol, at most cap + 1: an order
     past the cap leaves no image under it."""
-    order = op.monomial_shift_order()
-    if order is None:
+    if op.blaschke is not None and any(z != 0 for z in op.blaschke.zeros):
         raise DimensionMismatch("monomial subspaces support shift-type operators only")
-    return min(order, M.cap + 1)
+    return min(op.order, M.cap + 1)
 
 
 def _exponent_check(M: MonomialSubspace, check: str, op: OperatorSpec, name: str,
@@ -211,7 +180,7 @@ def check_invariance(M: SubspaceModel, op: OperatorSpec,
         return _exponent_check(M, "invariance", op, name, domain, shift,
                                "z^{e} maps to z^{img} outside the set", untested)
     X = M.frame_matrix()
-    gain = min(op.formal_degree_gain(), M.cap + 1)  # a larger gain leaves no image either
+    gain = 0 if op.star else min(op.order, M.cap + 1)  # a larger gain leaves no image either
     limit = M.effective_band
     keep = np.ones(M.dim, dtype=bool)
     if gain:
@@ -241,11 +210,6 @@ def check_invariance(M: SubspaceModel, op: OperatorSpec,
                        untested, tested)
 
 
-def _canonical_pair(op: OperatorSpec):
-    """(isometry T, adjoint T*) regardless of which was supplied."""
-    return (op.adjoint(), op) if op.star else (op, op.adjoint())
-
-
 def _toeplitz_range_meet(M: SpanSubspace, T: OperatorSpec) -> SpanSubspace:
     """Exact M ∩ B^n H^2: by Beurling–Lax, the null space of the pairing
     C = K^H F with an orthonormal basis K of K_{B^n} (each zero of B
@@ -254,8 +218,8 @@ def _toeplitz_range_meet(M: SpanSubspace, T: OperatorSpec) -> SpanSubspace:
     if M.arity != 1:
         raise DimensionMismatch("toeplitz symbols act on scalar elements only")
     label = f"{M.label or 'M'} ∩ range({T.describe()})"
-    if T.formal_degree_gain() > M.cap:  # refused before the zeros are repeated
-        raise BudgetExceeded(f"cap {M.cap} is below the product degree {T.formal_degree_gain()}")
+    if T.order > M.cap:  # refused before the zeros are repeated
+        raise BudgetExceeded(f"cap {M.cap} is below the product degree {T.order}")
     K = _factor_chain(BlaschkeProduct(1.0, T.blaschke.zeros * T.power), M.cap)[0].T
     return _null_span(M, K.conj() @ M.frame_matrix(), label)
 
@@ -267,7 +231,7 @@ def check_near_invariance(M: SubspaceModel, op: OperatorSpec,
     ``op`` may name either the isometry T or its adjoint; the verdict is
     for near T*-invariance of M either way.
     """
-    T, Tstar = _canonical_pair(op)
+    T, Tstar = replace(op, star=False), replace(op, star=True)
     name = getattr(M, "label", "") or "M"
     if isinstance(M, MonomialSubspace):
         order, exps = _monomial_order(M, T), M.exponents()
@@ -438,9 +402,9 @@ def verify_theorem_multi(theta: LaurentMatrix, m: int,
     srange = build_theta_range(theta, m, cap, rank_tol, analytic_tol)
     smodel = build_model_space(theta, m, cap, rank_tol, analytic_tol)
 
-    rep = check_invariance(srange, OperatorSpec.shift(m), tol)
+    rep = check_invariance(srange, OperatorSpec(m), tol)
     stages.append(Stage(f"range_invariant_S^{m}", rep.verdict, "", rep))
-    rep = check_invariance(smodel, OperatorSpec.coshift(m), tol)
+    rep = check_invariance(smodel, OperatorSpec(m, True), tol)
     stages.append(Stage(f"model_invariant_(S^{m})*", rep.verdict, "", rep))
 
     for g, kk in conds:
@@ -454,9 +418,9 @@ def verify_theorem_multi(theta: LaurentMatrix, m: int,
             f"max negative-index magnitude {chk.witness:.6e}",
             chk,
         ))
-        rep = check_invariance(srange, OperatorSpec.shift(order), tol)
+        rep = check_invariance(srange, OperatorSpec(order), tol)
         stages.append(Stage(f"range_invariant_S^{order}", rep.verdict, "", rep))
-        rep = check_invariance(smodel, OperatorSpec.coshift(order), tol)
+        rep = check_invariance(smodel, OperatorSpec(order, True), tol)
         stages.append(Stage(f"model_invariant_(S^{order})*", rep.verdict, "", rep))
 
     verdict = "PASS" if all(s.passed for s in stages) else "FAIL"

@@ -239,32 +239,25 @@ def _last_analytic_index(A: LaurentMatrix) -> np.ndarray:
     return np.max(np.where((A.table != 0) & (idx >= -A.min_pow), idx, -1), axis=2)
 
 
-def _column_action(A: LaurentMatrix, X: np.ndarray) -> np.ndarray:
-    """Analytic part of A F for every column F of X; X stacks A.cols
-    component blocks of cap+1 coefficients, the result A.rows.  Powers
-    0..cap of an entry act by the lower Toeplitz kernel; powers -1..-cap,
-    conjugated and reflected, by the adjoint kernel."""
-    n = X.shape[0] // A.cols
-    if n < 1 or n * A.cols != X.shape[0]:
-        raise DimensionMismatch(f"{X.shape[0]} rows do not stack {A.cols} components")
-    lower = _lower_symbols(A, n)
-    # A's powers -1..-(n-1), conjugated, are A*'s powers 1..n-1: transpose back
-    upper = _lower_symbols(adjoint_on_circle(A), n).transpose(1, 0, 2)
-    upper[:, :, 0] = 0  # power 0 acts in lower
-    blocks = X.reshape(A.cols, n, X.shape[1])
-    out = np.zeros((A.rows, n, X.shape[1]), dtype=np.complex128)
-    for symbols, adjoint in ((lower, False), (upper, True)):
-        for i, j in zip(*np.nonzero(symbols.any(axis=2))):
-            out[i] += toeplitz_product(symbols[i, j], adjoint, blocks[j])
-    return out.reshape(-1, X.shape[1])
-
-
 def toeplitz_adjoint_apply(A: LaurentMatrix, X: np.ndarray) -> np.ndarray:
     """Analytic part of A* F for every column F of X, which stacks A.rows
     component blocks of cap+1 coefficients: the Hilbert-space adjoint of
-    the action of A by multiplication.
+    the action of A by multiplication.  Powers 0..cap of A* act by the
+    lower Toeplitz kernel; A's own powers 1..cap, which are A*'s powers
+    -1..-cap conjugated and reflected, by the adjoint kernel.
 
     For the block shift matrices this reproduces the componentwise co-shift
     pattern used in the co-invariance conclusions.
     """
-    return _column_action(adjoint_on_circle(A), X)
+    n = X.shape[0] // A.rows
+    if n < 1 or n * A.rows != X.shape[0]:
+        raise DimensionMismatch(f"{X.shape[0]} rows do not stack {A.rows} components")
+    lower = _lower_symbols(adjoint_on_circle(A), n)
+    upper = _lower_symbols(A, n).transpose(1, 0, 2)
+    upper[:, :, 0] = 0  # power 0 acts in lower
+    blocks = X.reshape(A.rows, n, X.shape[1])
+    out = np.zeros((A.cols, n, X.shape[1]), dtype=np.complex128)
+    for symbols, adjoint in ((lower, False), (upper, True)):
+        for i, j in zip(*np.nonzero(symbols.any(axis=2))):
+            out[i] += toeplitz_product(symbols[i, j], adjoint, blocks[j])
+    return out.reshape(-1, X.shape[1])

@@ -3,12 +3,12 @@
     python tests/golden/write_reports.py OUT [--seeds 3 7 11]
 
 Writes one file per report under OUT: `hardyshift run` on `problems/*.json`
-at caps 48, 96, 192 and 384; at the same caps, the single-task subcommand
-of each task of those files, its keys given as flags; and `hardyshift run`
-on every problem that `bench/workloads.py` generates (`generate` and
-`known_defect_cases`) for each seed.  A file holds the
-exit code on its first line, then the report; an input error (exit 2)
-holds its message instead.  The reports come from the `hardyshift`
+at caps 48, 96, 192 and 384, in the JSON and in the text format; at the
+same caps, the single-task subcommand of each task of those files, its
+keys given as flags; and `hardyshift run` on every problem that
+`bench/workloads.py` generates (`generate` and `known_defect_cases`) for
+each seed.  A file holds the exit code on its first line, then the
+report; an input error (exit 2) holds its message instead.  The reports come from the `hardyshift`
 package under `src/` of the checkout this file sits in, so to compare
 two checkouts, run a copy of this file in each and `diff -r` the two
 output directories.  `bench/workloads.py` is only read.
@@ -73,10 +73,12 @@ def main(argv=None) -> int:
         for cap in CAPS:
             write_report(["run", str(problem), "--cap", str(cap)],
                          out / "problems" / f"{problem.stem}_cap{cap}.txt")
+            write_report(["run", str(problem), "--cap", str(cap), "--format", "text"],
+                         out / "text" / f"{problem.stem}_cap{cap}.txt")
             for i, task in enumerate(tasks):
                 write_report([*single_task_argv(str(problem), task), "--cap", str(cap)],
                              out / "subcommands" / f"{problem.stem}_{i}_cap{cap}.txt")
-            count += 1 + len(tasks)
+            count += 2 + len(tasks)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for workload in WORKLOADS:

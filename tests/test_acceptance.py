@@ -57,13 +57,13 @@ def test_lift_laws_random(rng):
         assert np.max(np.abs(np.linalg.norm(lifted, axis=0)
                              - np.linalg.norm(X, axis=0))) < 1e-13
         # the shift diagram: lift(S X) = S^m lift(X)
-        assert np.array_equal(lift(OperatorSpec.shift(1).apply(X, m), m),
-                              OperatorSpec.shift(m).apply(lifted))
+        assert np.array_equal(lift(OperatorSpec(1).apply(X, m), m),
+                              OperatorSpec(m).apply(lifted))
         # the block shift law: lift(Sigma X) = S^(km+gamma) lift(X)
         for gamma in range(1, m):
             for k in (1, 2, 3):
                 lhs = lift(matrix_action(build_sigma(m, gamma, k), X), m)
-                rhs = OperatorSpec.shift(k * m + gamma).apply(lifted)
+                rhs = OperatorSpec(k * m + gamma).apply(lifted)
                 assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -124,7 +124,7 @@ def test_column_multiple_theta_audit(rng):
 
     # the capped model fails S with a concrete witness
     M = build_theta_range(THETA12, 2, cap)
-    rep = check_invariance(M, OperatorSpec.shift(1))
+    rep = check_invariance(M, OperatorSpec(1))
     assert rep.verdict == "FAIL"
     assert rep.witness.residual == pytest.approx(np.sqrt(17) / 5, rel=1e-9)
     assert not _column_pattern_member(rep.witness.image[0], tol=1e-9)
@@ -248,9 +248,9 @@ def test_arity3_diagonal_example(rng):
     cap = 48
     M = MonomialSubspace((3, 4, 5), cap, label="C+z3H2")
     for k in (3, 4, 5):
-        assert check_invariance(M, OperatorSpec.shift(k)).passed
+        assert check_invariance(M, OperatorSpec(k)).passed
     for k in (1, 2):
-        assert check_invariance(M, OperatorSpec.shift(k)).verdict == "FAIL"
+        assert check_invariance(M, OperatorSpec(k)).verdict == "FAIL"
 
     pipe = verify_theorem_multi(THETA3, 3, [(1, 1), (2, 1)], cap)
     assert pipe.passed, [(s.name, s.verdict) for s in pipe.stages]
@@ -277,14 +277,14 @@ def test_arity3_diagonal_example(rng):
 
     X = random_columns(rng, 3, 6, cap, 5)
     lhs = lifted(matrix_action(THETA3, matrix_action(p1, X)))
-    rhs = OperatorSpec.shift(4).apply(lifted(matrix_action(THETA3, X)))
+    rhs = OperatorSpec(4).apply(lifted(matrix_action(THETA3, X)))
     assert np.max(np.linalg.norm(lhs - rhs, axis=0)) < 1e-12
 
     # audit: the quoted first matrix differs from the oracle at entry (3, 2)
     assert not mat_close(p1, PRODUCT_G1_QUOTED, 1e-6)
     X = stacked(VectorPoly([TaylorPoly([0], cap), TaylorPoly([1], cap), TaylorPoly([0], cap)]))
     bad = lifted(matrix_action(THETA3, matrix_action(PRODUCT_G1_QUOTED, X)))
-    good = OperatorSpec.shift(4).apply(lifted(matrix_action(THETA3, X)))
+    good = OperatorSpec(4).apply(lifted(matrix_action(THETA3, X)))
     assert np.linalg.norm(bad - good) > 0.5
 
 
@@ -307,33 +307,33 @@ def test_monomial_semigroup_audit():
     M1 = MonomialSubspace((2, 3), cap, label="M1")
     M2 = MonomialSubspace((3, 5), cap, label="M2")
 
-    assert check_invariance(M1, OperatorSpec.shift(2)).passed
-    assert check_invariance(M1, OperatorSpec.shift(3)).passed
-    assert check_invariance(M1, OperatorSpec.shift(1)).verdict == "FAIL"
+    assert check_invariance(M1, OperatorSpec(2)).passed
+    assert check_invariance(M1, OperatorSpec(3)).passed
+    assert check_invariance(M1, OperatorSpec(1)).verdict == "FAIL"
     for k in (3, 5):
-        assert check_invariance(M2, OperatorSpec.shift(k)).passed
+        assert check_invariance(M2, OperatorSpec(k)).passed
     for k in (1, 2, 4, 7):
-        assert check_invariance(M2, OperatorSpec.shift(k)).verdict == "FAIL"
+        assert check_invariance(M2, OperatorSpec(k)).verdict == "FAIL"
 
     # near-invariance verdicts are whatever the definition-based check
     # computes; the quoted claims do not survive it, and the witnesses are
     # emitted (z^3 -> z for the square shift on M1)
-    rep = check_near_invariance(M1, OperatorSpec.coshift(2))
+    rep = check_near_invariance(M1, OperatorSpec(2, True))
     assert rep.verdict == "FAIL"
     assert rep.witness.element == 3 and rep.witness.image == 1
-    rep = check_near_invariance(M1, OperatorSpec.coshift(3))
+    rep = check_near_invariance(M1, OperatorSpec(3, True))
     assert rep.verdict == "FAIL" and rep.witness.element == 4
-    rep = check_near_invariance(M1, OperatorSpec.coshift(1))
+    rep = check_near_invariance(M1, OperatorSpec(1, True))
     assert rep.verdict == "FAIL"  # not nearly co-invariant for the plain shift
     for k, first_witness in ((3, 5), (5, 6)):
-        rep = check_near_invariance(M2, OperatorSpec.coshift(k))
+        rep = check_near_invariance(M2, OperatorSpec(k, True))
         assert rep.verdict == "FAIL" and rep.witness.element == first_witness
 
     # brute-force agreement: scan all monomials in the set
     exps = {int(e) for e in M1.exponents()}
     for k in (1, 2, 3):
         expected = all((e - k) in exps for e in exps if e >= k)
-        assert check_near_invariance(M1, OperatorSpec.coshift(k)).passed == expected
+        assert check_near_invariance(M1, OperatorSpec(k, True)).passed == expected
 
 
 # -- criterion 10: product-of-automorphisms suite -----------------------------
@@ -378,12 +378,12 @@ def test_blaschke_suite(rng):
         M = orthonormalize(stacked(*gens), label=f"R{case}")
         N = transfer_subspace(M, W)
         for n in (1, 2):
-            direct = check_invariance(M, OperatorSpec.toeplitz(B, n))
-            moved = check_invariance(N, OperatorSpec.shift(2 * n))
+            direct = check_invariance(M, OperatorSpec(n, False, B))
+            moved = check_invariance(N, OperatorSpec(2 * n))
             assert direct.verdict == moved.verdict
             near_direct = check_near_invariance(
-                M, OperatorSpec.toeplitz_adjoint(B, n))
-            near_moved = check_near_invariance(N, OperatorSpec.coshift(2 * n))
+                M, OperatorSpec(n, True, B))
+            near_moved = check_near_invariance(N, OperatorSpec(2 * n, True))
             assert near_direct.verdict == near_moved.verdict
 
 

@@ -298,7 +298,7 @@ def conjugation_residuals(B, n, X, W):
         assert np.max(np.linalg.norm(Y - W.matrix @ C, axis=0)) < 1e-8  # covered
         return fit_cap(C, W.m, W.cap)
 
-    lhs = OperatorSpec.shift(W.m * n).apply(lifted_coords(X))
+    lhs = OperatorSpec(W.m * n).apply(lifted_coords(X))
     rhs = lifted_coords(toeplitz_columns(B, n, False, X))
     return np.linalg.norm(lhs - rhs, axis=0)
 
@@ -337,8 +337,8 @@ def test_transfer_roundtrip_and_verdicts(rng):
     Y = fit_cap(C, W.m, CAP)
     assert np.max(np.abs(N.matrix @ (N.matrix.conj().T @ Y) - Y)) < 1e-12
     # verdict transfer: random spans are generically non-invariant on both sides
-    rep_toep = check_invariance(M, OperatorSpec.toeplitz(B_MIX, 1))
-    rep_shift = check_invariance(N, OperatorSpec.shift(2))
+    rep_toep = check_invariance(M, OperatorSpec(1, False, B_MIX))
+    rep_shift = check_invariance(N, OperatorSpec(2))
     assert rep_toep.verdict == rep_shift.verdict == "FAIL"
 
 
@@ -347,7 +347,7 @@ def test_direct_toeplitz_invariance_of_deep_capped_range():
     # the top band is excluded by the support rule rather than failed
     gens = [toeplitz_apply(B_MIX, 2, False, monomial(j, CAP)) for j in range(61)]
     M = orthonormalize(stacked(*gens), label="B2H2")
-    rep = check_invariance(M, OperatorSpec.toeplitz(B_MIX, 1))
+    rep = check_invariance(M, OperatorSpec(1, False, B_MIX))
     assert rep.passed
     assert rep.untested  # the band exclusions are reported
 
@@ -358,9 +358,9 @@ def test_transfer_monomial_case_exact_pass_agreement():
     W = build_wold_frame(B_Z2, CAP, depth=33)
     gens = [monomial(4 + j, CAP) for j in range(CAP - 4 + 1)]
     M = orthonormalize(stacked(*gens), label="z4H2")
-    direct = check_invariance(M, OperatorSpec.toeplitz(B_Z2, 2))
+    direct = check_invariance(M, OperatorSpec(2, False, B_Z2))
     N = transfer_subspace(M, W)
-    moved = check_invariance(N, OperatorSpec.shift(4))
+    moved = check_invariance(N, OperatorSpec(4))
     assert direct.passed and moved.passed
     assert direct.verdict == moved.verdict
 
@@ -370,9 +370,9 @@ def test_transfer_near_invariance_agreement(rng):
     for _ in range(3):
         M = orthonormalize(stacked(*(random_taylor(rng, 8, CAP) for _ in range(2))),
                            label="M")
-        direct = check_near_invariance(M, OperatorSpec.toeplitz_adjoint(B_MIX, 1))
+        direct = check_near_invariance(M, OperatorSpec(1, True, B_MIX))
         moved = check_near_invariance(transfer_subspace(M, W),
-                                      OperatorSpec.coshift(2))
+                                      OperatorSpec(2, True))
         assert direct.verdict == moved.verdict
 
 
@@ -405,7 +405,7 @@ def test_near_invariance_sees_range_members_near_the_cap(rng):
     B = BlaschkeProduct(1.0, [a])
     r = random_taylor(rng, 23, cap)
     M = orthonormalize(stacked(TaylorPoly(np.convolve([-a, 1.0], r.coeffs), cap)), label="M")
-    rep = check_near_invariance(M, OperatorSpec.toeplitz_adjoint(B, 1))
+    rep = check_near_invariance(M, OperatorSpec(1, True, B))
     assert rep.verdict == "FAIL" and rep.tested == 1
     w = rep.witness  # (1, cap+1) coefficient blocks
     assert w.element.shape == w.image.shape == (1, cap + 1)
@@ -442,7 +442,7 @@ def test_toeplitz_range_meet_agrees_with_truncated_range(rng, zeros, n):
     # two members of B^n H^2, one of B H^2, and two generic polynomials
     gens = [vanishing(n), vanishing(n), vanishing(1)]
     M = orthonormalize(stacked(*gens, *(random_taylor(rng, 10, cap) for _ in range(2))))
-    new = _toeplitz_range_meet(M, OperatorSpec.toeplitz(B, n))
+    new = _toeplitz_range_meet(M, OperatorSpec(n, False, B))
     old = _truncated_range_meet(M, B, n)
     assert new.dim == old.dim == (3 if n == 1 else 2)
     P_new = new.matrix @ new.matrix.conj().T

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hardyshift import BudgetExceeded, TaylorPoly, invariance
+from hardyshift import BudgetExceeded, TaylorPoly, cli, invariance
 from hardyshift.cli import main
 from hardyshift.laurent import build_sigma, diag_polys, from_poly_grid, toeplitz_adjoint_apply
 
@@ -122,3 +122,26 @@ def test_a_huge_block_shift_matrix_holds_two_powers(capsys):
     assert main(["build-sigma", "--m", "3", "--gamma", "1", "--k", str(HUGE),
                  "--format", "text"]) == 0
     assert f"  [0, 0, z^{HUGE + 1}]\n  [z^{HUGE}, 0, 0]\n" in capsys.readouterr().out
+
+
+def test_build_sigma_with_an_arity_past_the_cap_is_a_budget_error(capsys, monkeypatch):
+    # the (m, m, 2) table of m = 10^6 would take 29 TiB; the arity is
+    # refused by the cap before it is built, as build_model_space does
+    def no_build(*args):
+        raise AssertionError("built before the arity was checked")
+
+    monkeypatch.setattr(cli, "build_sigma", no_build)
+    assert main(["build-sigma", "--m", "1000000", "--gamma", "1", "--k", "1"]) == 1
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["verdict"] == "ERROR"
+    assert task["error"] == {"type": "BudgetExceeded",
+                             "message": "cap 64 cannot host arity 1000000"}
+
+
+def test_build_sigma_at_the_largest_arity_the_cap_hosts_prints(capsys):
+    # the default cap 64 hosts m = 65
+    assert main(["build-sigma", "--m", "65", "--gamma", "1", "--k", "1",
+                 "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert "task[0] build-sigma: PASS\n" in out
+    assert "  [z, 0, 0, " in out and "cap=64" in out

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hardyshift import invariance
-from hardyshift import (BlaschkeProduct, BudgetExceeded, MonomialSubspace, OperatorSpec, ParamOutOfRange,
+from hardyshift import (BlaschkeProduct, BudgetExceeded, DimensionMismatch, MonomialSubspace,
+                        OperatorSpec, ParamOutOfRange,
                         build_model_space, build_theta_range, check_invariance,
                         check_near_invariance, diag_polys, from_poly_grid,
                         TaylorPoly, identity, orthonormalize, project,
@@ -19,28 +20,28 @@ M2 = MonomialSubspace((3, 5), CAP, label="M2")
 
 
 def test_monomial_invariance_audit():
-    assert check_invariance(M1, OperatorSpec.shift(2)).passed
-    assert check_invariance(M1, OperatorSpec.shift(3)).passed
-    rep = check_invariance(M1, OperatorSpec.shift(1))
+    assert check_invariance(M1, OperatorSpec(2)).passed
+    assert check_invariance(M1, OperatorSpec(3)).passed
+    rep = check_invariance(M1, OperatorSpec(1))
     assert rep.verdict == "FAIL"
     assert rep.witness.element == 0 and rep.witness.image == 1
 
     for k in (3, 5):
-        assert check_invariance(M2, OperatorSpec.shift(k)).passed
+        assert check_invariance(M2, OperatorSpec(k)).passed
     for k in (1, 2, 4, 7):
-        assert check_invariance(M2, OperatorSpec.shift(k)).verdict == "FAIL"
+        assert check_invariance(M2, OperatorSpec(k)).verdict == "FAIL"
 
 
 def test_monomial_near_invariance_definition_based():
     # the definition-based check FAILs; z^3 is the first witness for (S^2)*
-    rep = check_near_invariance(M1, OperatorSpec.coshift(2))
+    rep = check_near_invariance(M1, OperatorSpec(2, True))
     assert rep.verdict == "FAIL"
     assert rep.witness.element == 3 and rep.witness.image == 1
     # accepting the isometry spec gives the same verdict
-    rep2 = check_near_invariance(M1, OperatorSpec.shift(2))
+    rep2 = check_near_invariance(M1, OperatorSpec(2))
     assert rep2.verdict == "FAIL" and rep2.witness.element == 3
 
-    rep = check_near_invariance(M2, OperatorSpec.coshift(3))
+    rep = check_near_invariance(M2, OperatorSpec(3, True))
     assert rep.verdict == "FAIL" and rep.witness.element == 5
 
 
@@ -50,16 +51,16 @@ def test_monomial_near_invariance_brute_force_agreement():
         exps = set(int(e) for e in M.exponents())
         for k in (1, 2, 3, 4, 5):
             expected = all((e - k) in exps for e in exps if e >= k)
-            rep = check_near_invariance(M, OperatorSpec.coshift(k))
+            rep = check_near_invariance(M, OperatorSpec(k, True))
             assert rep.passed == expected
 
 
 def test_monomial_untested_band_and_budget():
     small = MonomialSubspace((1,), 4, label="small")
-    rep = check_invariance(small, OperatorSpec.shift(2))
+    rep = check_invariance(small, OperatorSpec(2))
     assert rep.passed and rep.untested
     with pytest.raises(BudgetExceeded):
-        check_invariance(small, OperatorSpec.shift(99))
+        check_invariance(small, OperatorSpec(99))
 
 
 def test_span_beurling_space_invariant():
@@ -67,7 +68,7 @@ def test_span_beurling_space_invariant():
     gens = [monomial(j, CAP) for j in range(2, CAP + 1)]
     M = orthonormalize(stacked(*gens), label="z2H2")
     for k in (1, 2, 3, 5):
-        rep = check_invariance(M, OperatorSpec.shift(k))
+        rep = check_invariance(M, OperatorSpec(k))
         assert rep.passed
         assert rep.untested  # the top band is excluded, and said so
 
@@ -77,19 +78,19 @@ def test_span_column_multiple_fails_s_with_witness():
     gens = [TaylorPoly([0] * (2 * j) + [5 ** -0.5, 2 * 5 ** -0.5], CAP)
             for j in range((CAP - 1) // 2 + 1)]
     M = orthonormalize(stacked(*gens), label="(1+2z)f(z2)")
-    rep = check_invariance(M, OperatorSpec.shift(1))
+    rep = check_invariance(M, OperatorSpec(1))
     assert rep.verdict == "FAIL"
     # residual of the first failing image is sqrt(17)/5
     assert rep.witness.residual == pytest.approx(np.sqrt(17) / 5, rel=1e-9)
-    assert check_invariance(M, OperatorSpec.shift(2)).passed
+    assert check_invariance(M, OperatorSpec(2)).passed
 
 
 def test_span_near_invariance_worked_example():
     M = orthonormalize(stacked(TaylorPoly([1, 1], CAP), TaylorPoly([0, 0, 1, 1], CAP)),
                        label="span{1+z, z2(1+z)}")
-    assert check_near_invariance(M, OperatorSpec.coshift(2)).passed
-    assert check_near_invariance(M, OperatorSpec.coshift(3)).passed
-    rep = check_near_invariance(M, OperatorSpec.coshift(1))
+    assert check_near_invariance(M, OperatorSpec(2, True)).passed
+    assert check_near_invariance(M, OperatorSpec(3, True)).passed
+    rep = check_near_invariance(M, OperatorSpec(1, True))
     assert rep.verdict == "FAIL"
     # witness is the intersection frame vector z^2(1+z), normalized, as
     # one block of cap+1 coefficients
@@ -107,8 +108,8 @@ def test_invariant_implies_nearly_invariant_for_adjoint(rng):
     # containing their generators both verdicts agree on PASS cases.
     M = MonomialSubspace((1,), 30, label="full")
     for k in (1, 2, 3):
-        assert check_invariance(M, OperatorSpec.shift(k)).passed
-        assert check_near_invariance(M, OperatorSpec.coshift(k)).passed
+        assert check_invariance(M, OperatorSpec(k)).passed
+        assert check_near_invariance(M, OperatorSpec(k, True)).passed
 
 
 def test_build_theta_range_even_exponents():
@@ -192,20 +193,26 @@ def test_numpy_integer_conditions_give_the_python_integer_report():
 
 @pytest.mark.parametrize("power", [True, False, 1.5, 2.0, "2", None])
 def test_operator_power_must_be_an_integer(power):
-    for make in (OperatorSpec.shift, OperatorSpec.coshift):
+    for star in (False, True):
         with pytest.raises(ParamOutOfRange, match="operator power must be an integer >= 1"):
-            make(power)
+            OperatorSpec(power, star)
 
 
 def test_operator_power_accepts_numpy_integers():
-    assert OperatorSpec.coshift(np.int64(2)).describe() == "(S^2)*"
+    assert OperatorSpec(np.int64(2), True).describe() == "(S^2)*"
 
 
 B_ORIGIN = BlaschkeProduct(1j, [0, 0])  # i·z², a pure monomial symbol
 B_OFF = BlaschkeProduct(1.0, [0, 0.5])
 
 
-@pytest.mark.parametrize("name, power, text, gain, origin_order, off_order, partner", [
+# each kind of operator by its fields besides the power: star, and whether it has a symbol B
+KINDS = {"shift": (False, False), "coshift": (True, False),
+         "toeplitz": (False, True), "toeplitz_adjoint": (True, True)}
+FULL = MonomialSubspace((1,), CAP)  # every exponent 0..cap
+
+
+@pytest.mark.parametrize("kind, power, text, gain, order, off_order, partner", [
     ("shift", 1, "S^1", 1, 1, 1, "coshift"),
     ("shift", 3, "S^3", 3, 3, 3, "coshift"),
     ("coshift", 1, "(S^1)*", 0, 1, 1, "shift"),
@@ -215,20 +222,27 @@ B_OFF = BlaschkeProduct(1.0, [0, 0.5])
     ("toeplitz_adjoint", 1, "(T_B)*", 0, 2, None, "toeplitz"),
     ("toeplitz_adjoint", 3, "(T_B^3)*", 0, 6, None, "toeplitz"),
 ])
-def test_operator_constructors_fix_their_structure(name, power, text, gain, origin_order,
-                                                   off_order, partner):
-    # a shift ignores the symbol; a Toeplitz operator is a pure shift only
-    # when every zero of B sits at the origin
-    for B, order in ((B_ORIGIN, origin_order), (B_OFF, off_order)):
-        def make(ctor):
-            return getattr(OperatorSpec, ctor)(*(() if ctor.endswith("shift") else (B,)), power)
+def test_operator_constructors_fix_their_structure(kind, power, text, gain, order, off_order,
+                                                   partner):
+    # the order is power * deg B whatever the zeros of B; the isometric
+    # direction adds it to a degree (gain), and a monomial model reads it
+    # only when every zero of B sits at the origin (off_order None: refused)
+    for B, monomial_order in ((B_ORIGIN, order), (B_OFF, off_order)):
+        def make(kind):
+            star, symbolic = KINDS[kind]
+            return OperatorSpec(power, star, B if symbolic else None)
 
-        op = make(name)
+        op = make(kind)
         assert op.describe() == text
-        assert op.formal_degree_gain() == gain
-        assert op.monomial_shift_order() == order
-        assert op.adjoint() == make(partner) != op
-        assert op.adjoint().adjoint() == op
+        assert op.order == order
+        assert op == make(kind) != make(partner) == OperatorSpec(power, not op.star, op.blaschke)
+        if monomial_order is None:
+            for check in (check_invariance, check_near_invariance):
+                with pytest.raises(DimensionMismatch, match="shift-type operators only"):
+                    check(FULL, op)
+            continue
+        assert check_invariance(FULL, op).tested == CAP + 1 - gain
+        assert check_near_invariance(FULL, op).tested == CAP + 1 - monomial_order
 
 
 def test_pipeline_analyticity_failure():
@@ -269,8 +283,8 @@ def test_invariance_versus_near_invariance_divergence():
     gens = [monomial(j, CAP) for j in range(2, CAP + 1)]
     M = orthonormalize(stacked(*gens), label="z2H2")
     for k in (1, 2, 3):
-        assert check_invariance(M, OperatorSpec.shift(k)).passed
-    rep = check_near_invariance(M, OperatorSpec.coshift(1))
+        assert check_invariance(M, OperatorSpec(k)).passed
+    rep = check_near_invariance(M, OperatorSpec(1, True))
     assert rep.verdict == "FAIL"
     # witness is in the span and in the shift range, but not a shifted member
     w = TaylorPoly(rep.witness.element[0], CAP)

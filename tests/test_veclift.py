@@ -96,8 +96,8 @@ def test_shift_diagram_residual_zero(rng):
     # lift(S X) = S^m lift(X), exactly, on whole column matrices
     for m in (2, 3, 5):
         X = random_columns(rng, m, 15, CAP, 5)
-        lhs = lift(OperatorSpec.shift(1).apply(X, m), m)
-        rhs = OperatorSpec.shift(m).apply(lift(X, m))
+        lhs = lift(OperatorSpec(1).apply(X, m), m)
+        rhs = OperatorSpec(m).apply(lift(X, m))
         assert np.array_equal(lhs, rhs)
 
 
@@ -116,7 +116,7 @@ def test_multiplication_correspondence(rng):
     for m, gamma, k in ((2, 1, 1), (3, 2, 1), (5, 3, 2), (2, 1, 3), (3, 1, 2), (5, 1, 1)):
         X = random_columns(rng, m, 10, CAP, 4)
         lhs = lift(matrix_action(build_sigma(m, gamma, k), X), m)
-        rhs = OperatorSpec.shift(k * m + gamma).apply(lift(X, m))
+        rhs = OperatorSpec(k * m + gamma).apply(lift(X, m))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
