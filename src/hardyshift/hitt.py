@@ -67,7 +67,7 @@ def extract_kernels(M: SpanSubspace, m: int) -> np.ndarray:
     if M.arity != 1:
         raise ValueError("kernel extraction acts on scalar subspaces")
     if m > M.cap + 1:
-        raise BudgetExceeded(f"monomial degree {M.cap + 1} exceeds cap {M.cap}")
+        raise BudgetExceeded(f"cap {M.cap} cannot host arity {m}")
     F = M.frame_matrix()
     heads = np.flatnonzero(F[:m].any(axis=0))  # frame vectors outside z^m H^2
     X = F[:, heads] @ _null_combos(F[:m, heads], heads.size, M.rank_tol)[0].T

@@ -26,8 +26,8 @@ from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRa
 from .laurent import (LaurentMatrix, _check_sigma_params, _last_analytic_index, _lower_symbols,
                       adjoint_on_circle, build_sigma, is_analytic, is_inner, matmul)
 from .series import shift_product, toeplitz_view
-from .subspaces import (MonomialSubspace, SpanSubspace, _null_combos, _null_span,
-                        frame_distance, intersect_shifted, orthonormalize)
+from .subspaces import (MonomialSubspace, SpanSubspace, _frame_product, _null_combos,
+                        _null_span, frame_distance, intersect_shifted, orthonormalize)
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
 from .veclift import fit_cap, lift
 
@@ -35,6 +35,7 @@ __all__ = [
     "OperatorSpec",
     "Witness",
     "CheckReport",
+    "ComplementModel",
     "Stage",
     "PipelineReport",
     "check_invariance",
@@ -44,6 +45,16 @@ __all__ = [
     "build_model_space",
     "verify_theorem_multi",
 ]
+
+@dataclass(frozen=True)
+class ComplementModel:
+    """A model space kept without a frame: the range of P = I - QQᴴ on the
+    first n coordinates, Q the frame of ``complement`` (zero from row n on)."""
+
+    complement: SpanSubspace
+    n: int
+    label: str
+
 
 SubspaceModel = Union[SpanSubspace, MonomialSubspace]
 
@@ -157,7 +168,38 @@ def _first_failure(M: SpanSubspace, op: OperatorSpec, X: np.ndarray,
     return i, Y[:, i].reshape(M.arity, -1), float(res[i])
 
 
-def check_invariance(M: SubspaceModel, op: OperatorSpec,
+def _complement_check(M: ComplementModel, op: OperatorSpec, name: str,
+                      tol: float) -> CheckReport:
+    """(S^k)*-invariance of the range of P = I - QQᴴ, on its columns P e_i:
+    with Z = S^k Q, (S^k)* P e_i lies at distance ||row i of Z - QQᴴZ|| from
+    that range, over ||P e_i|| = (1 - ||Q[i, :]||²)^½ for a unit element.
+    A P e_i with ||P e_i||² <= RANK_TOL is the zero element: 1 - ||Q[i, :]||²
+    is known to a few EPS, so an exact zero can come out near EPS^½ in norm,
+    and dividing a row's rounding of about EPS by that would reach tol;
+    past RANK_TOL it stays below EPS / RANK_TOL^½ ~ 7e-12.  The witness is
+    the first failing P e_i, normalised, and ``tested`` counts the P e_i up
+    to it, so no basis of the range is chosen."""
+    if not op.star or op.blaschke is not None:
+        raise DimensionMismatch("a model space is tested under co-shifts only")
+    F, n, k = M.complement.matrix, M.n, min(op.power, M.n)
+    Q, Z = F[:n], np.zeros((n, F.shape[1]), np.complex128)
+    Z[k:] = Q[: n - k]
+    R = _frame_product(Q, _frame_product(Q, Z, True), False) - Z
+    norm2 = 1.0 - np.sum(np.abs(Q) ** 2, axis=1)
+    cols = np.flatnonzero(norm2 > RANK_TOL)
+    res = np.linalg.norm(R[cols], axis=1) / np.sqrt(norm2[cols])
+    bad = np.flatnonzero(~(res <= tol))
+    if not bad.size:
+        return CheckReport("invariance", op.describe(), name, "PASS", None, (), cols.size)
+    i = int(cols[bad[0]])
+    x = np.eye(1, len(F), i)[0] - F @ Q[i].conj()
+    x /= np.linalg.norm(x)
+    witness = Witness(x[None], op.apply(x[:, None]).T, float(res[bad[0]]),
+                      f"P e_{i} image leaves the span")
+    return CheckReport("invariance", op.describe(), name, "FAIL", witness, (), int(bad[0]) + 1)
+
+
+def check_invariance(M: Union[SubspaceModel, ComplementModel], op: OperatorSpec,
                      tol: float = MEMBERSHIP_TOL) -> CheckReport:
     """Apply op to every frame vector (or exponent) and test membership.
 
@@ -166,9 +208,12 @@ def check_invariance(M: SubspaceModel, op: OperatorSpec,
     support is measured at a fraction of the membership tolerance so that
     truncated-expansion dust does not inflate degrees.  All frame vectors
     are tested in one residual computation; the witness is the first
-    failing one, and ``tested`` and ``untested`` stop there.
+    failing one, and ``tested`` and ``untested`` stop there.  A
+    ``ComplementModel`` is tested on its columns P e_i instead.
     """
     name = getattr(M, "label", "") or "M"
+    if isinstance(M, ComplementModel):
+        return _complement_check(M, op, name, tol)
     if isinstance(M, MonomialSubspace):
         order, exps = _monomial_order(M, op), M.exponents()
         domain, shift, untested = exps, -order, ()  # an adjoint tests every exponent
@@ -321,29 +366,33 @@ def build_theta_range(theta: LaurentMatrix, m: int, cap: int,
     return replace(span, generators=())  # so the lifted matrix is freed on return
 
 
-def build_model_space(theta: LaurentMatrix, m: int, cap: int,
-                      rank_tol: float = RANK_TOL,
-                      analytic_tol: float = ANALYTICITY_TOL) -> SpanSubspace:
+def build_model_space(theta: LaurentMatrix, m: int, cap: int, rank_tol: float = RANK_TOL,
+                      analytic_tol: float = ANALYTICITY_TOL
+                      ) -> Union[SpanSubspace, ComplementModel]:
     """Capped model of the lifted model space K_Θ = H² ⊖ ΘH²: the vectors
     of component degree <= c orthogonal to the full matrix range, lifted.
 
     The constraints are every range generator cut to component degree c
     (``range_generators``), so the complement carries no spurious edge
-    directions; the result is exact for the band it declares.  The SVD's
-    null basis is orthonormal and the lift permutes rows, so it is the frame.
+    directions; the result is exact for the band it declares.
     A square inner Θ has K_Θ below degree deg Θ (f = ΘΘ*f, Θ*f antianalytic):
-    the solve runs there, and its frame is zero-padded to the cap.
+    the solve runs there, and its SVD null basis, lifted, is the frame.  Any
+    other Θ gets the ``ComplementModel`` of its nonzero lifted cut generators
+    (for Θ = z^a·v, a of them per column are zero and would fail the Gram test).
     """
     _check_builder_input(theta, m, analytic_tol, "model-space builder")
     comp_cap = (cap + 1) // m - 1
     if comp_cap < 0:
         raise BudgetExceeded(f"cap {cap} cannot host arity {m}")
-    d = comp_cap
+    n, label = m * (comp_cap + 1), f"T_{m}(K_Θ) at cap {cap}"
     if theta.rows == theta.cols and is_inner(theta, analytic_tol):
-        d = min(d, max(theta.max_pow - 1, 0))
-    combos = _null_combos(np.conj(range_generators(theta, d).T), m * (d + 1), rank_tol)[1]
-    return SpanSubspace(fit_cap(lift(combos.T, m), m, cap), cap, 1, rank_tol,
-                        label=f"T_{m}(K_Θ) at cap {cap}", band=m * comp_cap + m - 1)
+        d = min(comp_cap, max(theta.max_pow - 1, 0))
+        combos = _null_combos(np.conj(range_generators(theta, d).T), m * (d + 1), rank_tol)[1]
+        return SpanSubspace(fit_cap(lift(combos.T, m), m, cap), cap, 1, rank_tol,
+                            label=label, band=n - 1)
+    gens = range_generators(theta, comp_cap)
+    span = orthonormalize(fit_cap(lift(gens[:, np.any(gens, axis=0)], m), m, cap), rank_tol)
+    return ComplementModel(replace(span, generators=()), n, label)  # frees the lifted matrix
 
 
 @dataclass(frozen=True)

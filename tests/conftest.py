@@ -4,7 +4,12 @@ import signal
 import numpy as np
 import pytest
 
-from hardyshift import TaylorPoly, VectorPoly, adjoint_on_circle, toeplitz_adjoint_apply
+from hardyshift import (SpanSubspace, TaylorPoly, VectorPoly, adjoint_on_circle, lift,
+                        toeplitz_adjoint_apply)
+from hardyshift.invariance import range_generators
+from hardyshift.subspaces import _null_combos
+from hardyshift.tolerances import RANK_TOL
+from hardyshift.veclift import fit_cap
 
 
 def pytest_runtest_logreport(report):
@@ -70,6 +75,17 @@ def matrix_action(A, X):
     """Analytic part of A F for every column F of X, cut at the cap: the
     action that ``toeplitz_adjoint_apply`` runs, taken with A* (A** = A)."""
     return toeplitz_adjoint_apply(adjoint_on_circle(A), X)
+
+
+def model_space_frame(theta, m, cap, rank_tol=RANK_TOL):
+    """The model space K_Θ with a frame, for any Θ: the lifted SVD null
+    basis of the range generators cut to the cap's component degree c,
+    with the model-space builder's label and band.  The oracle of the
+    frame-free model that the builder keeps for a Θ that is not square inner."""
+    c = (cap + 1) // m - 1
+    combos = _null_combos(np.conj(range_generators(theta, c).T), m * (c + 1), rank_tol)[1]
+    return SpanSubspace(fit_cap(lift(combos.T, m), m, cap), cap, 1, rank_tol,
+                        label=f"T_{m}(K_Θ) at cap {cap}", band=m * (c + 1) - 1)
 
 
 @contextlib.contextmanager

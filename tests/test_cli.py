@@ -190,11 +190,27 @@ SQUARE_THETA_PROBLEM = {
 }
 
 
+# verify-theta on two columns at cap 384, FAILs whose model-space witness
+# is the first failing P e_i: (0.6, 0.8z), whose range frame takes CGS2,
+# and z·v for a unit vector v, whose cut range generators are whole or zero
+COLUMN_THETA_PROBLEM = {
+    "workspace": {"cap": 384},
+    "objects": {"matrices": {
+        "c": {"entries": [[[[0.6, 0]]], [[[0, 0], [0.8, 0]]]]},
+        "zv": {"entries": [[[[0, 0], [0.5, 0.5]]], [[[0, 0], [-0.5, 0.5]]]]}}},
+    "tasks": [{"task": "verify-theta", "theta": name, "m": 2,
+               "conditions": [{"gamma": 1, "k": 1}, {"gamma": 1, "k": 2}]}
+              for name in ("c", "zv")],
+}
+
+
 @pytest.mark.parametrize("args", [
     ("problems/demo.json", "--cap", "192"),
     ("tests/golden/hitt_problem.json",),
     (TRANSFER_PROBLEM,),
     pytest.param((SQUARE_THETA_PROBLEM,), marks=pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")),
+    pytest.param((COLUMN_THETA_PROBLEM,), marks=pytest.mark.skipif(
         (os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs"))])
 def test_reports_do_not_depend_on_blas_threads(args, tmp_path):
     # the print floor makes report bytes independent of the BLAS
@@ -377,6 +393,30 @@ def test_hitt_certification_uses_the_file_rank_tolerance(tmp_path, capsys):
     assert certified["kernel"] == plain["kernel"]
     assert certified["jmap"] == plain["jmap"]
     assert [s["verdict"] for s in certified["certify"]["stages"]] == ["PASS"] * 4
+
+
+def test_hitt_refuses_an_arity_past_the_cap_as_build_sigma_does(capsys):
+    assert main(["hitt", str(ROOT / "problems" / "demo.json"), "--subspace", "two_dim",
+                 "--m", "1000000"]) == 1
+    task = json.loads(capsys.readouterr().out)["tasks"][0]
+    assert task["error"] == {"type": "BudgetExceeded",
+                             "message": "cap 48 cannot host arity 1000000"}
+
+
+@pytest.mark.parametrize("mcap", [0, -1])
+def test_a_monomial_subspace_cap_is_nonnegative(tmp_path, capsys, mcap):
+    # cap 0 tracks the exponent 0 alone and gets a verdict; -1 is refused
+    data = {"workspace": {"cap": 8},
+            "subspaces": {"M": {"kind": "monomial", "generators": [2], "cap": mcap}},
+            "tasks": [{"task": "check-invariance", "subspace": "M",
+                       "operators": ["coshift:1"]}]}
+    rc = main(["run", write_problem(tmp_path, data)])
+    out = capsys.readouterr()
+    if mcap < 0:
+        assert rc == 2 and "subspaces.M.cap" in out.err and "nonnegative" in out.err
+    else:
+        check = json.loads(out.out)["tasks"][0]["checks"][0]
+        assert rc == 0 and (check["verdict"], check["tested"]) == ("PASS", 1)
 
 
 def test_problem_parsing_validation():

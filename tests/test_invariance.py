@@ -11,7 +11,7 @@ from hardyshift import (BlaschkeProduct, BudgetExceeded, DimensionMismatch, Mono
                         TaylorPoly, identity, orthonormalize, project,
                         verify_theorem_multi)
 
-from conftest import monomial, stacked
+from conftest import model_space_frame, monomial, stacked
 
 CAP = 48
 
@@ -140,11 +140,15 @@ def test_build_theta_range_column_multiple():
 
 def test_build_model_space_examples():
     theta = from_poly_grid([[[0, 0, 1]], [[0]]])  # (z^2, 0)^T
-    N = build_model_space(theta, 2, CAP)
+    N = model_space_frame(theta, 2, CAP)
     assert project(monomial(0, CAP).padded(CAP + 1), N).residual < 1e-10
     assert project(monomial(2, CAP).padded(CAP + 1), N).residual < 1e-10
     assert project(monomial(1, CAP).padded(CAP + 1), N).residual < 1e-10  # odd lift of (0, f)
     assert project(monomial(4, CAP).padded(CAP + 1), N).residual > 0.9
+    # a column keeps the complement of K_Θ instead: z^4 lies in it, 1 does not
+    Q = build_model_space(theta, 2, CAP).complement
+    assert project(monomial(4, CAP).padded(CAP + 1), Q).residual < 1e-10
+    assert project(monomial(0, CAP).padded(CAP + 1), Q).residual > 0.9
 
     assert build_model_space(identity(3), 3, CAP).dim == 0
 
@@ -336,11 +340,14 @@ def test_builders_ignore_negative_power_dust_within_tolerance(cap):
         theta = from_poly_grid([row[cols] for row in clean], -2)
         dusted = from_poly_grid([row[cols] for row in dusty], -2)
         assert dusted.min_pow == -2 and theta.min_pow == 0
-        for build in (build_theta_range, build_model_space):
-            want = build(theta, 2, cap)
-            got = build(dusted, 2, cap, analytic_tol=1e-10)
-            assert np.array_equal(got.frame_matrix(), want.frame_matrix())
-            assert (got.label, got.effective_band) == (want.label, want.effective_band)
+        want = build_theta_range(theta, 2, cap)
+        got = build_theta_range(dusted, 2, cap, analytic_tol=1e-10)
+        assert np.array_equal(got.frame_matrix(), want.frame_matrix())
+        assert (got.label, got.effective_band) == (want.label, want.effective_band)
+        want = build_model_space(theta, 2, cap)
+        got = build_model_space(dusted, 2, cap, analytic_tol=1e-10)
+        assert np.array_equal(got.complement.matrix, want.complement.matrix)
+        assert (got.label, got.n) == (want.label, want.n)
 
 
 @pytest.mark.parametrize("min_pow", [2 ** 62, 10 ** 20])
@@ -353,6 +360,7 @@ def test_builders_take_powers_of_any_size(min_pow):
     # dust at z^-min_pow only: Θ has no analytic part and acts as 0
     dust = from_poly_grid([[[1e-12]], [[0]]], -min_pow)
     zero = from_poly_grid([[[0]], [[0]]])
-    for build in (build_theta_range, build_model_space):
-        got = build(dust, 2, 16, analytic_tol=1e-10)
-        assert np.array_equal(got.frame_matrix(), build(zero, 2, 16).frame_matrix())
+    got, want = build_theta_range(dust, 2, 16, analytic_tol=1e-10), build_theta_range(zero, 2, 16)
+    assert np.array_equal(got.frame_matrix(), want.frame_matrix())
+    got, want = build_model_space(dust, 2, 16, analytic_tol=1e-10), build_model_space(zero, 2, 16)
+    assert np.array_equal(got.complement.matrix, want.complement.matrix)

@@ -4,7 +4,7 @@ import pytest
 from hardyshift import (BudgetExceeded, OperatorSpec, TaylorPoly, VectorPoly, build_sigma,
                         diag_polys, from_poly_grid, identity, is_inner, lift, matmul,
                         t_m_apply)
-from hardyshift.invariance import (build_model_space, build_theta_range,
+from hardyshift.invariance import (ComplementModel, build_model_space, build_theta_range,
                                    _check_builder_input, _last_analytic_index,
                                    range_generators)
 from hardyshift.laurent import LaurentMatrix
@@ -12,7 +12,8 @@ from hardyshift.subspaces import SpanSubspace, _null_combos, orthonormalize
 from hardyshift.tolerances import ANALYTICITY_TOL, RANK_TOL
 from hardyshift.veclift import fit_cap
 
-from conftest import allclose, matrix_action, random_columns, random_vector, stacked
+from conftest import (allclose, matrix_action, model_space_frame, random_columns,
+                      random_vector, stacked)
 
 CAP = 128
 
@@ -135,36 +136,44 @@ def theta_range_inline(theta, m, cap):
     return orthonormalize(lifted, RANK_TOL, label=label, band=m * ladder)
 
 
-def _solve_degree(theta, comp_cap):
-    """The component degree of the model-space solve: deg Θ - 1 for a
-    square inner Θ, whose K_Θ lies below deg Θ, else the cap's."""
-    if theta.rows == theta.cols and is_inner(theta, ANALYTICITY_TOL):
-        return min(comp_cap, max(theta.max_pow - 1, 0))
-    return comp_cap
+def _square_inner(theta):
+    return theta.rows == theta.cols and is_inner(theta, ANALYTICITY_TOL)
 
 
-def full_size_model_space(theta, m, cap):
-    """The lifted SVD null basis of the range generators cut to the cap's
-    component degree, for any Θ."""
-    comp_cap = (cap + 1) // m - 1
-    combos = _null_combos(np.conj(range_generators(theta, comp_cap).T),
-                          m * (comp_cap + 1), RANK_TOL)[1]
-    return fit_cap(lift(combos.T, m), m, cap)
+def _lift_inline(X, m, n_sub, cap):
+    """Coefficient j of component l of every column of X, m blocks of
+    n_sub rows, moves to index m*j + l of cap+1 rows."""
+    j, l = np.divmod(np.arange(m * n_sub), m)  # row m*j + l of the result
+    lifted = np.zeros((cap + 1, X.shape[1]), dtype=np.complex128)
+    lifted[: m * n_sub] = X[l * n_sub + j]
+    return lifted
 
 
 def model_space_inline(theta, m, cap):
-    """build_model_space with the lift written out as an index expression."""
+    """build_model_space with the lift written out as an index expression:
+    for a square inner Θ the SVD null basis below deg Θ, for any other Θ
+    the complement model of the nonzero cut range generators."""
     _check_builder_input(theta, m, ANALYTICITY_TOL, "model-space builder")
     comp_cap = (cap + 1) // m - 1
-    n_sub = _solve_degree(theta, comp_cap) + 1
+    label, n = f"T_{m}(K_Θ) at cap {cap}", m * (comp_cap + 1)
+    if not _square_inner(theta):
+        gens = range_generators(theta, comp_cap)
+        lifted = _lift_inline(gens[:, np.abs(gens).max(axis=0, initial=0) > 0], m,
+                              comp_cap + 1, cap)
+        return ComplementModel(orthonormalize(lifted, RANK_TOL), n, label)
+    n_sub = min(comp_cap, max(theta.max_pow - 1, 0)) + 1
     combos = _null_combos(np.conj(range_generators(theta, n_sub - 1).T), m * n_sub, RANK_TOL)[1]
-    label, band = f"T_{m}(K_Θ) at cap {cap}", m * comp_cap + m - 1
-    if not combos.shape[0]:
-        return SpanSubspace(np.zeros((cap + 1, 0)), cap, 1, RANK_TOL, label=label, band=band)
-    # coefficient j of component l moves to index m*j + l
-    lifted = np.zeros((cap + 1, combos.shape[0]), dtype=np.complex128)
-    lifted[: m * n_sub] = combos.reshape(-1, m, n_sub).transpose(2, 1, 0).reshape(m * n_sub, -1)
-    return SpanSubspace(lifted, cap, 1, RANK_TOL, label=label, band=band)
+    return SpanSubspace(_lift_inline(combos.T, m, n_sub, cap), cap, 1, RANK_TOL,
+                        label=label, band=n - 1)
+
+
+def _fields(model):
+    """What a model-space builder's result holds: the frame, its band and
+    label, or the complement frame, its drops, n and label."""
+    if isinstance(model, ComplementModel):
+        Q = model.complement
+        return Q.matrix, (Q.dropped, model.n, model.label)
+    return model.matrix, (model.band, model.label, model.dropped)
 
 
 def _unitary_column_theta(rng, m):
@@ -195,23 +204,30 @@ def test_builder_frames_equal_the_inline_index_maps(rng, cap):
     for theta, m in _builder_thetas(rng):
         for build, inline in ((build_theta_range, theta_range_inline),
                               (build_model_space, model_space_inline)):
-            got, want = build(theta, m, cap), inline(theta, m, cap)
-            assert np.array_equal(got.matrix, want.matrix)
-            assert (got.band, got.label, got.dropped) == (want.band, want.label, want.dropped)
+            (got, got_fields), (want, want_fields) = (_fields(build(theta, m, cap)),
+                                                      _fields(inline(theta, m, cap)))
+            assert np.array_equal(got, want)
+            assert got_fields == want_fields
 
 
 @pytest.mark.parametrize("cap", [16, 48, 97])
 def test_model_space_frame_is_the_lifted_svd_null_basis(rng, cap):
-    # K_Θ's frame is the SVD null basis of the cut range generators, lifted
-    # as it is: no Gram-Schmidt pass moves a bit, and it is orthonormal.  A
-    # square inner Θ solves below deg Θ: the same subspace, other bits.
+    # K_Θ is the lifted SVD null basis of the cut range generators (the
+    # oracle).  A square inner Θ solves below deg Θ: the same subspace, its
+    # own orthonormal frame.  Any other Θ keeps the frame Q of the cut
+    # generators instead: QQᴴ and the oracle's projector add up to the
+    # identity on the first n coordinates, and to zero past them.
     for theta, m in _builder_thetas(rng):
-        F, G = build_model_space(theta, m, cap).matrix, full_size_model_space(theta, m, cap)
-        if theta.rows == theta.cols and is_inner(theta, ANALYTICITY_TOL):
-            assert F.shape == G.shape
-            assert np.max(np.abs(F @ F.conj().T - G @ G.conj().T)) <= 1e-12
+        model, G = build_model_space(theta, m, cap), model_space_frame(theta, m, cap).matrix
+        if isinstance(model, ComplementModel):
+            F, n = model.complement.matrix, model.n
+            unit = np.diag((np.arange(cap + 1) < n).astype(float))
+            assert not _square_inner(theta) and not F[n:].any()
+            assert np.max(np.abs(F @ F.conj().T + G @ G.conj().T - unit)) <= 1e-12
         else:
-            assert np.array_equal(F, G)
+            F = model.matrix
+            assert _square_inner(theta) and F.shape == G.shape
+            assert np.max(np.abs(F @ F.conj().T - G @ G.conj().T)) <= 1e-12
         assert np.max(np.abs(F.conj().T @ F - np.eye(F.shape[1])), initial=0.0) <= 1e-14
 
 
@@ -244,7 +260,7 @@ def test_inner_model_space_solves_below_deg_theta(cap):
     assert is_inner(moved, ANALYTICITY_TOL)
     for theta, degree in cases + [(moved, degree)]:
         m = theta.rows
-        F, G = build_model_space(theta, m, cap).matrix, full_size_model_space(theta, m, cap)
+        F, G = build_model_space(theta, m, cap).matrix, model_space_frame(theta, m, cap).matrix
         assert F.shape[1] == G.shape[1] == degree
         assert not F[m * theta.max_pow:].any()
         assert np.max(np.abs(F @ F.conj().T - G @ G.conj().T)) <= 1e-12
