@@ -41,7 +41,7 @@ from .invariance import (CheckReport, OperatorSpec, PipelineReport, Stage,
 from .laurent import (LaurentMatrix, _lower_symbols, adjoint_on_circle, build_sigma,
                       is_analytic, is_inner, matmul, toeplitz_adjoint_apply)
 from .series import TaylorPoly, toeplitz_view
-from .subspaces import SpanSubspace, _cgs2, _frame_product, _null_combos, orthonormalize, project
+from .subspaces import SpanSubspace, _cgs2, _gram_gap, _null_combos, orthonormalize, project
 from .tolerances import ANALYTICITY_TOL, EXACT_TOL, MEMBERSHIP_TOL
 
 __all__ = [
@@ -305,11 +305,10 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL) -> JMapRes
     """
     E = extract_kernels(M, m)
     P, *per_vector = _peel(M.frame_matrix().T, M, E, None, tol)
-    # the frame is orthonormal, so its Gram matrix is the identity
-    gap = float(np.max(np.abs(_frame_product(P, P, True) - np.eye(M.dim)), initial=0.0))
     K = orthonormalize(P, M.rank_tol, label=f"J_{m}({M.label or 'M'})", arity=m)
     costable = check_invariance(K, OperatorSpec(1, True), tol)
-    return JMapResult(K, E, P, *per_vector, gap, costable)
+    # the frame is orthonormal, so its Gram matrix is the identity
+    return JMapResult(K, E, P, *per_vector, _gram_gap(P), costable)
 
 
 @dataclass(frozen=True, eq=False)

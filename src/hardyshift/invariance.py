@@ -20,14 +20,15 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blaschke import BlaschkeProduct, _factor_chain, toeplitz_columns
 from .errors import BudgetExceeded, DimensionMismatch, NotAnalytic, ParamOutOfRange, _is_integer
 from .laurent import (LaurentMatrix, _check_sigma_params, _last_analytic_index, _lower_symbols,
                       adjoint_on_circle, build_sigma, is_analytic, is_inner, matmul)
 from .series import shift_product, toeplitz_view
-from .subspaces import (MonomialSubspace, SpanSubspace, _frame_product, _null_combos,
-                        _null_span, frame_distance, intersect_shifted, orthonormalize)
+from .subspaces import (MonomialSubspace, SpanSubspace, _null_combos, _null_span, _residual_rows,
+                        _windows, frame_distance, intersect_shifted, orthonormalize)
 from .tolerances import ANALYTICITY_TOL, MEMBERSHIP_TOL, RANK_TOL
 from .veclift import fit_cap, lift
 
@@ -184,10 +185,9 @@ def _complement_check(M: ComplementModel, op: OperatorSpec, name: str,
     F, n, k = M.complement.matrix, M.n, min(op.power, M.n)
     Q, Z = F[:n], np.zeros((n, F.shape[1]), np.complex128)
     Z[k:] = Q[: n - k]
-    R = _frame_product(Q, _frame_product(Q, Z, True), False) - Z
     norm2 = 1.0 - np.sum(np.abs(Q) ** 2, axis=1)
     cols = np.flatnonzero(norm2 > RANK_TOL)
-    res = np.linalg.norm(R[cols], axis=1) / np.sqrt(norm2[cols])
+    res = _residual_rows(Q, Z)[cols] / np.sqrt(norm2[cols])
     bad = np.flatnonzero(~(res <= tol))
     if not bad.size:
         return CheckReport("invariance", op.describe(), name, "PASS", None, (), cols.size)
@@ -224,20 +224,25 @@ def check_invariance(M: Union[SubspaceModel, ComplementModel], op: OperatorSpec,
                 untested = (f"exponents above {top} excluded (image would exceed cap {M.cap})",)
         return _exponent_check(M, "invariance", op, name, domain, shift,
                                "z^{e} maps to z^{img} outside the set", untested)
-    X = M.frame_matrix()
+    X, limit = M.frame_matrix(), M.effective_band
     gain = 0 if op.star else min(op.order, M.cap + 1)  # a larger gain leaves no image either
-    limit = M.effective_band
     keep = np.ones(M.dim, dtype=bool)
     if gain:
-        # effective degree: the last degree whose tail mass (per component)
-        # exceeds a quarter of tol, found by counting since tail mass only
-        # falls with degree; the dust above it is clipped
-        blocks = X.reshape(M.arity, M.cap + 1, M.dim)
-        tail = np.cumsum(np.abs(blocks[:, ::-1]) ** 2, axis=1)[:, ::-1]
-        eff = np.sum(tail > (0.25 * tol) ** 2, axis=1).max(axis=0) - 1
+        # effective degree: the last degree whose tail mass (per component) exceeds tol/4,
+        # counted as it only falls, on each block's window: the zeros off it add exactly 0
+        A = X.reshape(M.arity, M.cap + 1, M.dim).transpose(1, 0, 2).reshape(M.cap + 1, -1)
+        lo, width = _windows(A)
+        W = int(width.max(initial=1))
+        lo = np.minimum(lo, M.cap + 1 - W)  # each block is read on the W rows from lo
+        win = sliding_window_view(A, W, axis=0)[lo, np.arange(A.shape[1])]
+        count = np.sum(np.cumsum((np.abs(win) ** 2)[:, ::-1], axis=1) > (0.25 * tol) ** 2, axis=1)
+        eff = np.where(count > 0, lo + count, 0).reshape(M.arity, M.dim).max(axis=0) - 1
         keep = eff + gain <= limit
-        below = np.arange(M.cap + 1)[:, None] <= eff[keep]
-        X = np.where(below, blocks[:, :, keep], 0).reshape(X.shape[0], -1)
+        kept = np.flatnonzero(np.tile(keep, M.arity))
+        win, X = win[kept], np.take(A, kept, axis=1)
+        win[np.arange(W) > (np.tile(eff, M.arity) - lo)[kept, None]] = 0  # the dust above eff
+        sliding_window_view(X, W, axis=0, writeable=True)[lo[kept], np.arange(kept.size)] = win
+        X = X.reshape(M.cap + 1, M.arity, -1).transpose(1, 0, 2).reshape(len(M.matrix), -1)
     cols = np.flatnonzero(keep)
     fail = _first_failure(M, op, X, tol)
     stop = M.dim if fail is None else int(cols[fail[0]])

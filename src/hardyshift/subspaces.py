@@ -12,8 +12,9 @@ reorthogonalization, in input order; rank drops are recorded.  A span
 stores its one read-only frame matrix, and every operation here uses it.
 
 Range frames are banded (a lifted generator Θ·z^j δ_i has at most m·(deg Θ + 1)
-nonzero coefficients), so the membership residual and the Gram test multiply through
-``_frame_product``, which skips zero row blocks of its factors when that halves the work.
+nonzero coefficients), so the membership residual and the Gram test multiply only
+the column pairs whose windows overlap (``_window_pairs``), unless that work exceeds
+the size of the right factor, and add a residual straight into each column's window.
 """
 
 from __future__ import annotations
@@ -131,62 +132,74 @@ def _cgs2(rows: np.ndarray, threshold) -> tuple:
     return np.ascontiguousarray(Q[:r].T, dtype=np.complex128), tuple(dropped), least
 
 
-_BLOCK = 64  # rows per block of ``_frame_product``
+def _windows(A: np.ndarray) -> tuple:
+    """Each column's first nonzero row and its width to its last (0 for a zero column),
+    a NaN or infinity being nonzero; A's float view is tested, a third of the cost of a
+    complex != 0, and an entry's two part tests read as one uint16."""
+    nz = (np.ascontiguousarray(A, np.complex128).view(np.float64) != 0).view(np.uint16) != 0
+    lo = nz.argmax(axis=0)
+    live = nz[lo, np.arange(A.shape[1])]
+    return lo, np.where(live, len(A) - nz[::-1].argmax(axis=0) - lo, 0)
 
 
-def _block_columns(A: np.ndarray) -> np.ndarray:
-    """Which columns of A are nonzero in each block of _BLOCK rows.  The
-    test runs on the float view of A as a contiguous complex array, a third
-    of the cost of a complex != 0; the two part tests of an entry, read as
-    one uint16, are nonzero when either is."""
-    parts = (np.ascontiguousarray(A, np.complex128).view(np.float64) != 0).view(np.uint16)
-    return np.bitwise_or.reduceat(parts, np.arange(0, len(A), _BLOCK), axis=0) != 0
+def _window_pairs(F: np.ndarray, Y: np.ndarray):
+    """Each column of F and Y lies in the W rows from its first nonzero one (moved up
+    to end by the last row), W the widest; the pairs (pi, pj) whose windows overlap are
+    multiplied on F's window rows, to G, and the rest are exact zeros.  Returns (pi, pj,
+    rows, F's entries there, G, lo_y, W), or None for the one dense product: when a factor
+    has fewer than 64 columns (a scan costs about what it saves) or pairs × W > Y.size."""
+    n, p = Y.shape
+    if min(F.shape[1], p) < 64:
+        return None
+    lo_f, w_f = _windows(F)
+    lo_y, w_y = (lo_f, w_f) if Y is F else _windows(Y)
+    W = int(max(w_f.max(), w_y.max(), 1))
+    lo_f, lo_y = np.minimum(lo_f, n - W), np.minimum(lo_y, n - W)
+    order = np.flatnonzero(w_f)[np.argsort(lo_f[w_f > 0], kind="stable")]  # live columns
+    first = np.searchsorted(lo_f[order], lo_y - W, "right")
+    count = np.where(w_y > 0, np.searchsorted(lo_f[order], lo_y + W) - first, 0)
+    if count.sum() * W > n * p:
+        return None
+    pj = np.repeat(np.arange(p), count)
+    pi = order[np.arange(pj.size) + np.repeat(first + count - np.cumsum(count), count)]
+    rows = lo_f[pi, None] + np.arange(W)
+    Fw = F[rows, pi[:, None]]
+    return pi, pj, rows, Fw, np.einsum("kw,kw->k", Fw.conj(), Y[rows, pj[:, None]]), lo_y, W
 
 
-def _scanned(n: int, rows: int, p: int) -> bool:
-    """Whether a product with n inner rows and a rows x p result is scanned for zero blocks."""
-    return n >= 2 * _BLOCK and rows * p >= _BLOCK ** 2
+def _gram_gap(X: np.ndarray) -> float:
+    """max |Xᴴ X - I|, on the window pairs of X when ``_window_pairs`` takes them."""
+    if (pairs := _window_pairs(X, X)) is None:
+        return float(np.max(np.abs(X.conj().T @ X - np.eye(X.shape[1])), initial=0.0))
+    diag = pairs[0] == pairs[1]  # a zero column pairs with nothing: its Gram entry is 0
+    return float(np.max(np.abs(pairs[4] - diag), initial=float(diag.sum() < X.shape[1])))
 
 
-def _frame_product(A: np.ndarray, B: np.ndarray, adjoint: bool, cols_a=None) -> np.ndarray:
-    """Aᴴ B when adjoint, else A B, skipping the zero row blocks of banded factors.
-
-    The rows of A (and, for Aᴴ B, of B) are cut into blocks of _BLOCK.  Each
-    block multiplies only the columns of A nonzero there and the columns of
-    B nonzero in the block (Aᴴ B) or on those columns' rows (A B), when that
-    needs at most half the dense multiply-adds.  Otherwise, and for fewer
-    than two blocks of rows or fewer than _BLOCK² output entries, this is
-    the one dense product.  A NaN or infinity counts as nonzero.  ``cols_a``
-    is A's ``_block_columns`` when the caller has it."""
-    n, p = A.shape[0], B.shape[1]
-    rows = A.shape[1] if adjoint else n
-    if not _scanned(n, rows, p):
-        return A.conj().T @ B if adjoint else A @ B
-    if cols_a is None:
-        cols_a = _block_columns(A)
-    cols_b = (cols_a if B is A else _block_columns(B)) if adjoint else None
-    work = cols_a.sum(axis=1) @ (cols_b.sum(axis=1) if adjoint else np.full(len(cols_a), p))
-    if 2 * _BLOCK * work > n * A.shape[1] * p:
-        return A.conj().T @ B if adjoint else A @ B
-    out = np.zeros((rows, p), np.result_type(A, B))
-    for k, mask in enumerate(cols_a):
-        blk, ca = slice(k * _BLOCK, (k + 1) * _BLOCK), np.flatnonzero(mask)
-        if adjoint:
-            cb = np.flatnonzero(cols_b[k])
-            out[np.ix_(ca, cb)] += A[blk, ca].conj().T @ B[blk, cb]
-        else:
-            sub = B[ca]
-            cb = np.flatnonzero(np.any(sub != 0, axis=0))
-            out[blk, cb] = A[blk, ca] @ sub[:, cb]
-    return out
+def _residual(F: np.ndarray, Y: np.ndarray) -> tuple:
+    """(Fᴴ Y, R, starts): R is F Fᴴ Y - Y, column j on rows starts[j] on, the only ones
+    that can be nonzero; each pair's F[:, i] (Fᴴ Y)[i, j] is added straight into those
+    3W - 2 rows (or n), so no n × d product is formed.  Dense, R is the whole residual."""
+    n, d, p = F.shape[0], F.shape[1], Y.shape[1]
+    if (pairs := _window_pairs(F, Y)) is None:
+        C = F.conj().T @ Y
+        return C, F @ C - Y, np.zeros(p, dtype=int)
+    pi, pj, rows, Fw, G, lo_y, W = pairs
+    C = np.zeros((d, p), np.complex128)
+    C[pi, pj] = G
+    L = min(3 * W - 2, n)
+    starts = np.clip(lo_y - W + 1, 0, n - L)
+    at, FC = ((rows - starts[pj, None]) * p + pj[:, None]).ravel(), (Fw * G[:, None]).ravel()
+    R = (np.bincount(at, FC.real, L * p) + 1j * np.bincount(at, FC.imag, L * p)).reshape(L, p)
+    wy = lo_y + np.arange(W)[:, None]
+    R[wy - starts, np.arange(p)] -= Y[wy, np.arange(p)]
+    return C, R, starts
 
 
 def _orthonormal_columns(columns: np.ndarray):
     """The columns over their norms if their Gram matrix is I within EXACT_TOL, else None."""
     with np.errstate(all="ignore"):  # a zero, non-finite, under- or overflowing norm fails
         X = columns / np.linalg.norm(columns, axis=0)
-        G = _frame_product(X, X, True) - np.eye(X.shape[1])
-        return X if np.max(np.abs(G), initial=0.0) <= EXACT_TOL else None
+        return X if _gram_gap(X) <= EXACT_TOL else None
 
 
 def orthonormalize(columns: np.ndarray, rank_tol: float = RANK_TOL, label: str = "",
@@ -242,16 +255,19 @@ class Projection(NamedTuple):
 
 
 def frame_distance(F: np.ndarray, Y: np.ndarray) -> tuple:
-    """(Fᴴ Y, distances): the coordinates of the columns of Y against the
-    orthonormal columns of F, and the norm of each column of F Fᴴ Y - Y,
-    the distance of that column from the span of F.  F's zero pattern is
-    scanned once, for both products."""
-    n, d, p = F.shape[0], F.shape[1], Y.shape[1]
-    cols = _block_columns(F) if _scanned(n, max(n, d), p) else None
-    C = _frame_product(F, Y, True, cols)
-    R = _frame_product(F, C, False, cols)
-    R -= Y
+    """(Fᴴ Y, distances): the coordinates of Y's columns against F's orthonormal
+    columns, and the norm of each column of F Fᴴ Y - Y, its distance from their span."""
+    C, R, _ = _residual(F, Y)
     return C, np.sqrt(np.sum(np.abs(R) ** 2, axis=0))
+
+
+def _residual_rows(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The norm of each row of F Fᴴ Y - Y, taken of ``_residual``'s compact residual."""
+    _, R, starts = _residual(F, Y)
+    if len(R) == len(F):
+        return np.linalg.norm(R, axis=1)
+    at = (starts + np.arange(len(R))[:, None]).ravel()
+    return np.sqrt(np.bincount(at, (np.abs(R) ** 2).ravel(), len(F)))
 
 
 def project(y: np.ndarray, M: SpanSubspace) -> Projection:

@@ -5,6 +5,7 @@ import pytest
 
 from hardyshift import invariance
 from hardyshift import (BlaschkeProduct, BudgetExceeded, DimensionMismatch, MonomialSubspace,
+                        SpanSubspace,
                         OperatorSpec, ParamOutOfRange,
                         build_model_space, build_theta_range, check_invariance,
                         check_near_invariance, diag_polys, from_poly_grid,
@@ -364,3 +365,47 @@ def test_builders_take_powers_of_any_size(min_pow):
     assert np.array_equal(got.frame_matrix(), want.frame_matrix())
     got, want = build_model_space(dust, 2, 16, analytic_tol=1e-10), build_model_space(zero, 2, 16)
     assert np.array_equal(got.complement.matrix, want.complement.matrix)
+
+
+def dense_effective_degree(M, gain, tol):
+    """The whole-frame formula of the effective degree, kept and clipped frame vectors."""
+    blocks = M.frame_matrix().reshape(M.arity, M.cap + 1, M.dim)
+    tail = np.cumsum(np.abs(blocks[:, ::-1]) ** 2, axis=1)[:, ::-1]
+    eff = np.sum(tail > (0.25 * tol) ** 2, axis=1).max(axis=0) - 1
+    keep = eff + gain <= M.effective_band
+    below = np.arange(M.cap + 1)[:, None] <= eff[keep]
+    return eff, keep, np.where(below, blocks[:, :, keep], 0).reshape(len(M.matrix), -1)
+
+
+@pytest.mark.parametrize("width", [4, None])
+@pytest.mark.parametrize("arity", [1, 2])
+def test_effective_degree_on_windows_is_the_whole_frame_formula(monkeypatch, rng, arity, width):
+    # each component block: a support of random length (at most width) anywhere,
+    # a tail of dust below tol/4, zero columns and zero blocks; one column ends
+    # on the cap, and one is dust only
+    cap, dim, tol = 60, 40, 1e-10
+    blocks = np.zeros((arity, cap + 1, dim), dtype=complex)
+    for j in range(2, dim):
+        for c in range(arity):
+            if rng.random() < 0.2:
+                continue
+            a = int(rng.integers(0, cap + 1))
+            b = cap + 1 if j == dim - 1 else int(rng.integers(a, cap + 2))
+            t = int(rng.integers(b, cap + 2))
+            if width:
+                a, b, t = max(a, t - width), max(b, t - width // 2), t
+            blocks[c, a:t, j] = rng.standard_normal(t - a) + 1j * rng.standard_normal(t - a)
+            blocks[c, b:t, j] *= 1e-12  # the dust, below tol/4
+    blocks[:, 49:52, 1] = 1e-12  # dust only, high up: no effective degree, so it is kept
+    M = SpanSubspace(blocks.reshape(arity * (cap + 1), dim), cap, arity, band=50)
+    # M is no frame, so each check is let pass: its report lists every excluded vector
+    clipped = []
+    monkeypatch.setattr(invariance, "_first_failure", lambda M, op, X, tol: clipped.append(X))
+    for gain in (1, 7):
+        eff, keep, X = dense_effective_degree(M, gain, tol)
+        assert 0 < np.count_nonzero(keep) < dim and keep[1]
+        rep = check_invariance(M, OperatorSpec(gain), tol)
+        assert clipped[-1].tobytes() == X.tobytes() and clipped[-1].shape == X.shape
+        assert clipped[-1].flags.c_contiguous  # as the whole-frame formula leaves it
+        assert rep.untested == tuple(f"frame[{i}] (support {eff[i]}) excluded: image exceeds "
+                                     f"band 50" for i in np.flatnonzero(~keep))
