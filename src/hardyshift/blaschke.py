@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -178,14 +179,13 @@ def toeplitz_apply(B: BlaschkeProduct, n: int, adjoint: bool,
 class WoldFrame:
     """Layer frame: powers of the product times the model basis, truncated.
 
-    ``matrix`` holds the layer vectors as read-only columns, layer-major:
-    column i*m + j models B^i e_j up to the cap, so the model basis is
-    ``matrix[:, :m]``.  Entries whose support lies entirely above the cap
-    are zero and skipped in diagnostics.
+    ``matrix``, built on first read, holds the layer vectors as read-only
+    columns, layer-major: column i*m + j models B^i e_j up to the cap, so
+    the model basis is ``matrix[:, :m]``.  Entries whose support lies
+    entirely above the cap are zero and skipped in diagnostics.
     """
 
     blaschke: BlaschkeProduct
-    matrix: np.ndarray
     depth: int
     cap: int
 
@@ -193,20 +193,18 @@ class WoldFrame:
     def m(self) -> int:
         return self.blaschke.degree
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _layers(self.blaschke, self.cap, self.depth)[0]
+
 
 def build_wold_frame(B: BlaschkeProduct, cap: int,
                      depth: Optional[int] = None) -> WoldFrame:
-    """Build layers 0..depth-1.  The default depth fills the cap: layers
-    stop once a lift of the covered coordinates could not fit.  A depth
-    whose last layer starts above the cap, (depth - 1)·deg B > cap,
-    raises BudgetExceeded.
-
-    The layers are built by doubling: layers s..2s-1 are B^s times layers
-    0..s-1, one Toeplitz product of the symbol of B^s, whose square is the
-    next symbol.  Coefficients up to the cap of a product depend only on
-    coefficients up to the cap of its factors, so cutting every product
-    at the cap is exact.  A cap or depth that is not an integer (a bool is
-    not one) raises ParamOutOfRange.
+    """Layers 0..depth-1.  The default depth fills the cap: layers stop
+    once a lift of the covered coordinates could not fit.  A depth whose
+    last layer starts above the cap, (depth - 1)·deg B > cap, raises
+    BudgetExceeded.  A cap or depth that is not an integer (a bool is not
+    one) raises ParamOutOfRange.
     """
     m = B.degree
     if not (_is_integer(cap) and (depth is None or _is_integer(depth))):
@@ -218,6 +216,15 @@ def build_wold_frame(B: BlaschkeProduct, cap: int,
     if (depth - 1) * m > cap:
         raise BudgetExceeded(f"depth {depth} puts layer {depth - 1} of a degree {m} "
                              f"product at degree {(depth - 1) * m} > cap {cap}")
+    return WoldFrame(B, depth, cap)
+
+
+def _layers(B: BlaschkeProduct, cap: int, depth: int) -> tuple:
+    """Layers 0..depth-1, read-only, and the symbol of B^h, h the least power of
+    two >= depth, by doubling: layers s..2s-1 are B^s times layers 0..s-1, one
+    Toeplitz product with the symbol of B^s, whose square is the next.  Cutting
+    each product at the cap is exact: its coefficients there need no more."""
+    m = B.degree
     E, p = _factor_chain(B, cap)
     matrix = np.empty((cap + 1, depth * m), dtype=np.complex128)
     matrix[:, :m] = E
@@ -227,17 +234,48 @@ def build_wold_frame(B: BlaschkeProduct, cap: int,
         t = min(s, depth - s)
         matrix[:, s * m: (s + t) * m] = toeplitz_product(b, False, matrix[:, : t * m])
         s += t
-        if s < depth:
-            b = toeplitz_product(b, False, b[:, None])[:, 0]
+        b = toeplitz_product(b, False, b[:, None])[:, 0]
     matrix.flags.writeable = False
-    return WoldFrame(B, matrix, depth, cap)
+    return matrix, b
+
+
+def _convolved(b: np.ndarray, adjoint: bool, X: np.ndarray) -> np.ndarray:
+    """``toeplitz_product`` on the cap+1 rows of X, one np.convolve per column,
+    without the (cap+1)² view that a product on a few columns would copy."""
+    n, c, out = len(b), b.conj() if adjoint else b, np.empty(X.shape, dtype=np.complex128)
+    for x, y in zip(X.reshape(n, -1).T, out.reshape(n, -1).T):
+        y[:] = np.convolve(c, x[::-1])[n - 1::-1] if adjoint else np.convolve(c, x)[:n]
+    return out
 
 
 def _layer_coords(X: np.ndarray, W: WoldFrame, tol: float) -> tuple:
-    """Layer coordinates W^H X of every column of X, with the uncovered
-    residuals.  Raises DepthExhausted at the first column whose residual
-    is not within tol (a NaN residual fails too)."""
-    C, residuals = frame_distance(W.matrix, X)
+    """W^H X and the residuals |X - W W^H X|, W not formed; DepthExhausted at
+    the first column whose residual is not within tol (or NaN).  Layer a·s + b
+    is B^(as) times layer b < s: with L the first s layers, W^H X is L^H Y_a,
+    Y_a = T_{B^(as)}* X, and W W^H X the sum of T_{B^(as)} L L^H Y_a, both by
+    doubling over the A = ⌈depth/s⌉ blocks: W's own cut products re-associated.
+    s costs least in Toeplitz products with one column (s·m, 2p(A - 1) and
+    ⌈log2 A⌉ symbols); s = depth is W itself, also when B's zeros are all 0."""
+    n, p, m, depth = W.cap + 1, X.shape[1], W.m, W.depth
+    s = min([depth] + [2 ** k for k in range((depth - 1).bit_length()) if any(W.blaschke.zeros)],
+            key=lambda h: h * m + 2 * p * (-(-depth // h) - 1) + (-(-depth // h) - 1).bit_length())
+    L, b = _layers(W.blaschke, W.cap, s)
+    if s == depth:
+        C, residuals = frame_distance(L, X)
+    else:
+        A, symbols = -(-depth // s), [b]  # symbols[k]: the symbol of B^(2^k s)
+        while 2 ** len(symbols) < A:
+            symbols.append(np.convolve(symbols[-1], symbols[-1])[:n])
+        Y, steps = np.repeat(X[:, None], A, axis=1), 2 ** np.arange(len(symbols))
+        for h, sym in zip(steps, symbols):  # Y_a for a < h are known
+            Y[:, h: 2 * h] = _convolved(sym, True, Y[:, : min(h, A - h)])
+        G = (Y.reshape(n, A * p).conj().T @ L).conj().T.reshape(s * m, A, p)  # L^H Y
+        G[(depth - (A - 1) * s) * m:, A - 1] = 0  # layers past the depth
+        C = G.transpose(1, 0, 2).reshape(A * s * m, p)[: depth * m]
+        Z = (L @ G.reshape(s * m, A * p)).reshape(n, A, p)
+        for h, sym in zip(steps, symbols):
+            Z[:, : A - h: 2 * h] += _convolved(sym, False, Z[:, h:: 2 * h])
+        residuals = np.linalg.norm(Z[:, 0] - X, axis=0)
     bad = np.flatnonzero(~(residuals <= tol))
     if bad.size:
         r = float(residuals[bad[0]])

@@ -8,8 +8,9 @@ print floor on both sides: coefficients relative to the norm of their
 element (one witness element or image, one kernel entry, one matrix
 entry), other numbers relative to 1.  Anything else, such as a changed
 key, string, bool or a length change outside a coefficient list, is a
-real difference.  Prints a count per field and exits 1 on a real
-difference.
+real difference.  Prints a count per field, each real difference with
+its |Δ| over its scale (the element norm, or 1) where it is a number,
+and the largest of those, and exits 1 on a real difference.
 """
 
 from __future__ import annotations
@@ -64,15 +65,15 @@ def compare(old, new, path="$", scale=None, changed=None, real=None):
                 if abs(x) <= FLOOR * s and abs(y) <= FLOOR * s:
                     changed[field] += 1
                 else:
-                    real.append(f"{path}[{i}]: {a} -> {b} (scale {s:.3g})")
+                    real.append((f"{path}[{i}]: {a} -> {b} (scale {s:.3g})", abs(x - y) / s))
     elif isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
-            real.append(f"{path}: keys {sorted(old)} -> {sorted(new)}")
+            real.append((f"{path}: keys {sorted(old)} -> {sorted(new)}", None))
         for k in old.keys() & new.keys():
             compare(old[k], new[k], f"{path}.{k}", scale, changed, real)
     elif isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
-            real.append(f"{path}: length {len(old)} -> {len(new)}")
+            real.append((f"{path}: length {len(old)} -> {len(new)}", None))
         for i, (a, b) in enumerate(zip(old, new)):
             compare(a, b, f"{path}[{i}]", scale, changed, real)
     elif _is_number(old) and _is_number(new):
@@ -80,9 +81,9 @@ def compare(old, new, path="$", scale=None, changed=None, real=None):
             if abs(old) <= FLOOR and abs(new) <= FLOOR:
                 changed[field] += 1
             else:
-                real.append(f"{path}: {old!r} -> {new!r}")
+                real.append((f"{path}: {old!r} -> {new!r}", abs(old - new)))
     elif type(old) is not type(new) or old != new:
-        real.append(f"{path}: {old!r} -> {new!r}")
+        real.append((f"{path}: {old!r} -> {new!r}", None))
     return changed, real
 
 
@@ -94,10 +95,12 @@ def main(argv) -> int:
     changed, real = compare(old, new)
     for field, n in sorted(changed.items()):
         print(f"within the floor on both sides: {n:5d}  {field}")
-    for line in real:
-        print(f"REAL DIFFERENCE {line}")
+    for line, rel in real:
+        print(f"REAL DIFFERENCE {line}" + ("" if rel is None else f" |Δ|/scale {rel:.3g}"))
+    rels = [rel for _, rel in real if rel is not None]
     print(f"{sum(changed.values())} values changed within the floor, "
-          f"{len(real)} real differences")
+          f"{len(real)} real differences"
+          + (f", largest |Δ|/scale {max(rels):.3g}" if rels else ""))
     return 1 if real else 0
 
 

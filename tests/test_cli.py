@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hardyshift import cli
@@ -170,6 +171,18 @@ TRANSFER_PROBLEM = {
                "n": 1, "near": near} for near in (False, True)],
 }
 
+# the same for a degree-3 product at cap 384, whose layer coordinates are
+# taken from a few layers and moved blocks, with r0 (z - 0.5)(z + 0.3 - 0.5j)(z - 0.2j)
+TRANSFER3_PROBLEM = {
+    **TRANSFER_PROBLEM,
+    "objects": {
+        "polys": {**TRANSFER_PROBLEM["objects"]["polys"],
+                  "br0": [[round(c.real, 12), round(c.imag, 12)] for c in np.convolve(
+                      [1, 0.5, -0.25j, 0.3], np.poly([0.5, -0.3 + 0.5j, 0.2j])[::-1])]},
+        "blaschke": {"B": {"lambda": [0.6, 0.8], "zeros": [[0.5, 0], [-0.3, 0.5], [0, 0.2]]}},
+    },
+}
+
 # verify-theta on U·diag(1, z²)·V at cap 192, a FAIL whose model-space
 # witness was one vector of a 2-dimensional null space that the BLAS
 # thread count rotated
@@ -213,7 +226,8 @@ COLUMN_THETA_PROBLEM = {
     pytest.param((COLUMN_THETA_PROBLEM,), marks=pytest.mark.skipif(
         (os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")),
     # the three 385 × 381 range checks of diag(1, z, z) multiply at column windows
-    ("problems/demo.json", "--cap", "384")])
+    ("problems/demo.json", "--cap", "384"),
+    (TRANSFER3_PROBLEM,)])
 def test_reports_do_not_depend_on_blas_threads(args, tmp_path):
     # the print floor makes report bytes independent of the BLAS
     # reduction order, which changes with the thread count
