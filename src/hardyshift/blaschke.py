@@ -161,7 +161,8 @@ def toeplitz_columns(B: BlaschkeProduct, n: int, adjoint: bool,
     coefficients), and ``tail_bound`` bounds each single discarded
     coefficient of the expansion of the product, not the discarded mass.
     Either way the operator is ``series.toeplitz_view`` of the symbol's
-    coefficients, or its conjugate transpose, which never needs extra budget.
+    coefficients, or its conjugate transpose, which never needs extra budget,
+    by FFT for long expansions and columns (about log2(N)·EPS·|b|·|x| off).
     """
     if not adjoint and all(z == 0 for z in B.zeros):
         return B.lam ** n * shift_product(n * B.degree, False, X)
@@ -239,15 +240,6 @@ def _layers(B: BlaschkeProduct, cap: int, depth: int) -> tuple:
     return matrix, b
 
 
-def _convolved(b: np.ndarray, adjoint: bool, X: np.ndarray) -> np.ndarray:
-    """``toeplitz_product`` on the cap+1 rows of X, one np.convolve per column,
-    without the (cap+1)² view that a product on a few columns would copy."""
-    n, c, out = len(b), b.conj() if adjoint else b, np.empty(X.shape, dtype=np.complex128)
-    for x, y in zip(X.reshape(n, -1).T, out.reshape(n, -1).T):
-        y[:] = np.convolve(c, x[::-1])[n - 1::-1] if adjoint else np.convolve(c, x)[:n]
-    return out
-
-
 def _layer_coords(X: np.ndarray, W: WoldFrame, tol: float) -> tuple:
     """W^H X and the residuals |X - W W^H X|, W not formed; DepthExhausted at
     the first column whose residual is not within tol (or NaN).  Layer a·s + b
@@ -265,16 +257,18 @@ def _layer_coords(X: np.ndarray, W: WoldFrame, tol: float) -> tuple:
     else:
         A, symbols = -(-depth // s), [b]  # symbols[k]: the symbol of B^(2^k s)
         while 2 ** len(symbols) < A:
-            symbols.append(np.convolve(symbols[-1], symbols[-1])[:n])
+            symbols.append(toeplitz_product(symbols[-1], False, symbols[-1][:, None])[:, 0])
         Y, steps = np.repeat(X[:, None], A, axis=1), 2 ** np.arange(len(symbols))
         for h, sym in zip(steps, symbols):  # Y_a for a < h are known
-            Y[:, h: 2 * h] = _convolved(sym, True, Y[:, : min(h, A - h)])
+            k = min(h, A - h)
+            Y[:, h: h + k] = toeplitz_product(sym, True, Y[:, :k].reshape(n, -1)).reshape(n, k, p)
         G = (Y.reshape(n, A * p).conj().T @ L).conj().T.reshape(s * m, A, p)  # L^H Y
         G[(depth - (A - 1) * s) * m:, A - 1] = 0  # layers past the depth
         C = G.transpose(1, 0, 2).reshape(A * s * m, p)[: depth * m]
         Z = (L @ G.reshape(s * m, A * p)).reshape(n, A, p)
         for h, sym in zip(steps, symbols):
-            Z[:, : A - h: 2 * h] += _convolved(sym, False, Z[:, h:: 2 * h])
+            V = Z[:, h:: 2 * h]
+            Z[:, : A - h: 2 * h] += toeplitz_product(sym, False, V.reshape(n, -1)).reshape(V.shape)
         residuals = np.linalg.norm(Z[:, 0] - X, axis=0)
     bad = np.flatnonzero(~(residuals <= tol))
     if bad.size:

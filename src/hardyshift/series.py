@@ -7,9 +7,10 @@ raises :class:`~hardyshift.errors.BudgetExceeded` instead of silently
 dropping the tail, because dropped tails would corrupt invariance
 verdicts downstream; the shift kernel ``shift_product`` keeps that rule.
 The one Toeplitz kernel (``toeplitz_view``, ``toeplitz_product``) is the
-documented exception: it cuts a product at the cap, which leaves every
-kept coefficient exact, and callers that must not lose mass check
-degrees first.
+documented exception: it cuts a product at the cap, which leaves every kept
+coefficient exact up to rounding (by the view, or by zero-padded FFT once the
+symbol window and the columns reach ``_FFT_WINDOW``, about log2(N)·EPS·|b|·|x|
+off per entry), and callers that must not lose mass check degrees first.
 
 Everything here is a pure function over immutable values.
 """
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 Scalar = Union[int, float, complex]
+_FFT_WINDOW = 128  # the size of square products from which the FFT beats the view
 
 
 def _numbers(values) -> np.ndarray:
@@ -183,12 +185,31 @@ def toeplitz_view(b: np.ndarray, adjoint: bool) -> np.ndarray:
     return w[::-1] if adjoint else w[:, ::-1]
 
 
+def _fft_length(size: int) -> int:
+    """A 2·3·5-smooth length >= size: the least m·2^e over small odd m."""
+    return min(m << (-(-size // m) - 1).bit_length() for m in (1, 3, 5, 9, 15, 25, 27, 45, 75, 81))
+
+
 def toeplitz_product(b: np.ndarray, adjoint: bool, X: np.ndarray) -> np.ndarray:
     """``toeplitz_view(b, adjoint)`` times X, cut to the cap+1 rows of X:
-    multiplication by the symbol, or its adjoint, on every column of X."""
+    multiplication by the symbol, or its adjoint, on every column of X.  When
+    the symbol's window (first to last nonzero) and X's rows (to the last
+    nonzero) both reach ``_FFT_WINDOW``, by zero-padded FFT, 4 columns at a
+    time (nothing wraps around; the adjoint by the conjugate transform), each
+    entry off by about log2(N)·EPS·|b|·|x|; otherwise by the view, bit for bit."""
     nz = np.flatnonzero(X.any(axis=1))
     d = int(nz[-1]) + 1 if nz.size else 0  # the rows of X from d on are zero
-    return toeplitz_view(b, adjoint)[:, :d] @ X[:d]
+    sym = np.flatnonzero(b)
+    if not sym.size or min(sym[-1] - sym[0] + 1, d) < _FFT_WINDOW:
+        return toeplitz_view(b, adjoint)[:, :d] @ X[:d]
+    w = int(sym[-1]) + 1  # the coefficients of b from w on are zero
+    N, k = _fft_length(w + d - 1), d if adjoint else min(b.size, w + d - 1)  # rows past k are 0
+    f = np.fft.fft(b[:w], N)[:, None]
+    out = np.zeros((b.size, X.shape[1]), dtype=np.complex128)
+    for c in range(0, X.shape[1], 4):  # chunks bound the transform buffers
+        y = np.fft.fft(X[:d, c: c + 4], N, axis=0) * (f.conj() if adjoint else f)
+        out[:k, c: c + 4] = np.fft.ifft(y, axis=0)[:k]
+    return out
 
 
 def shift_product(k: int, adjoint: bool, X: np.ndarray, arity: int = 1) -> np.ndarray:

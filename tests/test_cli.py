@@ -183,6 +183,19 @@ TRANSFER3_PROBLEM = {
     },
 }
 
+# check-invariance at cap 384 of a span with a long member, the reproducing
+# kernel at 0.9, under the degree-2 product: a FAIL under both operators
+# whose witness images are FFT products
+INVARIANCE_FFT_PROBLEM = {
+    **TRANSFER_PROBLEM,
+    "objects": {**TRANSFER_PROBLEM["objects"],
+                "polys": {**TRANSFER_PROBLEM["objects"]["polys"],
+                          "k": [[0.9 ** j, 0] for j in range(385)]}},
+    "subspaces": {"M": {"kind": "span", "generators": ["r0", "k", "r1"]}},
+    "tasks": [{"task": "check-invariance", "subspace": "M",
+               "operators": ["toeplitz:B:1", "toeplitz_adjoint:B:1"]}],
+}
+
 # verify-theta on U·diag(1, z²)·V at cap 192, a FAIL whose model-space
 # witness was one vector of a 2-dimensional null space that the BLAS
 # thread count rotated
@@ -227,7 +240,8 @@ COLUMN_THETA_PROBLEM = {
         (os.cpu_count() or 1) < 2, reason="two BLAS threads need two CPUs")),
     # the three 385 × 381 range checks of diag(1, z, z) multiply at column windows
     ("problems/demo.json", "--cap", "384"),
-    (TRANSFER3_PROBLEM,)])
+    (TRANSFER3_PROBLEM,),
+    (INVARIANCE_FFT_PROBLEM,)])
 def test_reports_do_not_depend_on_blas_threads(args, tmp_path):
     # the print floor makes report bytes independent of the BLAS
     # reduction order, which changes with the thread count
