@@ -112,8 +112,11 @@ def _factor_chain(B: BlaschkeProduct, cap: int) -> tuple:
     p = np.zeros(cap + 1, dtype=np.complex128)
     p[0] = 1.0
     for k, a in enumerate(B.zeros):
-        g = p if a == 0 else np.convolve(  # at a = 0 the geometric symbol is 1
-            p, np.cumprod(np.r_[1.0, np.full(cap, a.conjugate())]))[: cap + 1]
+        geometric = np.cumprod(np.r_[1.0, np.full(cap, a.conjugate())])
+        # at a = 0 the symbol is 1; while every earlier zero is 0, p is z^k and moves it
+        # k rows down (adding 0.0 signs a zero part as the convolution's sums do)
+        g = (p if a == 0 else np.convolve(p, geometric)[: cap + 1] if any(B.zeros[:k])
+             else np.r_[np.zeros(k), geometric[: cap + 1 - k]] + 0.0)
         E[:, k] = math.sqrt(1.0 - abs(a) ** 2) * g
         p = np.r_[0.0, g[:-1]] - a * g
     return E, p

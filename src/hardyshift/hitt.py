@@ -308,7 +308,7 @@ def build_j_map(M: SpanSubspace, m: int, tol: float = MEMBERSHIP_TOL) -> JMapRes
     K = orthonormalize(P, M.rank_tol, label=f"J_{m}({M.label or 'M'})", arity=m)
     costable = check_invariance(K, OperatorSpec(1, True), tol)
     # the frame is orthonormal, so its Gram matrix is the identity
-    return JMapResult(K, E, P, *per_vector, _gram_gap(P), costable)
+    return JMapResult(K, E, P, *per_vector, _gram_gap(P)[0], costable)
 
 
 @dataclass(frozen=True, eq=False)

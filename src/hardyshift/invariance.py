@@ -152,16 +152,16 @@ def _exponent_check(M: MonomialSubspace, check: str, op: OperatorSpec, name: str
 
 
 def _first_failure(M: SpanSubspace, op: OperatorSpec, X: np.ndarray,
-                   tol: float) -> Optional[tuple]:
-    """Apply op to the columns of X once and test all images for
-    membership in M in one residual computation ||Y - F F^H Y||.
+                   tol: float, windows=None) -> Optional[tuple]:
+    """Apply op to the columns of X once and test all images for membership in M
+    in one residual computation ||Y - F F^H Y||, on M's and the images' windows.
 
     Returns (index, image, residual) of the first failing column, or None.
     """
     if not X.shape[1]:
         return None
     Y = op.apply(X, M.arity)
-    res = frame_distance(M.frame_matrix(), Y)[1]
+    res = frame_distance(M.frame_matrix(), Y, M.windows, windows)[1]
     bad = np.flatnonzero(~(res <= tol))
     if not bad.size:
         return None
@@ -185,9 +185,16 @@ def _complement_check(M: ComplementModel, op: OperatorSpec, name: str,
     F, n, k = M.complement.matrix, M.n, min(op.power, M.n)
     Q, Z = F[:n], np.zeros((n, F.shape[1]), np.complex128)
     Z[k:] = Q[: n - k]
+
+    def moved():  # the windows of Z: each of Q's k rows down, scanned where that is cut at n
+        lo, width = M.complement.windows()
+        lo, width = np.where(width > 0, lo + k, 0), width.copy()
+        if (cut := np.flatnonzero(lo + width > n)).size:
+            lo[cut], width[cut] = _windows(Z[:, cut])
+        return lo, width
     norm2 = 1.0 - np.sum(np.abs(Q) ** 2, axis=1)
     cols = np.flatnonzero(norm2 > RANK_TOL)
-    res = _residual_rows(Q, Z)[cols] / np.sqrt(norm2[cols])
+    res = _residual_rows(Q, Z, M.complement.windows, moved)[cols] / np.sqrt(norm2[cols])
     bad = np.flatnonzero(~(res <= tol))
     if not bad.size:
         return CheckReport("invariance", op.describe(), name, "PASS", None, (), cols.size)
@@ -226,14 +233,14 @@ def check_invariance(M: Union[SubspaceModel, ComplementModel], op: OperatorSpec,
                                "z^{e} maps to z^{img} outside the set", untested)
     X, limit = M.frame_matrix(), M.effective_band
     gain = 0 if op.star else min(op.order, M.cap + 1)  # a larger gain leaves no image either
-    keep = np.ones(M.dim, dtype=bool)
+    keep, moved = np.ones(M.dim, dtype=bool), None
     if gain:
         # effective degree: the last degree whose tail mass (per component) exceeds tol/4,
         # counted as it only falls, on each block's window: the zeros off it add exactly 0
         A = X.reshape(M.arity, M.cap + 1, M.dim).transpose(1, 0, 2).reshape(M.cap + 1, -1)
-        lo, width = _windows(A)
+        first, width = M.windows() if M.arity == 1 else _windows(A)
         W = int(width.max(initial=1))
-        lo = np.minimum(lo, M.cap + 1 - W)  # each block is read on the W rows from lo
+        lo = np.minimum(first, M.cap + 1 - W)  # each block is read on the W rows from lo
         win = sliding_window_view(A, W, axis=0)[lo, np.arange(A.shape[1])]
         count = np.sum(np.cumsum((np.abs(win) ** 2)[:, ::-1], axis=1) > (0.25 * tol) ** 2, axis=1)
         eff = np.where(count > 0, lo + count, 0).reshape(M.arity, M.dim).max(axis=0) - 1
@@ -243,8 +250,12 @@ def check_invariance(M: Union[SubspaceModel, ComplementModel], op: OperatorSpec,
         win[np.arange(W) > (np.tile(eff, M.arity) - lo)[kept, None]] = 0  # the dust above eff
         sliding_window_view(X, W, axis=0, writeable=True)[lo[kept], np.arange(kept.size)] = win
         X = X.reshape(M.cap + 1, M.arity, -1).transpose(1, 0, 2).reshape(len(M.matrix), -1)
+        if M.arity == 1 and op.blaschke is None:
+            # a kept column is nonzero from its first row to eff, or zero; S^gain moves it uncut
+            e, a = eff[keep], first[keep]
+            moved = lambda: (np.where(e >= 0, a + gain, 0), np.where(e >= 0, e - a + 1, 0))
     cols = np.flatnonzero(keep)
-    fail = _first_failure(M, op, X, tol)
+    fail = _first_failure(M, op, X, tol, moved)
     stop = M.dim if fail is None else int(cols[fail[0]])
     untested = tuple(
         f"frame[{i}] (support {eff[i]}) excluded: image exceeds band {limit}"

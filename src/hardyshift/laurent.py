@@ -55,12 +55,9 @@ class LaurentMatrix:
         tab = _numbers(self.table)
         if tab.shape[:2] != (self.rows, self.cols) or tab.ndim != 3:
             raise DimensionMismatch("table shape does not match declared rows/cols")
-        # Trim all-zero slices at both band ends so min_pow/max_pow are tight.
-        lo, hi = 0, tab.shape[2]
-        while hi - lo > 1 and not np.any(tab[:, :, lo]):
-            lo += 1
-        while hi - lo > 1 and not np.any(tab[:, :, hi - 1]):
-            hi -= 1
+        # Trim all-zero slices at both band ends (an all-zero table keeps its last one).
+        live = np.flatnonzero(np.any(tab, axis=(0, 1)))
+        lo, hi = (int(live[0]), live[-1] + 1) if live.size else (max(tab.shape[2] - 1, 0), None)
         tab = tab[:, :, lo:hi].copy()
         tab.flags.writeable = False
         object.__setattr__(self, "table", tab)
@@ -155,18 +152,12 @@ def matmul(A: LaurentMatrix, B: LaurentMatrix) -> LaurentMatrix:
         raise DimensionMismatch(
             f"inner dimensions differ: {A.rows}x{A.cols} times {B.rows}x{B.cols}"
         )
-    wa, wb = A.table.shape[2], B.table.shape[2]
-    width = wa + wb - 1
+    width = A.table.shape[2] + B.table.shape[2] - 1
     tab = np.zeros((A.rows, B.cols, width), dtype=np.complex128)
-    for i in range(A.rows):
-        for j in range(B.cols):
-            acc = np.zeros(width, dtype=np.complex128)
-            for t in range(A.cols):
-                a = A.table[i, t]
-                b = B.table[t, j]
-                if np.any(a) and np.any(b):
-                    acc += np.convolve(a, b)
-            tab[i, j] = acc
+    # the nonzero terms A[i, t] B[t, j], each (i, j) summed in t order
+    live = np.any(A.table, axis=2)[:, :, None] & np.any(B.table, axis=2)
+    for i, t, j in zip(*np.nonzero(live)):
+        tab[i, j] += np.convolve(A.table[i, t], B.table[t, j])
     return LaurentMatrix(A.rows, B.cols, A.min_pow + B.min_pow, tab)
 
 

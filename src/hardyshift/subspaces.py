@@ -15,11 +15,15 @@ Range frames are banded (a lifted generator Θ·z^j δ_i has at most m·(deg Θ 
 nonzero coefficients), so the membership residual and the Gram test multiply only
 the column pairs whose windows overlap (``_window_pairs``), unless that work exceeds
 the size of the right factor, and add a residual straight into each column's window.
+A span's windows come from one scan of its frame, made on first use or taken over
+from ``orthonormalize``'s Gram test; a product is handed the windows of each factor
+its caller knows (a span's, or a shift image's moved from them) and scans the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -56,6 +60,9 @@ class SpanSubspace:
     an exact finite-dimensional space, a value below the cap for truncated
     models of infinite-dimensional spaces (the builders set it).  Checkers
     must not draw verdicts from images above the band.
+
+    ``windows()`` gives the frame's ``_windows``, scanned on the first call only;
+    a ``replace`` keeps it, so one that changes the matrix passes ``windows=None``.
     """
 
     matrix: np.ndarray
@@ -66,6 +73,7 @@ class SpanSubspace:
     dropped: tuple = ()
     label: str = ""
     band: object = None
+    windows: object = None
 
     def __post_init__(self) -> None:
         if not (_is_integer(self.arity) and _is_integer(self.cap)):
@@ -78,6 +86,7 @@ class SpanSubspace:
             raise ParamOutOfRange("frame matrix has non-finite coefficients")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "windows", self.windows or cache(partial(_windows, mat)))
 
     @property
     def dim(self) -> int:
@@ -138,21 +147,23 @@ def _windows(A: np.ndarray) -> tuple:
     complex != 0, and an entry's two part tests read as one uint16."""
     nz = (np.ascontiguousarray(A, np.complex128).view(np.float64) != 0).view(np.uint16) != 0
     lo = nz.argmax(axis=0)
-    live = nz[lo, np.arange(A.shape[1])]
-    return lo, np.where(live, len(A) - nz[::-1].argmax(axis=0) - lo, 0)
+    width = np.where(nz[lo, np.arange(A.shape[1])], len(A) - nz[::-1].argmax(axis=0) - lo, 0)
+    lo.flags.writeable = width.flags.writeable = False  # a span hands them to every product
+    return lo, width
 
 
-def _window_pairs(F: np.ndarray, Y: np.ndarray):
+def _window_pairs(F: np.ndarray, Y: np.ndarray, win_f=None, win_y=None):
     """Each column of F and Y lies in the W rows from its first nonzero one (moved up
     to end by the last row), W the widest; the pairs (pi, pj) whose windows overlap are
     multiplied on F's window rows, to G, and the rest are exact zeros.  Returns (pi, pj,
     rows, F's entries there, G, lo_y, W), or None for the one dense product: when a factor
-    has fewer than 64 columns (a scan costs about what it saves) or pairs × W > Y.size."""
+    has fewer than 64 columns (a scan costs about what it saves) or pairs × W > Y.size.
+    win_f and win_y, when given, are functions that give ``_windows`` of F and of Y."""
     n, p = Y.shape
     if min(F.shape[1], p) < 64:
         return None
-    lo_f, w_f = _windows(F)
-    lo_y, w_y = (lo_f, w_f) if Y is F else _windows(Y)
+    lo_f, w_f = win_f() if win_f else _windows(F)
+    lo_y, w_y = (lo_f, w_f) if Y is F else win_y() if win_y else _windows(Y)
     W = int(max(w_f.max(), w_y.max(), 1))
     lo_f, lo_y = np.minimum(lo_f, n - W), np.minimum(lo_y, n - W)
     order = np.flatnonzero(w_f)[np.argsort(lo_f[w_f > 0], kind="stable")]  # live columns
@@ -167,20 +178,26 @@ def _window_pairs(F: np.ndarray, Y: np.ndarray):
     return pi, pj, rows, Fw, np.einsum("kw,kw->k", Fw.conj(), Y[rows, pj[:, None]]), lo_y, W
 
 
-def _gram_gap(X: np.ndarray) -> float:
-    """max |Xᴴ X - I|, on the window pairs of X when ``_window_pairs`` takes them."""
-    if (pairs := _window_pairs(X, X)) is None:
-        return float(np.max(np.abs(X.conj().T @ X - np.eye(X.shape[1])), initial=0.0))
-    diag = pairs[0] == pairs[1]  # a zero column pairs with nothing: its Gram entry is 0
-    return float(np.max(np.abs(pairs[4] - diag), initial=float(diag.sum() < X.shape[1])))
+def _gram_gap(X: np.ndarray, windows=None) -> tuple:
+    """(max |Xᴴ X - I|, the largest row sum of |Xᴴ X - I|, which bounds its norm), on
+    the window pairs of X when ``_window_pairs`` takes them."""
+    d = X.shape[1]
+    if (pairs := _window_pairs(X, X, windows)) is None:
+        D = np.abs(X.conj().T @ X - np.eye(d))
+        return float(np.max(D, initial=0.0)), float(np.max(np.sum(D, axis=1), initial=0.0))
+    pi, diag = pairs[0], pairs[0] == pairs[1]
+    D = np.abs(pairs[4] - diag)
+    zero = np.bincount(pi[diag], minlength=d) == 0  # a zero column pairs with nothing: 1 off I
+    return (float(np.max(D, initial=float(zero.any()))),
+            float(np.max(np.bincount(pi, D, d) + zero, initial=0.0)))
 
 
-def _residual(F: np.ndarray, Y: np.ndarray) -> tuple:
+def _residual(F: np.ndarray, Y: np.ndarray, win_f=None, win_y=None) -> tuple:
     """(Fᴴ Y, R, starts): R is F Fᴴ Y - Y, column j on rows starts[j] on, the only ones
     that can be nonzero; each pair's F[:, i] (Fᴴ Y)[i, j] is added straight into those
     3W - 2 rows (or n), so no n × d product is formed.  Dense, R is the whole residual."""
     n, d, p = F.shape[0], F.shape[1], Y.shape[1]
-    if (pairs := _window_pairs(F, Y)) is None:
+    if (pairs := _window_pairs(F, Y, win_f, win_y)) is None:
         C = F.conj().T @ Y
         return C, F @ C - Y, np.zeros(p, dtype=int)
     pi, pj, rows, Fw, G, lo_y, W = pairs
@@ -196,16 +213,19 @@ def _residual(F: np.ndarray, Y: np.ndarray) -> tuple:
 
 
 def _orthonormal_columns(columns: np.ndarray):
-    """The columns over their norms if their Gram matrix is I within EXACT_TOL, else None."""
+    """(X, windows): the columns over their norms, X, if the row sums of |Xᴴ X - I| are
+    below EXACT_TOL, with the function that gives X's windows, scanned once; else None."""
     with np.errstate(all="ignore"):  # a zero, non-finite, under- or overflowing norm fails
         X = columns / np.linalg.norm(columns, axis=0)
-        return X if _gram_gap(X) <= EXACT_TOL else None
+        windows = cache(partial(_windows, X))
+        return (X, windows) if _gram_gap(X, windows)[1] < EXACT_TOL else None
 
 
 def orthonormalize(columns: np.ndarray, rank_tol: float = RANK_TOL, label: str = "",
                    band=None, arity: int = 1) -> SpanSubspace:
     """Orthonormal frame of the generators, in input order: the generators
-    over their norms when their Gram matrix is I within EXACT_TOL, else ``_cgs2``'s.
+    over their norms when their Gram matrix is I within EXACT_TOL (each row sum of
+    its defect is below it), else ``_cgs2``'s.
 
     The generators are the columns, each arity stacked component blocks of
     cap+1 coefficients, and are the span's generators.  No columns give the
@@ -231,7 +251,7 @@ def orthonormalize(columns: np.ndarray, rank_tol: float = RANK_TOL, label: str =
         raise ParamOutOfRange(f"arity must be an integer, got {arity!r}")
     if arity < 1 or columns.shape[0] % arity:
         raise ParamOutOfRange(f"{columns.shape[0]} rows do not stack {arity} component blocks")
-    frame, dropped = _orthonormal_columns(columns), ()
+    (frame, windows), dropped = _orthonormal_columns(columns) or (None, None), ()
     if frame is None:
         rows = np.array(columns.T, dtype=np.complex128, order="C")
         if not np.all(np.isfinite(rows)):
@@ -245,7 +265,8 @@ def orthonormalize(columns: np.ndarray, rank_tol: float = RANK_TOL, label: str =
         frame, dropped, r = _cgs2(rows, drop * np.linalg.norm(rows, axis=1))
         rank_tol = max(rank_tol, EPS / r)
     cap = columns.shape[0] // arity - 1
-    return SpanSubspace(frame, cap, arity, rank_tol, tuple(columns.T), dropped, label, band)
+    return SpanSubspace(frame, cap, arity, rank_tol, tuple(columns.T), dropped, label, band,
+                        windows)
 
 
 class Projection(NamedTuple):
@@ -254,16 +275,17 @@ class Projection(NamedTuple):
     coords: np.ndarray
 
 
-def frame_distance(F: np.ndarray, Y: np.ndarray) -> tuple:
+def frame_distance(F: np.ndarray, Y: np.ndarray, win_f=None, win_y=None) -> tuple:
     """(Fᴴ Y, distances): the coordinates of Y's columns against F's orthonormal
-    columns, and the norm of each column of F Fᴴ Y - Y, its distance from their span."""
-    C, R, _ = _residual(F, Y)
+    columns, and the norm of each column of F Fᴴ Y - Y, its distance from their span;
+    win_f and win_y give the windows of F and Y as in ``_window_pairs``."""
+    C, R, _ = _residual(F, Y, win_f, win_y)
     return C, np.sqrt(np.sum(np.abs(R) ** 2, axis=0))
 
 
-def _residual_rows(F: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _residual_rows(F: np.ndarray, Y: np.ndarray, win_f=None, win_y=None) -> np.ndarray:
     """The norm of each row of F Fᴴ Y - Y, taken of ``_residual``'s compact residual."""
-    _, R, starts = _residual(F, Y)
+    _, R, starts = _residual(F, Y, win_f, win_y)
     if len(R) == len(F):
         return np.linalg.norm(R, axis=1)
     at = (starts + np.arange(len(R))[:, None]).ravel()
@@ -331,7 +353,7 @@ def ortho_complement_within(M: SpanSubspace, N: SpanSubspace) -> SpanSubspace:
         raise ValueError("subspaces must share arity and cap")
     label = f"{M.label or 'M'} ⊖ {N.label or 'N'}"
     fn = N.frame_matrix()
-    coords, outside = frame_distance(M.frame_matrix(), fn)
+    coords, outside = frame_distance(M.frame_matrix(), fn, M.windows, N.windows)
     limit = M.rank_tol * np.maximum(1.0, np.linalg.norm(fn, axis=0))
     bad = np.flatnonzero(~(outside <= limit))
     if bad.size:

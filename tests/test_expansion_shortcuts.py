@@ -52,6 +52,17 @@ def test_shortcuts_leave_every_value_unchanged(cap, zeros):
         assert np.array_equal(power_expansion(B, n, cap), full_power(B, n, cap))
 
 
+@pytest.mark.parametrize("zeros", [[0.3j], [-0.3], [0, 0.3j, 0.2], [0, 0, -0.5], [0, -0.4j],
+                                   [1e-170 - 1e-170j], [-0.0 + 0.4j, 0]])
+def test_the_monomial_shortcut_keeps_the_sign_of_every_zero_part(zeros):
+    # a real or imaginary zero gives coefficients with a zero part, whose sign the
+    # convolution's sums set; the bytes are the full loop's
+    B = BlaschkeProduct(1.0, zeros)
+    for cap in (4, 24, 96):
+        (E, p), (got_E, got_p) = full_factor_chain(B, cap), _factor_chain(B, cap)
+        assert got_E.tobytes() == E.tobytes() and got_p.tobytes() == p.tobytes()
+
+
 def test_a_monomial_power_past_the_cap_is_zero_at_once():
     # the full loop would take 10^20 convolutions
     B = BlaschkeProduct(1.0, [0, 0])

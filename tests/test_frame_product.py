@@ -152,12 +152,14 @@ def test_stacked_frames_agree_with_the_dense_formula(rng, arity, kind):
 @pytest.mark.parametrize("n", [1, 64, 129, 385])
 def test_gram_test_agrees_with_the_dense_formula(rng, kind, n):
     X = KINDS[kind](rng, n, min(n, 120))
-    gap0 = np.max(np.abs(X.conj().T @ X - np.eye(X.shape[1])), initial=0.0)
+    D = np.abs(X.conj().T @ X - np.eye(X.shape[1]))
+    gap0, bound0 = np.max(D, initial=0.0), np.max(np.sum(D, axis=1), initial=0.0)
     if takes_windows(X, X):
-        assert abs(_gram_gap(X) - gap0) <= 1e-14
+        gap, bound = _gram_gap(X)
+        assert abs(gap - gap0) <= 1e-14 and abs(bound - bound0) <= 1e-14 * max(bound0, 1)
     else:
-        assert _gram_gap(X) == gap0
-    assert (_orthonormal_columns(X) is not None) == (gap0 <= subspaces.EXACT_TOL)
+        assert _gram_gap(X) == (gap0, bound0)
+    assert (_orthonormal_columns(X) is not None) == (bound0 < subspaces.EXACT_TOL)
 
 
 def test_orthogonal_banded_generators_pass_the_gram_test_on_the_window_path():
@@ -165,8 +167,8 @@ def test_orthogonal_banded_generators_pass_the_gram_test_on_the_window_path():
     X[2 * np.arange(190), np.arange(190)] = 1j
     X[2 * np.arange(190) + 1, np.arange(190)] = -2.0
     assert takes_windows(X, X)
-    frame = _orthonormal_columns(X)
-    assert frame is not None and np.array_equal(frame, X / np.sqrt(5))
+    frame, windows = _orthonormal_columns(X)
+    assert np.array_equal(frame, X / np.sqrt(5))
 
 
 def test_the_range_frame_of_diag_1_z_z_takes_the_window_path():
@@ -177,7 +179,7 @@ def test_the_range_frame_of_diag_1_z_z_takes_the_window_path():
     assert takes_windows(F, Y) and _window_pairs(F, Y) is not None
     assert_agrees(F, Y)
     assert_rows_agree(F, Y)
-    assert _window_pairs(F, F) is not None and _gram_gap(F) == 0.0
+    assert _window_pairs(F, F) is not None and _gram_gap(F) == (0.0, 0.0)
 
 
 def test_tiny_products_are_not_scanned(monkeypatch, rng):
@@ -192,7 +194,7 @@ def test_tiny_products_are_not_scanned(monkeypatch, rng):
         C0, res0 = dense_distance(F, Y)
         assert np.array_equal(C, C0) and np.array_equal(res, res0)
     X = banded(rng, 385, 63)
-    assert _gram_gap(X) == np.max(np.abs(X.conj().T @ X - np.eye(63)))
+    assert _gram_gap(X)[0] == np.max(np.abs(X.conj().T @ X - np.eye(63)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
@@ -232,7 +234,7 @@ def test_a_non_finite_entry_counts_as_nonzero(rng, bad):
     X[100, meets[0]] = bad
     assert takes_windows(X, X)
     with np.errstate(invalid="ignore"):
-        assert np.isnan(_gram_gap(X))
+        assert np.all(np.isnan(_gram_gap(X)))
         assert _orthonormal_columns(X) is None
 
 
@@ -247,7 +249,7 @@ def test_a_zero_column_pairs_with_nothing(rng):
     C, res = frame_distance(F, Y)
     assert not np.any(C[5]) and not np.any(C[:, 9]) and res[9] == 0.0
     assert takes_windows(F, F)
-    assert _gram_gap(F) == np.max(np.abs(F.conj().T @ F - np.eye(200))) == 1.0
+    assert _gram_gap(F)[0] == np.max(np.abs(F.conj().T @ F - np.eye(200))) == 1.0
 
 
 def test_a_column_that_reaches_the_last_row(rng):
@@ -262,7 +264,7 @@ def test_a_column_that_reaches_the_last_row(rng):
     assert_agrees(F, Y)
     assert_rows_agree(F, Y)
     assert takes_windows(F, F)
-    assert abs(_gram_gap(F) - np.max(np.abs(F.conj().T @ F - np.eye(150)))) <= 1e-14
+    assert abs(_gram_gap(F)[0] - np.max(np.abs(F.conj().T @ F - np.eye(150)))) <= 1e-14
 
 
 def test_width_one_windows(rng):
@@ -274,7 +276,7 @@ def test_width_one_windows(rng):
     assert takes_windows(F, Y) and _window_pairs(F, Y)[-1] == 1  # W
     assert_agrees(F, Y)
     assert_rows_agree(F, Y)
-    assert _gram_gap(F) <= 1e-15 and _orthonormal_columns(F) is not None
+    assert _gram_gap(F)[0] <= 1e-15 and _orthonormal_columns(F) is not None
 
 
 @pytest.mark.parametrize("width, windowed", [(4, True), (5, False)])

@@ -400,7 +400,7 @@ def test_effective_degree_on_windows_is_the_whole_frame_formula(monkeypatch, rng
     M = SpanSubspace(blocks.reshape(arity * (cap + 1), dim), cap, arity, band=50)
     # M is no frame, so each check is let pass: its report lists every excluded vector
     clipped = []
-    monkeypatch.setattr(invariance, "_first_failure", lambda M, op, X, tol: clipped.append(X))
+    monkeypatch.setattr(invariance, "_first_failure", lambda M, op, X, tol, windows: clipped.append(X))
     for gain in (1, 7):
         eff, keep, X = dense_effective_degree(M, gain, tol)
         assert 0 < np.count_nonzero(keep) < dim and keep[1]

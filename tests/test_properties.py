@@ -53,6 +53,8 @@ def test_gram_schmidt_orthonormality(coeff_lists, dup_index):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(complexes(10), min_size=1, max_size=4), complexes(14))
+# a Gram gap of exactly EXACT_TOL: the generators are no frame, as the row sums show
+@example(coeff_lists=[np.array([1j]), np.array([1e-12j, 1j])], fc=np.array([1j]))
 def test_projection_idempotent_and_orthogonal(coeff_lists, fc):
     M = orthonormalize(stacked(*(TaylorPoly(c, CAP) for c in coeff_lists)))
     f = TaylorPoly(fc, CAP)
