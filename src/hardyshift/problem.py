@@ -7,6 +7,8 @@ declared objects before any computation starts, so an unknown name fails
 the whole file with a field path instead of failing one task mid-run.
 Floats are parsed in C, or one at a time when the text could hold a
 literal past the float range; a non-finite number anywhere is refused.
+A file's coefficients are read in one array pass; a file that pass refuses
+is walked object by object, which names the first bad entry.
 Operators are string tokens only.  ``TASK_KEYS`` is the one task schema,
 read by the parser and by the CLI's flags; a key that a task or spec does
 not define, or a gamma outside 1..m-1, is refused.  The CLI passes a
@@ -113,18 +115,43 @@ def _at(path: str):
 
 
 def _coeff_list_at(path: str, value: Any) -> Sequence[complex]:
-    """A list of [re, im] pairs of ints and floats is read in one array
-    pass; any other list, or one with a value past the float range, is
-    walked, so that an error names the first bad entry."""
+    """A coefficient list walked entry by entry, so that an error names the first bad one."""
     if not isinstance(value, list) or not value:
         raise ValidationError(path, "expected a nonempty coefficient array")
-    if (set(map(type, value)) == {list} and set(map(len, value)) == {2}
-            and set(map(type, flat := list(chain.from_iterable(value)))) <= {int, float}):
-        with contextlib.suppress(OverflowError):  # an integer beyond the float range
-            pairs = np.array(flat, dtype=np.float64)
-            if np.isfinite(pairs).all():
-                return pairs.view(np.complex128)
     return [_complex_at(f"{path}[{i}]", v) for i, v in enumerate(value)]
+
+
+def _coeff_pass(polys: dict, matrices: Any, cap: int):
+    """A file's coefficient arrays, its polys and then its matrix entries in file order, in
+    one array pass: (the polys' zero-padded rows as one table, an iterator over the entries
+    as slices of one array).  None, for the walk, unless each array is a nonempty list of
+    [re, im] pairs of finite ints and floats and no poly has a nonzero past the cap."""
+    try:  # a matrix spec that is not an object of row lists is walked
+        arrays = [*polys.values(),
+                  *(e for spec in matrices.values() for row in spec["entries"] for e in row)]
+    except (AttributeError, KeyError, TypeError):
+        return None
+    if set(map(type, arrays)) != {list} or not all(arrays):
+        return None
+    pairs = list(chain.from_iterable(arrays))
+    if (set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}
+            or not set(map(type, flat := list(chain.from_iterable(pairs)))) <= {int, float}):
+        return None
+    try:
+        values = np.array(flat, dtype=np.float64).view(np.complex128)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    n, lens = len(polys), np.array([len(a) for a in arrays])
+    ends = np.cumsum(lens)
+    head = values[: ends[n - 1] if n else 0]  # the polys' coefficients
+    if (lens[:n] > cap + 1).any():  # a poly past the cap keeps only zeros there
+        col = np.arange(head.size) - np.repeat(ends[:n] - lens[:n], lens[:n])
+        head = None if head[col > cap].any() else head[col <= cap]
+    if head is None or not np.isfinite(values).all():
+        return None
+    table = np.zeros((n, cap + 1), np.complex128)
+    table[np.arange(cap + 1) < lens[:n, None]] = head
+    return table, (values[e - k:e] for e, k in zip(ends[n:].tolist(), lens[n:].tolist()))
 
 
 @dataclass
@@ -248,16 +275,17 @@ def parse_problem(data: Any, cap: Optional[int] = None,
         if tols["membership"] <= 0:
             raise ValidationError("--tol", "must be positive")
 
-    problem = Problem(file_cap, tols, {}, {}, {}, {}, [])
     objects = _object_at(data, "objects", "objects")
-
-    for name, coeffs in _object_at(objects, "polys", "objects.polys").items():
+    polys = _object_at(objects, "polys", "objects.polys")
+    batch = _coeff_pass(polys, objects.get("matrices", {}), file_cap)
+    table, read = batch or (np.zeros((len(polys), file_cap + 1), np.complex128), None)
+    for i, (name, coeffs) in enumerate(() if batch else polys.items()):  # the walk
         vals = np.asarray(_coeff_list_at(f"objects.polys.{name}", coeffs), dtype=np.complex128)
         if vals[file_cap + 1:].any():
             raise ValidationError(f"objects.polys.{name}", f"coefficients up to degree "
                                   f"{vals.size - 1} exceed cap {file_cap}")
-        problem.polys[name] = np.zeros(file_cap + 1, dtype=np.complex128)
-        problem.polys[name][: vals.size] = vals[: file_cap + 1]
+        table[i, : vals.size] = vals[: file_cap + 1]
+    problem = Problem(file_cap, tols, dict(zip(polys, table)), {}, {}, {}, [])
 
     for name, spec in _object_at(objects, "matrices", "objects.matrices").items():
         path = f"objects.matrices.{name}"
@@ -271,7 +299,7 @@ def parse_problem(data: Any, cap: Optional[int] = None,
         for i, row in enumerate(entries):
             if not isinstance(row, list) or not row:
                 raise ValidationError(f"{path}.entries[{i}]", "expected a nonempty column list")
-            grid.append([_coeff_list_at(f"{path}.entries[{i}][{j}]", e)
+            grid.append([next(read) if batch else _coeff_list_at(f"{path}.entries[{i}][{j}]", e)
                          for j, e in enumerate(row)])
         min_pow = spec.get("min_pow", 0)
         if not _is_integer(min_pow):

@@ -106,24 +106,26 @@ class SpanSubspace:
 
 
 def _cgs2(rows: np.ndarray, threshold) -> tuple:
-    """CGS2 ("twice is enough") over the rows, in order: each row is
-    projected off the vectors kept so far twice, w -= Q (Qᴴ w), and is
-    dropped when the norm left is below its threshold (one, or one per
-    row), else normalized and kept.  Returns the frame matrix, the dropped
-    row indices and r, the least fraction of its norm a kept row had left.
-    A frame vector is off by about EPS/r, so when r < EPS/EXACT_TOL the
-    pass is done again in extended precision (2⁻⁶⁴/r off on x86-64) and
-    rounded once.  Then r becomes the least singular value of the kept
-    rows scaled to unit norm, if smaller: rounding each row by EPS moves
-    their span by up to EPS over it."""
+    """CGS2 ("twice is enough") over the rows, in order: each row is projected off the
+    vectors kept so far twice, w -= Q (Qᴴ w), and is dropped when the norm left is below its
+    threshold (one, or one per row), else normalized and kept.  A row whose nonzero
+    coefficients meet none of an earlier row's (kept or dropped; one cumulative OR finds
+    them) is not projected: both its products are exact zeros, and w - 0 = w.  Returns the
+    frame matrix, the dropped row indices and r, the least fraction of its norm a kept row
+    had left.  A frame vector is off by about EPS/r, so when r < EPS/EXACT_TOL the pass is
+    done again in extended precision (2⁻⁶⁴/r off on x86-64) and rounded once.  Then r becomes
+    the least singular value of the kept rows scaled to unit norm, if smaller: rounding each
+    row by EPS moves their span by up to EPS over it."""
     threshold = np.broadcast_to(threshold, len(rows)).tolist()
     norms = np.linalg.norm(rows, axis=1)
+    nz = rows != 0
+    meets = [False, *(nz[1:] & np.logical_or.accumulate(nz[:-1], axis=0)).any(axis=1).tolist()]
     for dtype in (np.complex128, np.clongdouble):
         Q = np.empty(rows.shape, dtype)  # kept vectors as rows
         r, dropped, least = 0, [], 1.0
         for idx, g in enumerate(rows.astype(dtype, copy=False)):
             w = g.copy()
-            for _ in range(2):
+            for _ in range(2 * meets[idx]):  # else both products are exact zeros
                 w -= (Q[:r] @ w.conj()).conj() @ Q[:r]
             nrm = float(np.linalg.norm(w))
             if nrm < threshold[idx] or nrm == 0.0:
